@@ -1,10 +1,16 @@
 """End-to-end command line behavior, formats, and exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from dotbinom import cli
+
 BASE = [sys.executable, "-m", "dotbinom"]
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -202,6 +208,16 @@ def test_verify_without_paper_comparison():
     res = run_cli("verify", "--q", "3", "--max-n", "2", "--no-compare-paper")
     assert res.returncode == 0
     assert "PAPER-DISCREPANCY" not in res.stdout
+
+
+@pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json")])
+def test_verify_golden(fmt, suffix, capsys):
+    """Frozen records: skipped, fallback, discrepancy and poset shapes."""
+    code = cli.main(["verify", "--q", "3,5", "--max-n", "3", "--budget", "20",
+                     "--format", fmt])
+    assert code == 0
+    golden = DATA / f"verify_q3-5_max-n3_budget20.{suffix}"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_verify_multiple_fields():
