@@ -12,7 +12,7 @@ from .errors import DotAnalogueError, NeitherSign
 from .gf import make_field
 from .oracle import PosetKind
 from .polyq import PolyFamilyKey
-from .quadspace import dot_space, lambda_dot_space
+from .quadspace import ambient_space, dot_space
 from .report import (
     render_csv,
     render_json,
@@ -179,11 +179,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_oracle_count(args) -> int:
-    field = _field_for(args.q)
-    if args.ambient == "dot":
-        ambient = dot_space(field, args.n)
-    else:
-        ambient = lambda_dot_space(field, args.n)
+    ambient = ambient_space(_field_for(args.q), args.ambient, args.n)
     rep = oracle.full_count_report(ambient, budget=args.budget, jobs=args.jobs)
     columns = ["ambient", "q", "n", "k", "dot", "lambda_dot", "degenerate"]
     rows = [
@@ -270,6 +266,21 @@ def _rows_arg(text: str) -> int:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+_natural = _int_at_least(0)
+_positive = _int_at_least(1)
+
+
 def _q_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", parents=[common],
                        help="bracket value [n] for one flavor")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--flavor", choices=[f.value for f in Flavor],
                    default=Flavor.SPACELIKE_DOT.value)
     p.add_argument("--compare-paper", action="store_true",
@@ -304,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("binom", parents=[common],
                        help="dot-binomial coefficient for one variant")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--variant", choices=[v.value for v in Variant],
                    default=Variant.DD.value)
@@ -321,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polynomial forms of the dot-binomial coefficients")
     p.add_argument("--q-class", type=int, choices=(1, 3), required=True,
                    help="congruence class of q modulo 4")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--k", type=int, default=None,
                    help="single cell (default: the whole row)")
     p.add_argument("--checks", action="store_true",
@@ -331,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-order", parents=[common],
                        help="order of the orthogonal group of the dot form")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--compare-paper", action="store_true",
                    help="also evaluate the published product expression")
     p.set_defaults(handler=cmd_group_order)
@@ -339,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mobius", parents=[common],
                        help="Mobius sequence of the subspace poset")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.set_defaults(handler=cmd_mobius)
 
     p = sub.add_parser("limits", parents=[common],
                        help="limits of the normalized polynomials")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(handler=cmd_limits)
 
@@ -354,37 +365,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = oracle_sub.add_parser("count", parents=[common],
                               help="enumerate and classify all subspaces")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--ambient", choices=("dot", "lambda_dot"), default="dot")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(handler=cmd_oracle_count)
 
     p = oracle_sub.add_parser("poset", parents=[common],
                               help="build a rank poset over the dot ambient")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--kind", choices=[k.value for k in PosetKind],
                    default=PosetKind.EUCLIDEAN.value)
     p.add_argument("--emit-graph", metavar="FILE", default=None,
                    help="write Hasse edges to FILE, one edge per line")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_POSET_BUDGET)
+    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET)
     p.set_defaults(handler=cmd_oracle_poset)
 
     p = sub.add_parser("flags", parents=[common],
                        help="maximal chains against the bracket factorial")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_POSET_BUDGET)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET)
     p.set_defaults(handler=cmd_flags)
 
     p = sub.add_parser("verify", parents=[common],
                        help="reconcile closed forms against enumeration")
     p.add_argument("--q", type=_q_list, required=True,
                    help="comma-separated field sizes, e.g. 3,5,9")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-n", type=_natural, required=True)
+    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--compare-paper", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="include checks of formulas exactly as published")

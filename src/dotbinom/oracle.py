@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from .closed import gaussian_binom
-from .errors import BudgetExceeded, UndefinedForParameters
+from .errors import BudgetExceeded, Mismatch, UndefinedForParameters
 from .gf import SquareClass, make_field
 from .quadspace import (
     AmbientForm,
@@ -189,7 +189,11 @@ def count_subspaces_by_class(
         square += s
         non_square += ns
         zero += z
-    assert square + non_square + zero == total
+    if square + non_square + zero != total:
+        raise Mismatch(
+            f"{square + non_square + zero} subspaces tallied at "
+            f"(q={q}, n={n}, k={k}), expected {total}"
+        )
     return {
         SubspaceClass.DOT_TYPE: square,
         SubspaceClass.LAMBDA_DOT_TYPE: non_square,
@@ -403,8 +407,10 @@ def hasse_edge_lines(snapshot: PosetSnapshot) -> list[str]:
 
 
 def export_hasse(snapshot: PosetSnapshot, path) -> None:
+    # labels can fail, so they are all made before the file is opened
+    text = "\n".join(hasse_edge_lines(snapshot)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(hasse_edge_lines(snapshot)) + "\n")
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -459,7 +465,7 @@ def full_count_report(
                 by_class[SubspaceClass.DEGENERATE],
             )
         )
-    lines = count_lines(ambient, budget=budget, jobs=jobs) if ambient.n >= 1 else (0, 0, 0)
+    lines = tallies[1][1:] if ambient.n >= 1 else (0, 0, 0)
     flag_count = mobius = None
     # flag and Mobius summaries belong to the Euclidean poset of the dot ambient
     if ambient.kind is AmbientKind.DOT:

@@ -395,29 +395,9 @@ def functional_sign_report(key: PolyFamilyKey) -> FunctionalSignReport:
 def published_symmetry(key: PolyFamilyKey):
     """(sign, printed reversal index) from the printed symmetry case lists."""
     kk = key.k * (key.n - key.k)
-    nm, km = key.n_mod4, key.k_mod4
-    if key.q_class == 1:
-        sign = (
-            FunctionalSign.MINUS
-            if key.n % 2 == 0 and key.k % 2 == 1
-            else FunctionalSign.PLUS
-        )
-        return sign, Fraction(kk, 2)
-    if key.n % 2 == 0 and key.k % 2 == 1:
-        sign = (
-            FunctionalSign.MINUS
-            if nm == 0 and km == 3
-            else FunctionalSign.PLUS
-        )
-        return sign, Fraction(kk + 1, 2)
-    minus = (
-        (nm == 3 and km in (1, 2))
-        or (nm == 1 and km in (3, 2))
-        or (nm == 2 and key.k % 2 == 0)
-        or (nm == 0 and key.k % 2 == 0)
-    )
-    sign = FunctionalSign.MINUS if minus else FunctionalSign.PLUS
-    return sign, Fraction(kk, 2)
+    if key.q_class == 3 and key.n % 2 == 0 and key.k % 2 == 1:
+        kk += 1
+    return published_functional_sign(key), Fraction(kk, 2)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,13 @@ def lambda_dot_space(
     )
 
 
+def ambient_space(field: FieldSpec, kind, n: int) -> AmbientForm:
+    """The dot or (canonical) lambda-dot ambient of dimension n."""
+    if AmbientKind(kind) is AmbientKind.DOT:
+        return dot_space(field, n)
+    return lambda_dot_space(field, n)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace held as its unique reduced row-echelon basis."""

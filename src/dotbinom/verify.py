@@ -10,7 +10,7 @@ from .closed import Variant
 from .errors import BudgetExceeded, IdentityViolated, Mismatch, NeitherSign
 from .gf import make_field
 from .oracle import PosetKind
-from .quadspace import AmbientKind, SubspaceClass, dot_space, lambda_dot_space
+from .quadspace import AmbientKind, SubspaceClass, ambient_space, dot_space
 from .report import CheckRecord, Status, VerifyReport
 
 # posets pay O(nodes^2) containment scans, so they stay small
@@ -24,138 +24,123 @@ _VARIANT_BY_CELL = {
     (AmbientKind.LAMBDA_DOT, SubspaceClass.DOT_TYPE): Variant.LD,
     (AmbientKind.LAMBDA_DOT, SubspaceClass.LAMBDA_DOT_TYPE): Variant.LL,
 }
+_FAILURES = (IdentityViolated, Mismatch, NeitherSign)
 
 
-def _ambient(field, kind, n):
-    if kind is AmbientKind.DOT:
-        return dot_space(field, n)
-    return lambda_dot_space(field, n)
+def _check(add, check, params, expected, actual, failed="", compare=True):
+    """Add the record of one check; return the actual value, or None on error.
+
+    ``actual`` is a value or a callable computing it here.  BudgetExceeded
+    makes the record SKIPPED; a violated identity, a mismatch or an
+    indefinite sign makes it FAIL with ``failed`` as its actual value.
+    Otherwise it is PASS when ``expected`` equals the actual value, FAIL when
+    not, and with ``compare`` false it is left to the caller.
+    """
+    try:
+        value = actual() if callable(actual) else actual
+    except BudgetExceeded as exc:
+        add(CheckRecord(check, params, str(expected), "", Status.SKIPPED, str(exc)))
+        return None
+    except _FAILURES as exc:
+        add(CheckRecord(check, params, str(expected), failed, Status.FAIL, str(exc)))
+        return None
+    if compare:
+        status = Status.PASS if expected == value else Status.FAIL
+        add(CheckRecord(check, params, str(expected), str(value), status))
+    return value
 
 
-def _record(add, check, params, expected, actual, note=""):
-    status = Status.PASS if expected == actual else Status.FAIL
-    add(CheckRecord(check, params, str(expected), str(actual), status, note))
+def _line_counts(tallies):
+    """(spacelike, timelike, lightlike) from the class tallies of the lines."""
+    return tuple(tallies[klass] for klass in SubspaceClass)
 
 
-def _subspace_family(add, field, q, n, budget, jobs):
-    for kind in (AmbientKind.DOT, AmbientKind.LAMBDA_DOT):
-        ambient = _ambient(field, kind, n)
+def _subspace_family(add, tally, field, q, n):
+    for kind in AmbientKind:
+        ambient = ambient_space(field, kind, n)
         for k in range(n + 1):
             params = f"q={q} n={n} k={k} ambient={kind.value}"
-            try:
-                tallies = oracle.count_subspaces_by_class(
-                    ambient, k, budget=budget, jobs=jobs
-                )
-            except BudgetExceeded as exc:
-                add(CheckRecord(
-                    "oracle/subspace-count", params, "", "",
-                    Status.SKIPPED, str(exc),
-                ))
+            tallies = _check(add, "oracle/subspace-count", params, "",
+                             lambda: tally(ambient, k), compare=False)
+            if tallies is None:
                 continue
             for klass in (SubspaceClass.DOT_TYPE, SubspaceClass.LAMBDA_DOT_TYPE):
                 variant = _VARIANT_BY_CELL[kind, klass]
-                _record(
-                    add, "oracle/subspace-count",
-                    f"{params} variant={variant.value}",
-                    closed.dot_binom_variant(q, n, k, variant),
-                    tallies[klass],
-                )
+                _check(add, "oracle/subspace-count",
+                       f"{params} variant={variant.value}",
+                       closed.dot_binom_variant(q, n, k, variant), tallies[klass])
         params = f"q={q} n={n} ambient={kind.value}"
-        try:
-            got = oracle.count_lines(ambient, budget=budget, jobs=jobs)
-        except BudgetExceeded as exc:
-            add(CheckRecord("oracle/line-count", params, "", "",
-                            Status.SKIPPED, str(exc)))
-            continue
-        _record(add, "oracle/line-count", params,
-                closed.line_counts(q, n, kind), got)
+        lines = _check(add, "oracle/line-count", params, "",
+                       lambda: _line_counts(tally(ambient, 1)), compare=False)
+        if lines is not None:
+            _check(add, "oracle/line-count", params,
+                   closed.line_counts(q, n, kind), lines)
 
 
 def _closed_family(add, q, n):
     params = f"q={q} n={n}"
-    try:
-        closed.pascal_check(q, n)
-        add(CheckRecord("closed/pascal", params,
-                        "identities hold", "identities hold", Status.PASS))
-    except IdentityViolated as exc:
-        add(CheckRecord("closed/pascal", params,
-                        "identities hold", "violated", Status.FAIL, str(exc)))
+    _check(add, "closed/pascal", params, "identities hold",
+           lambda: closed.pascal_check(q, n) and "identities hold",
+           failed="violated")
     shape = closed.shape_checks(q, n)
     actual = "euclidean={} lorentzian={}".format(
         "ok" if shape.euclidean.ok else "violated",
         "ok" if shape.lorentzian.ok else "violated",
     )
-    add(CheckRecord(
-        "closed/shape", params, "euclidean=ok lorentzian=ok", actual,
-        Status.PASS if shape.ok else Status.FAIL,
-    ))
+    _check(add, "closed/shape", params, "euclidean=ok lorentzian=ok", actual)
     for k in range(1, n):
-        kp = f"q={q} n={n} k={k}"
-        try:
-            closed.quotient_identity_check(q, n, k)
-            add(CheckRecord("closed/quotient-identity", kp,
-                            "identity holds", "identity holds", Status.PASS))
-        except IdentityViolated as exc:
-            add(CheckRecord("closed/quotient-identity", kp,
-                            "identity holds", "violated", Status.FAIL, str(exc)))
+        _check(add, "closed/quotient-identity", f"q={q} n={n} k={k}",
+               "identity holds",
+               lambda: closed.quotient_identity_check(q, n, k) and "identity holds",
+               failed="violated")
 
 
 def _poset_family(add, field, q, n, poset_budget):
     ambient = dot_space(field, n)
     params = f"q={q} n={n}"
-    try:
-        snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=poset_budget)
-    except BudgetExceeded as exc:
-        add(CheckRecord("oracle/poset-ranks", params + " kind=euclidean",
-                        "", "", Status.SKIPPED, str(exc)))
+    euclidean = params + " kind=euclidean"
+    snap = _check(add, "oracle/poset-ranks", euclidean, "",
+                  lambda: oracle.build_poset(ambient, PosetKind.EUCLIDEAN,
+                                             budget=poset_budget),
+                  compare=False)
+    if snap is None:
         return
-    _record(add, "oracle/poset-ranks", params + " kind=euclidean",
-            tuple(closed.pascal_row(q, n)), snap.rank_sizes())
-    _record(add, "oracle/flag-count", params,
-            closed.bracket_factorial(q, n), oracle.count_flags(snap))
-    _record(add, "oracle/mobius", params,
-            closed.mobius_sequence(q, n).mu[n], oracle.mobius_bottom(snap))
+    _check(add, "oracle/poset-ranks", euclidean,
+           tuple(closed.pascal_row(q, n)), snap.rank_sizes())
+    _check(add, "oracle/flag-count", params,
+           closed.bracket_factorial(q, n), oracle.count_flags(snap))
+    _check(add, "oracle/mobius", params,
+           closed.mobius_sequence(q, n).mu[n], oracle.mobius_bottom(snap))
     lo = oracle.build_poset(ambient, PosetKind.LORENTZIAN, budget=poset_budget)
     want = (1,) + tuple(
         closed.dot_binom_variant(q, n, k, Variant.DL) for k in range(1, n)
     ) + (1,)
-    _record(add, "oracle/poset-ranks", params + " kind=lorentzian",
-            want, lo.rank_sizes())
+    _check(add, "oracle/poset-ranks", params + " kind=lorentzian",
+           want, lo.rank_sizes())
 
 
 def _group_family(add, field, q, n, budget, jobs):
-    params = f"q={q} n={n}"
-    want = closed.group_order(q, n)
-    try:
-        got = oracle.enumerate_orthogonal_group(
-            dot_space(field, n), budget=budget, jobs=jobs
-        )
-    except BudgetExceeded as exc:
-        add(CheckRecord("oracle/group-order", params, str(want), "",
-                        Status.SKIPPED, str(exc)))
-        return
-    _record(add, "oracle/group-order", params, want, got)
+    _check(add, "oracle/group-order", f"q={q} n={n}", closed.group_order(q, n),
+           lambda: oracle.enumerate_orthogonal_group(
+               dot_space(field, n), budget=budget, jobs=jobs))
 
 
-def _published_family(add, field, q, n, budget, jobs):
-    for kind in (AmbientKind.DOT, AmbientKind.LAMBDA_DOT):
+def _published_family(add, tally, field, q, n):
+    for kind in AmbientKind:
         note = ""
         try:
-            s, t, _ = oracle.count_lines(
-                _ambient(field, kind, n), budget=budget, jobs=jobs
-            )
+            s, t, _ = _line_counts(tally(ambient_space(field, kind, n), 1))
         except BudgetExceeded:
             s, t, _ = closed.line_counts(q, n, kind)
             note = "expected from fitted bracket; enumeration beyond budget"
-        expected = {"spacelike": s, "timelike": t}
-        for which in ("spacelike", "timelike"):
+        for which, want in (("spacelike", s), ("timelike", t)):
             verbatim = closed.verbatim_line_count(q, n, kind, which)
-            status = (Status.PASS if verbatim == expected[which]
+            status = (Status.PASS if verbatim == want
                       else Status.PAPER_DISCREPANCY)
             add(CheckRecord(
                 "published/line-count",
                 f"q={q} n={n} ambient={kind.value} which={which}",
-                str(expected[which]), str(verbatim), status, note,
+                str(want), str(verbatim), status, note,
             ))
     params = f"q={q} n={n}"
     want = closed.group_order(q, n)
@@ -174,31 +159,27 @@ def _poly_cell(add, key, compare_paper):
     poly = polyq.dot_binom_poly(key)
     interior = 0 < key.k < key.n
     want_lead = polyq.HALF if interior else Fraction(1)
-    _record(
+    _check(
         add, "poly/degree-lead", params,
         f"degree={key.k * (key.n - key.k)} lead={want_lead}",
         f"degree={poly.degree} lead={poly.leading_coefficient}",
     )
     if not interior:
         return
-    try:
-        sign = polyq.functional_equation_check(key)
-    except NeitherSign as exc:
-        add(CheckRecord("poly/sign", params, "definite sign", "neither",
-                        Status.FAIL, str(exc)))
-        sign = None
-    else:
-        if compare_paper:
-            published = polyq.published_functional_sign(key)
-            status = (Status.PASS if published is sign
-                      else Status.PAPER_DISCREPANCY)
-            note = ("" if status is Status.PASS
-                    else "printed case list disagrees with coefficient reversal")
-            add(CheckRecord("poly/sign", params, published.value, sign.value,
-                            status, note))
-        else:
-            add(CheckRecord("poly/sign", params, "definite sign", sign.value,
-                            Status.PASS))
+    sign = _check(add, "poly/sign", params, "definite sign",
+                  lambda: polyq.functional_equation_check(key),
+                  failed="neither", compare=False)
+    if sign is not None and compare_paper:
+        published = polyq.published_functional_sign(key)
+        status = (Status.PASS if published is sign
+                  else Status.PAPER_DISCREPANCY)
+        note = ("" if status is Status.PASS
+                else "printed case list disagrees with coefficient reversal")
+        add(CheckRecord("poly/sign", params, published.value, sign.value,
+                        status, note))
+    elif sign is not None:
+        add(CheckRecord("poly/sign", params, "definite sign", sign.value,
+                        Status.PASS))
     if compare_paper:
         rep = polyq.coefficient_symmetry_report(key)
         issues = []
@@ -218,8 +199,8 @@ def _poly_cell(add, key, compare_paper):
             Status.PASS if not issues else Status.PAPER_DISCREPANCY,
         ))
     x = 1 if key.q_class == 1 else -1
-    _record(add, "poly/limit", f"{params} at q={x}",
-            closed.limit_value(key.n, key.k), poly.evaluate(x))
+    _check(add, "poly/limit", f"{params} at q={x}",
+           closed.limit_value(key.n, key.k), poly.evaluate(x))
 
 
 def _poly_family(add, qs, max_n, compare_paper):
@@ -230,17 +211,11 @@ def _poly_family(add, qs, max_n, compare_paper):
                 key = polyq.PolyFamilyKey(q_class, n, k)
                 _poly_cell(add, key, compare_paper)
                 for q in eval_qs:
-                    params = f"class={q_class} n={n} k={k} q={q}"
-                    try:
-                        polyq.eval_consistency(key, q)
-                        add(CheckRecord("poly/eval", params,
-                                        "values agree", "values agree",
-                                        Status.PASS))
-                    except Mismatch as exc:
-                        add(CheckRecord("poly/eval", params,
-                                        "values agree", "mismatch",
-                                        Status.FAIL, str(exc)))
-            _record(
+                    _check(add, "poly/eval", f"class={q_class} n={n} k={k} q={q}",
+                           "values agree",
+                           lambda: polyq.eval_consistency(key, q) and "values agree",
+                           failed="mismatch")
+            _check(
                 add, "poly/row-symmetry", f"class={q_class} n={n}",
                 "symmetric",
                 "symmetric" if polyq.row_symmetric(q_class, n) else "asymmetric",
@@ -251,7 +226,7 @@ def _kset_family(add):
     for n in range(2, KSET_N_MAX + 1):
         want = tuple(closed.limit_value(n, k) for k in range(1, n))
         got = tuple(oracle.count_symmetric_ksets(n, k) for k in range(1, n))
-        _record(add, "ksets/limit-equality", f"n={n}", want, got)
+        _check(add, "ksets/limit-equality", f"n={n}", want, got)
 
 
 def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
@@ -261,17 +236,32 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
     started = perf_counter()
     records = []
     add = records.append
+    # each (ambient, k) is enumerated once per run: its tallies or its BudgetExceeded
+    found = {}
+
+    def tally(ambient, k):
+        if (ambient, k) not in found:
+            try:
+                found[ambient, k] = oracle.count_subspaces_by_class(
+                    ambient, k, budget=budget, jobs=jobs
+                )
+            except BudgetExceeded as exc:
+                found[ambient, k] = exc
+        if isinstance(found[ambient, k], BudgetExceeded):
+            raise found[ambient, k]
+        return found[ambient, k]
+
     for q in qs:
         p, e = closed.odd_prime_power(q)
         field = make_field(p, e)
         for n in range(1, max_n + 1):
-            _subspace_family(add, field, q, n, budget, jobs)
+            _subspace_family(add, tally, field, q, n)
             _closed_family(add, q, n)
             if q <= POSET_Q_MAX and n <= POSET_N_MAX:
                 _poset_family(add, field, q, n, poset_budget)
             _group_family(add, field, q, n, budget, jobs)
             if compare_paper:
-                _published_family(add, field, q, n, budget, jobs)
+                _published_family(add, tally, field, q, n)
     _poly_family(add, qs, max_n, compare_paper)
     _kset_family(add)
     return VerifyReport(tuple(records), perf_counter() - started)

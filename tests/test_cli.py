@@ -231,6 +231,13 @@ def test_usage_errors_exit_two():
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("bracket", "--q", "5").returncode == 2
     assert run_cli("verify", "--q", "x", "--max-n", "2").returncode == 2
+    # negative sizes and budgets and fewer than one job are refused at parse time
+    assert run_cli("poly", "--q-class", "1", "--n", "-1").returncode == 2
+    assert run_cli("verify", "--q", "3", "--max-n", "-1").returncode == 2
+    assert run_cli("verify", "--q", "3", "--max-n", "2", "--jobs", "0").returncode == 2
+    assert run_cli("oracle", "count", "--q", "3", "--n", "2",
+                   "--budget", "-1").returncode == 2
+    assert run_cli("flags", "--q", "3", "--n", "2", "--budget", "-1").returncode == 2
 
 
 def test_domain_errors_exit_one():

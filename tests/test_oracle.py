@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from dotbinom import closed, oracle
-from dotbinom.errors import BudgetExceeded, UndefinedForParameters
+from dotbinom.errors import BudgetExceeded, Mismatch, UndefinedForParameters
 from dotbinom.gf import SquareClass, make_field
 from dotbinom.oracle import PosetKind
 from dotbinom.quadspace import (
@@ -74,6 +74,13 @@ def test_budget_is_enforced():
         oracle.enumerate_orthogonal_group(ambient, budget=1000)
     with pytest.raises(BudgetExceeded):
         oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=1000)
+
+
+def test_short_tally_raises_mismatch(monkeypatch):
+    ambient = dot_space(make_field(3), 2)
+    monkeypatch.setattr(oracle, "_run_tasks", lambda worker, tasks, jobs: [(1, 0, 0)])
+    with pytest.raises(Mismatch):
+        oracle.count_subspaces_by_class(ambient, 1)
 
 
 def test_enumerate_subspaces_is_canonical_and_complete():
@@ -250,6 +257,14 @@ def test_export_hasse(tmp_path):
     assert len(labels) == len(snap.nodes)
 
 
+def test_export_hasse_label_error_leaves_no_file(tmp_path):
+    snap = oracle.build_poset(dot_space(make_field(37), 1), PosetKind.EUCLIDEAN)
+    path = tmp_path / "hasse.txt"
+    with pytest.raises(UndefinedForParameters):
+        oracle.export_hasse(snap, str(path))
+    assert not path.exists()
+
+
 def test_full_count_report():
     f3 = make_field(3)
     rep = oracle.full_count_report(dot_space(f3, 2))
@@ -271,3 +286,17 @@ def test_full_count_report_lambda_ambient_has_no_poset_stats():
     assert rep.flag_count is None
     assert rep.mobius_bottom_to_top is None
     assert rep.lines == (1, 1, 2)
+
+
+def test_full_count_report_counts_each_dimension_once(monkeypatch):
+    count = oracle.count_subspaces_by_class
+    dims = []
+
+    def counting(ambient, k, **kwargs):
+        dims.append(k)
+        return count(ambient, k, **kwargs)
+
+    monkeypatch.setattr(oracle, "count_subspaces_by_class", counting)
+    rep = oracle.full_count_report(dot_space(make_field(3), 3))
+    assert dims == [0, 1, 2, 3]
+    assert rep.lines == (3, 6, 4)
