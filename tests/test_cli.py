@@ -166,6 +166,19 @@ def test_oracle_poset_and_graph(tmp_path):
     assert graph.read_text().count("\n") == 4
 
 
+def test_oracle_poset_golden(tmp_path, monkeypatch, capsys):
+    """Frozen stdout and Hasse edge file of a three-rank Lorentzian poset."""
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["oracle", "poset", "--q", "3", "--n", "3",
+                     "--kind", "lorentzian", "--emit-graph", "edges.txt"])
+    assert code == 0
+    golden = DATA / "poset_q3_n3_lorentzian.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    edges = DATA / "poset_q3_n3_lorentzian_edges.txt"
+    assert (tmp_path / "edges.txt").read_text(encoding="utf-8") == \
+        edges.read_text(encoding="utf-8")
+
+
 def test_flags_command():
     res = run_cli("flags", "--q", "3", "--n", "3")
     assert res.returncode == 0
