@@ -291,6 +291,10 @@ def _q_list(text: str) -> list[int]:
     return values
 
 
+_POSET_BUDGET_HELP = ("cap on the subspaces scanned and on the 64-bit words "
+                      "of the nodes' vector masks (default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "csv", "json"),
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dot-binomial coefficient for one variant")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--variant", choices=[v.value for v in Variant],
                    default=Variant.DD.value)
     p.set_defaults(handler=cmd_binom)
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-class", type=int, choices=(1, 3), required=True,
                    help="congruence class of q modulo 4")
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_natural, default=None,
                    help="single cell (default: the whole row)")
     p.add_argument("--checks", action="store_true",
                    help="include sign, symmetry, and limit columns")
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", parents=[common],
                        help="limits of the normalized polynomials")
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_natural, default=None)
     p.set_defaults(handler=cmd_limits)
 
     p_oracle = sub.add_parser("oracle", help="brute-force enumeration")
@@ -379,14 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PosetKind.EUCLIDEAN.value)
     p.add_argument("--emit-graph", metavar="FILE", default=None,
                    help="write Hasse edges to FILE, one edge per line")
-    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET)
+    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET,
+                   help=_POSET_BUDGET_HELP)
     p.set_defaults(handler=cmd_oracle_poset)
 
     p = sub.add_parser("flags", parents=[common],
                        help="maximal chains against the bracket factorial")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET)
+    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET,
+                   help=_POSET_BUDGET_HELP)
     p.set_defaults(handler=cmd_flags)
 
     p = sub.add_parser("verify", parents=[common],

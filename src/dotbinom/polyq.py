@@ -147,10 +147,6 @@ class RatPoly:
             out[i * m] = c
         return RatPoly.from_coeffs(out)
 
-    def depressed(self) -> tuple:
-        """Coefficients after dividing out the highest power of q possible."""
-        return self.coeffs[self.valuation :]
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

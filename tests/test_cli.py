@@ -251,6 +251,9 @@ def test_usage_errors_exit_two():
     assert run_cli("oracle", "count", "--q", "3", "--n", "2",
                    "--budget", "-1").returncode == 2
     assert run_cli("flags", "--q", "3", "--n", "2", "--budget", "-1").returncode == 2
+    assert run_cli("binom", "--q", "3", "--n", "2", "--k", "-1").returncode == 2
+    assert run_cli("poly", "--q-class", "1", "--n", "2", "--k", "-1").returncode == 2
+    assert run_cli("limits", "--n", "2", "--k", "-1").returncode == 2
 
 
 def test_domain_errors_exit_one():
@@ -259,3 +262,16 @@ def test_domain_errors_exit_one():
     assert res.stderr.startswith("error:")
     res = run_cli("bracket", "--q", "15", "--n", "2")
     assert res.returncode == 1
+    res = run_cli("binom", "--q", "3", "--n", "2", "--k", "3")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+
+
+def test_poset_budget_guard_survives_optimize_flag():
+    res = subprocess.run([sys.executable, "-O", "-m", "dotbinom", "flags",
+                          "--q", "211", "--n", "2"],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: vector masks of 106 subspaces")
+    assert "exceeding budget 20000" in res.stderr

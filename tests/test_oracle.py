@@ -83,6 +83,19 @@ def test_short_tally_raises_mismatch(monkeypatch):
         oracle.count_subspaces_by_class(ambient, 1)
 
 
+def test_jobs_beyond_cpu_count_run_without_a_pool(monkeypatch):
+    ambient = lambda_dot_space(make_field(7), 3)
+    serial = [oracle.count_subspaces_by_class(ambient, k) for k in range(4)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    for k in range(4):
+        assert oracle.count_subspaces_by_class(ambient, k, jobs=3) == serial[k]
+
+
 def test_enumerate_subspaces_is_canonical_and_complete():
     field = make_field(3)
     ambient = dot_space(field, 3)
@@ -213,6 +226,41 @@ def test_poset_mobius_matches_recursion():
     f3 = make_field(3)
     snap = oracle.build_poset(dot_space(f3, 4), PosetKind.EUCLIDEAN)
     assert oracle.mobius_bottom(snap) == 5 == closed.mobius_sequence(3, 4).mu[4]
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 3)])
+@pytest.mark.parametrize("kind", list(PosetKind))
+def test_mask_containment_matches_object_level(q, n, kind):
+    snap = oracle.build_poset(dot_space(make_field(q), n), kind)
+    subs = [sub for sub, _ in snap.nodes]
+    for lo, small in zip(snap.masks, subs):
+        for hi, big in zip(snap.masks, subs):
+            assert (lo & hi == lo) == contains(big, small), (small, big)
+
+
+def test_mobius_at_q5_n4():
+    snap = oracle.build_poset(dot_space(make_field(5), 4), PosetKind.EUCLIDEAN)
+    assert oracle.mobius_bottom(snap) == -331 == closed.mobius_sequence(5, 4).mu[4]
+
+
+def test_poset_budget_prices_vector_masks():
+    """q=211 n=2 scans 214 subspaces but needs 106 masks of 696 words."""
+    ambient = dot_space(make_field(211), 2)
+    with pytest.raises(BudgetExceeded, match="73776 64-bit words"):
+        oracle.build_poset(ambient, PosetKind.EUCLIDEAN)
+    snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=10**5)
+    assert oracle.count_flags(snap) == closed.bracket_factorial(211, 2)
+
+
+def test_poset_without_inner_nodes_builds_no_tables(monkeypatch):
+    def no_tables(p, e):
+        raise AssertionError("field tables were built")
+
+    monkeypatch.setattr(oracle, "_field_tables", no_tables)
+    snap = oracle.build_poset(dot_space(make_field(1009), 1), PosetKind.EUCLIDEAN)
+    assert snap.masks == (1, -1)
+    assert oracle.count_flags(snap) == 1
+    assert oracle.mobius_bottom(snap) == -1
 
 
 def _naive_symmetric_ksets(n, k):

@@ -52,7 +52,7 @@ def test_ratpoly_divexact_failures():
 def test_ratpoly_valuation_and_depressed():
     p = RatPoly.from_coeffs((0, 0, Fraction(1, 2), 1))
     assert p.valuation == 2
-    assert p.depressed() == (Fraction(1, 2), Fraction(1))
+    assert p.coeffs[p.valuation:] == (Fraction(1, 2), Fraction(1))
     assert p.leading_coefficient == 1
     with pytest.raises(ValueError):
         RatPoly.from_coeffs(()).valuation
