@@ -17,6 +17,7 @@ from .errors import (
     DegreeOutOfRange,
     DivisionByZero,
     EvenCharacteristic,
+    IdentityViolated,
     NotPrime,
 )
 
@@ -230,7 +231,8 @@ class FieldSpec:
         w = self.pow_(a, (self.q - 1) // 2)
         if w == self.one:
             return SquareClass.SQUARE
-        assert w == self.neg(self.one)
+        if w != self.neg(self.one):
+            raise IdentityViolated("euler-criterion", (self.p, self.e), a.coeffs, w.coeffs)
         return SquareClass.NON_SQUARE
 
     def _smallest_non_square(self) -> FieldElement:

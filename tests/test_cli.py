@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,17 @@ def test_oracle_count_respects_budget():
                   "--budget", "100")
     assert res.returncode == 1
     assert "error:" in res.stderr
+
+
+def test_oracle_count_refuses_fields_beyond_table_limit():
+    """The uint16 index tables cannot hold q = 65537: refused before any table."""
+    started = time.monotonic()
+    res = subprocess.run(BASE + ["oracle", "count", "--q", "65537", "--n", "1"],
+                         capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - started < 10
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: field order 65537 exceeds the table limit 65535\n"
 
 
 def test_oracle_poset_and_graph(tmp_path):

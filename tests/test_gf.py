@@ -1,5 +1,8 @@
 """Field tower construction and arithmetic."""
 
+import subprocess
+import sys
+
 import pytest
 
 from dotbinom.errors import (
@@ -152,3 +155,21 @@ def test_format_element():
     assert f9.format_element(f9.zero) == "0"
     assert f9.format_element(f9.from_index(3)) == "t"
     assert f9.format_element(f9.from_index(4)) == "t + 1"
+
+
+def test_euler_criterion_check_survives_optimize_flag():
+    """x^2 - 1 is reducible over GF(3): there (1 + x)^4 = 2 + 2x, neither 1 nor -1."""
+    script = (
+        "from dotbinom.errors import IdentityViolated\n"
+        "from dotbinom.gf import FieldSpec\n"
+        "ring = FieldSpec(3, 2)\n"
+        "ring.modulus = (2, 0, 1)\n"
+        "try:\n"
+        "    ring.square_class(ring.from_coeffs((1, 1)))\n"
+        "except IdentityViolated as exc:\n"
+        "    print(*exc.args)\n"
+    )
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "euler-criterion (3, 2) (1, 1) (2, 2)\n"

@@ -3,10 +3,16 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from dotbinom import closed, oracle
-from dotbinom.errors import BudgetExceeded, Mismatch, UndefinedForParameters
+from dotbinom import closed, gf, oracle
+from dotbinom.errors import (
+    BudgetExceeded,
+    IdentityViolated,
+    Mismatch,
+    UndefinedForParameters,
+)
 from dotbinom.gf import SquareClass, make_field
 from dotbinom.oracle import PosetKind
 from dotbinom.quadspace import (
@@ -19,18 +25,19 @@ from dotbinom.quadspace import (
 )
 
 
-@pytest.mark.parametrize(
-    "p,e,n,maker",
-    [
-        (3, 1, 3, dot_space),
-        (3, 1, 3, lambda_dot_space),
-        (7, 1, 2, dot_space),
-        (3, 2, 2, dot_space),
-        (3, 2, 2, lambda_dot_space),
-    ],
-)
-def test_fast_tallies_match_object_level_classification(p, e, n, maker):
-    """The numpy path must agree with per-subspace classify() exactly."""
+DIFFERENTIAL_CELLS = [
+    (3, 1, 3, dot_space),
+    (3, 1, 3, lambda_dot_space),
+    (7, 1, 2, dot_space),
+    (3, 2, 2, dot_space),
+    (3, 2, 2, lambda_dot_space),
+    (3, 1, 5, dot_space),
+    (3, 1, 5, lambda_dot_space),
+    (3, 2, 3, lambda_dot_space),
+]
+
+
+def _assert_fast_matches_slow(p, e, n, maker):
     field = make_field(p, e)
     ambient = maker(field, n)
     for k in range(n + 1):
@@ -38,6 +45,59 @@ def test_fast_tallies_match_object_level_classification(p, e, n, maker):
         fast = oracle.count_subspaces_by_class(ambient, k)
         for klass in SubspaceClass:
             assert fast[klass] == slow.get(klass, 0), (p, e, n, k, klass)
+
+
+@pytest.mark.parametrize("p,e,n,maker", DIFFERENTIAL_CELLS)
+def test_fast_tallies_match_object_level_classification(p, e, n, maker):
+    """The numpy path must agree with per-subspace classify() exactly."""
+    _assert_fast_matches_slow(p, e, n, maker)
+
+
+def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
+    """Chunks that end mid-digit and rows split into several digit groups."""
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
+    assert oracle._group_width(3) == 2 and oracle._group_width(9) == 1
+    for p, e, n, maker in DIFFERENTIAL_CELLS[-3:]:
+        _assert_fast_matches_slow(p, e, n, maker)
+
+
+@pytest.mark.parametrize(
+    "p,e", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 4)]
+)
+def test_field_tables_match_field_arithmetic(p, e):
+    field = make_field(p, e)
+    add, mul, neg, klass = oracle._field_tables.__wrapped__(p, e)
+    dtype = np.uint8 if field.q <= 0xFF else np.uint16
+    assert (add.dtype, mul.dtype, neg.dtype, klass.dtype) == (dtype,) * 3 + (np.int8,)
+    assert add.shape == mul.shape == (field.q, field.q)
+    codes = {SquareClass.ZERO: 0, SquareClass.SQUARE: 1, SquareClass.NON_SQUARE: 2}
+    elems = list(field.elements())
+    for i, a in enumerate(elems):
+        assert neg[i] == field.index(field.neg(a))
+        assert klass[i] == codes[field.square_class(a)]
+        for j in range(i, field.q):
+            b = elems[j]
+            assert add[i, j] == add[j, i] == field.index(field.add(a, b)), (a, b)
+            assert mul[i, j] == mul[j, i] == field.index(field.mul(a, b)), (a, b)
+
+
+def test_field_tables_refuse_orders_beyond_uint16(monkeypatch):
+    def no_field(p, e=1):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(oracle, "make_field", no_field)
+    with pytest.raises(BudgetExceeded, match="65537"):
+        oracle._field_tables(65537, 1)
+
+
+def test_field_tables_check_euler_criterion(monkeypatch):
+    """x^2 - 1 is reducible over GF(3): a^4 is then not always +-1."""
+    ring = gf.FieldSpec(3, 2)
+    ring.modulus = (2, 0, 1)
+    monkeypatch.setattr(oracle, "make_field", lambda p, e=1: ring)
+    with pytest.raises(IdentityViolated, match="euler-criterion"):
+        oracle._field_tables.__wrapped__(3, 2)
 
 
 def test_count_lines_frozen():
@@ -56,13 +116,38 @@ def test_tallies_sum_to_gaussian_binomial():
         assert sum(tallies.values()) == closed.gaussian_binom(5, 4, k)
 
 
-def test_jobs_do_not_change_tallies():
+def _count_pools(monkeypatch):
+    started = []
+    executor = oracle.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", counting)
+    return started
+
+
+def test_jobs_do_not_change_tallies(monkeypatch):
     field = make_field(7)
     ambient = lambda_dot_space(field, 3)
+    serial = [oracle.count_subspaces_by_class(ambient, k, jobs=1) for k in range(4)]
+    monkeypatch.setattr(oracle, "_POOL_MIN_SUBSPACES", 0)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    started = _count_pools(monkeypatch)
     for k in range(4):
-        assert oracle.count_subspaces_by_class(
-            ambient, k, jobs=1
-        ) == oracle.count_subspaces_by_class(ambient, k, jobs=3)
+        assert oracle.count_subspaces_by_class(ambient, k, jobs=3) == serial[k]
+    assert started == [3, 3]  # k = 1, 2: k = 0 and k = 3 have at most one task
+
+
+def test_counts_below_break_even_run_without_a_pool(monkeypatch):
+    ambient = lambda_dot_space(make_field(7), 4)
+    assert closed.gaussian_binom(7, 4, 2) < oracle._POOL_MIN_SUBSPACES
+    serial = oracle.count_subspaces_by_class(ambient, 2)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    started = _count_pools(monkeypatch)
+    assert oracle.count_subspaces_by_class(ambient, 2, jobs=2) == serial
+    assert started == []
 
 
 def test_budget_is_enforced():
@@ -90,6 +175,7 @@ def test_jobs_beyond_cpu_count_run_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
+    monkeypatch.setattr(oracle, "_POOL_MIN_SUBSPACES", 0)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
     for k in range(4):
