@@ -6,15 +6,18 @@ determinant square classes, and tallied.  The closed-form module must agree
 with these counts; no formula beyond the Gaussian binomial (used for budget
 estimates) is consulted.
 
-The counting kernel works on field element indices and lookup tables.  For
-one pivot pattern, a subspace is a code whose base-q digits are the free
-entries of its RREF basis, row by row.  The Gram step is row-blocked: row
-j's free columns are the last ones of every earlier row i, and row i is 0
-at row j's pivot, so B(r_i, r_j) pairs row j's digits with the top digits
-of row i's block only.  Small per-digit-group tables of sum d_c * x_c * y_c
-turn each Gram entry into one divmod and one gather per group of digits.
-The determinant is a cofactor expansion that memoises the minors of the
-trailing rows: 28 field multiplications at k = 4 and 75 at k = 5.
+The kernel works on field element indices and lookup tables.  A batch of
+k x n matrices is a range of codes whose base-q digits are the free entries
+of its rows, row by row; a row may also hold a pivot 1.  One Gram plan per
+row layout reads every Gram entry off the code: row j's free columns are
+the last ones of every earlier row i, and row i is 0 at row j's pivot, so
+B(r_i, r_j) pairs row j's digits with the top digits of row i's block only.
+Small per-digit-group tables of sum d_c * x_c * y_c turn each Gram entry
+into one divmod and one gather per group of digits.  Subspace counts and
+the poset's nodes use the RREF rows of each pivot pattern and a cofactor
+determinant that memoises the minors of the trailing rows (28 field
+multiplications at k = 4 and 75 at k = 5); the isometry scan uses n rows
+of n free digits, the columns of a candidate matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .quadspace import (
     AmbientKind,
     Subspace,
     SubspaceClass,
-    classify,
     contains,  # noqa: F401  unused here; the benchmark tracer counts its calls
     full_subspace,
     zero_subspace,
@@ -117,15 +119,16 @@ def _field_tables(p: int, e: int):
     return add, mul, neg, klass
 
 
+def _pattern_rows(pattern, n: int):
+    """(pivot column, free columns) of each RREF row for a pivot-column pattern."""
+    return tuple(
+        (pc, tuple(c for c in range(pc + 1, n) if c not in pattern)) for pc in pattern
+    )
+
+
 def _free_positions(pattern, n: int):
     """RREF free-entry slots for a pivot-column pattern, in digit order."""
-    pivot_set = set(pattern)
-    return [
-        (r, c)
-        for r, pc in enumerate(pattern)
-        for c in range(pc + 1, n)
-        if c not in pivot_set
-    ]
+    return [(r, c) for r, (_, cols) in enumerate(_pattern_rows(pattern, n)) for c in cols]
 
 
 def _group_width(q: int) -> int:
@@ -164,16 +167,17 @@ def _group_table(p: int, e: int, diag: tuple):
 
 
 @lru_cache(maxsize=64)
-def _gram_plan(p: int, e: int, n: int, diag_idx: tuple, pattern: tuple, width: int):
-    """How to read each upper Gram entry of a pivot pattern off the subspace code.
+def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
+    """How to read each upper Gram entry of a row layout off the code.
 
-    Row r's free columns (after its pivot, not pivots) fill the code digits
-    off[r] .. off[r] + f[r] - 1 in increasing column order.  For rows i < j,
-    row j's free columns are the last f[j] of row i's, and row i is 0 at row
-    j's pivot, so B(r_i, r_j) pairs row j's digits with the top f[j] digits
-    of row i's block only.  Each row's digits are split into groups of at
-    most ``width`` from the top.  plan[i, j] is the entry as a field index
-    when it does not depend on the code, else a list of terms
+    ``rows`` holds (pivot column or None, free columns) per row.  Row r's
+    free columns fill the code digits off[r] .. off[r] + f[r] - 1 in
+    increasing column order.  For rows i < j, row j's free columns must be
+    the last f[j] of row i's and row i must be 0 at row j's pivot, so
+    B(r_i, r_j) pairs row j's digits with the top f[j] digits of row i's
+    block only.  Each row's digits are split into groups of at most
+    ``width`` from the top.  plan[i, j] is the entry as a field index when
+    it does not depend on the code, else a list of terms
     (a_power, b_power, w, table) whose field sum is the entry; a term is
     table[digit(a_power, w) * q^w + digit(b_power, w)] off the diagonal and
     table[digit(b_power, w)] on it (a_power None), where
@@ -181,45 +185,26 @@ def _gram_plan(p: int, e: int, n: int, diag_idx: tuple, pattern: tuple, width: i
     """
     add, _, _, _ = _field_tables(p, e)
     q = p**e
-    pivots = set(pattern)
-    free = [[c for c in range(pc + 1, n) if c not in pivots] for pc in pattern]
-    off = list(itertools.accumulate((len(cols) for cols in free), initial=0))
+    off = list(itertools.accumulate((len(cols) for _, cols in rows), initial=0))
     plan = {}
-    for j, cols in enumerate(free):
+    for j, (pc, cols) in enumerate(rows):
         groups = []
         for hi in range(len(cols), 0, -width):
             lo = max(hi - width, 0)
             table = _group_table(p, e, tuple(diag_idx[c] for c in cols[lo:hi]))
             groups.append((lo, hi - lo, table))
         for i in range(j):
-            shift = off[i] + len(free[i]) - len(cols)  # top f[j] digits of row i
+            shift = off[i + 1] - len(cols)  # top f[j] digits of row i
             plan[i, j] = [(shift + lo, off[j] + lo, w, table) for lo, w, table in groups] or 0
         diagonal = [
             (None, off[j] + lo, w, table[:: q**w + 1].copy()) for lo, w, table in groups
         ]
-        pivot = diag_idx[pattern[j]]  # B(r_j, r_j) = d_pivot + the free columns' terms
+        pivot = 0 if pc is None else diag_idx[pc]  # B(r_j, r_j) = d_pivot + the free terms
         if diagonal:
             _, power, w, table = diagonal[0]
             diagonal[0] = (None, power, w, add[pivot, table].astype(np.intp))
         plan[j, j] = diagonal or pivot
     return plan
-
-
-def _gram_batch(mats, diag_idx, add, mul, k: int, n: int):
-    """Upper-triangular Gram entries (as index arrays) for a batch of bases."""
-    gram = {}
-    for i in range(k):
-        for j in range(i, k):
-            acc = np.zeros(mats.shape[0], dtype=add.dtype)
-            for t in range(n):
-                prod = mul[mats[:, i, t], mats[:, j, t]]
-                d = diag_idx[t]
-                if d != 1:
-                    prod = mul[d, prod]
-                acc = add[acc, prod]
-            gram[i, j] = acc
-            gram[j, i] = acc
-    return gram
 
 
 def _gram_entries(plan, codes, add, q: int):
@@ -269,16 +254,29 @@ def _determinant(gram, k: int, add, mul, neg, q: int):
     return minors[tuple(range(k))]
 
 
-def _chunk_tallies(task):
-    """(square, non-square, zero) tallies for one pivot pattern chunk."""
-    p, e, n, k, diag_idx, pattern, start, stop = task
+def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
+    """Tasks of at most _CHUNK codes covering every code of a row layout."""
+    size = field.q ** sum(len(cols) for _, cols in rows)
+    return [
+        (field.p, field.e, diag_idx, rows, start, min(start + _CHUNK, size))
+        for start in range(0, size, _CHUNK)
+    ]
+
+
+def _chunk_classes(task):
+    """Square-class code of the Gram determinant of each code in one chunk."""
+    p, e, diag_idx, rows, start, stop = task
     add, mul, neg, klass = _flat_tables(p, e)
     q = p**e
-    plan = _gram_plan(p, e, n, diag_idx, pattern, _group_width(q))
+    plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
     codes = np.arange(start, stop, dtype=np.int64)
-    gram = _gram_entries(plan, codes, add, q)
-    det = np.broadcast_to(_determinant(gram, k, add, mul, neg, q), codes.shape)
-    counts = np.bincount(klass.take(det), minlength=3)
+    det = _determinant(_gram_entries(plan, codes, add, q), len(rows), add, mul, neg, q)
+    return klass.take(np.broadcast_to(det, codes.shape))
+
+
+def _chunk_tallies(task):
+    """(square, non-square, zero) tallies for one pivot pattern chunk."""
+    counts = np.bincount(_chunk_classes(task), minlength=3)
     return int(counts[1]), int(counts[2]), int(counts[0])
 
 
@@ -292,19 +290,26 @@ def _run_tasks(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks, chunksize=chunksize))
 
 
+def _subspace_total(ambient: AmbientForm, k: int, budget: int) -> int:
+    """Number of k-subspaces, refused when k is out of range or over budget."""
+    q, n = ambient.field.q, ambient.n
+    if not 0 <= k <= n:
+        raise UndefinedForParameters(f"k = {k} outside 0..{n}")
+    total = gaussian_binom(q, n, k)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} subspaces at (q={q}, n={n}, k={k}) exceed budget {budget}"
+        )
+    return total
+
+
 def count_subspaces_by_class(
     ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ):
     """Exhaustive classification tally of all k-subspaces."""
     field = ambient.field
     n = ambient.n
-    if not 0 <= k <= n:
-        raise UndefinedForParameters(f"k = {k} outside 0..{n}")
-    total = gaussian_binom(field.q, n, k)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} subspaces at (q={field.q}, n={n}, k={k}) exceed budget {budget}"
-        )
+    total = _subspace_total(ambient, k, budget)
     if k == 0:
         # the zero subspace is dot-type by convention
         return {
@@ -315,14 +320,11 @@ def count_subspaces_by_class(
     if total < _POOL_MIN_SUBSPACES:
         jobs = 1
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    q = field.q
-    tasks = []
-    for pattern in itertools.combinations(range(n), k):
-        size = q ** len(_free_positions(pattern, n))
-        for start in range(0, size, _CHUNK):
-            tasks.append(
-                (field.p, field.e, n, k, diag_idx, pattern, start, min(start + _CHUNK, size))
-            )
+    tasks = [
+        task
+        for pattern in itertools.combinations(range(n), k)
+        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
+    ]
     square = non_square = zero = 0
     for s, ns, z in _run_tasks(_chunk_tallies, tasks, jobs):
         square += s
@@ -331,7 +333,7 @@ def count_subspaces_by_class(
     if square + non_square + zero != total:
         raise Mismatch(
             f"{square + non_square + zero} subspaces tallied at "
-            f"(q={q}, n={n}, k={k}), expected {total}"
+            f"(q={field.q}, n={n}, k={k}), expected {total}"
         )
     return {
         SubspaceClass.DOT_TYPE: square,
@@ -354,13 +356,7 @@ def enumerate_subspaces(ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDG
     """Yield every k-subspace exactly once, as canonical RREF values."""
     field = ambient.field
     n = ambient.n
-    if not 0 <= k <= n:
-        raise UndefinedForParameters(f"k = {k} outside 0..{n}")
-    total = gaussian_binom(field.q, n, k)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} subspaces at (q={field.q}, n={n}, k={k}) exceed budget {budget}"
-        )
+    _subspace_total(ambient, k, budget)
     if k == 0:
         yield zero_subspace(ambient)
         return
@@ -405,21 +401,20 @@ class PosetSnapshot:
         return tuple(sizes)
 
 
-def _vector_masks(ambient: AmbientForm, subspaces: list) -> list[int]:
-    """Bitmask of the vectors of each subspace, spanned on index tables."""
-    if not subspaces:
+def _vector_masks(field, n: int, bases: list) -> list[int]:
+    """Bitmask of the vectors spanned by each basis of field-index rows."""
+    if not bases:
         return []  # no tables: they cost O(q^2) to build
-    field = ambient.field
     add, mul, _, _ = _field_tables(field.p, field.e)
-    q, n = field.q, ambient.n
+    q = field.q
     weights = q ** np.arange(n, dtype=np.int64)
     bits = np.zeros(q**n, dtype=bool)
     masks = []
-    for sub in subspaces:
+    for basis in bases:
         vecs = np.zeros((1, n), dtype=add.dtype)
-        for row in sub.basis:
+        for row in basis:
             # multiples[s, t] = s * row[t]; add every multiple to every vector so far
-            multiples = mul[:, [field.index(x) for x in row]]
+            multiples = mul[:, row]
             vecs = add[vecs[:, None, :], multiples[None, :, :]].reshape(-1, n)
         bits[:] = False
         bits[vecs.astype(np.int64) @ weights] = True
@@ -434,34 +429,56 @@ def build_poset(
     """Euclidean (dot-type) or Lorentzian (lambda-dot-type) inclusion poset.
 
     ``budget`` bounds both the subspaces scanned and the 64-bit words of the
-    intermediate nodes' vector masks.
+    intermediate nodes' vector masks.  Nodes come in enumerate_subspaces order.
     """
     poset_kind = PosetKind(poset_kind)
-    q, n = ambient.field.q, ambient.n
+    field, n = ambient.field, ambient.n
+    q = field.q
     scan_total = sum(gaussian_binom(q, n, k) for k in range(n + 1))
     if scan_total > budget:
         raise BudgetExceeded(
             f"poset scan of {scan_total} subspaces exceeds budget {budget}"
         )
-    wanted = (
-        SubspaceClass.DOT_TYPE
-        if poset_kind is PosetKind.EUCLIDEAN
-        else SubspaceClass.LAMBDA_DOT_TYPE
-    )
-    nodes = [(zero_subspace(ambient), 0)]
+    mask_words = -(-(q**n) // 64)
+    # for n >= 2 a nondegenerate form takes every value, so both kinds have a
+    # line node: refuse a single mask over budget before any table is built
+    if n >= 2 and mask_words > budget:
+        raise BudgetExceeded(
+            f"one vector mask at (q={q}, n={n}) takes {mask_words} 64-bit words, "
+            f"exceeding budget {budget}"
+        )
+    wanted = _CLASS_CODES[
+        SquareClass.SQUARE if poset_kind is PosetKind.EUCLIDEAN else SquareClass.NON_SQUARE
+    ]
+    diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
+    elements = list(field.elements())
+    nodes, bases = [(zero_subspace(ambient), 0)], []
     for k in range(1, n):
-        for sub in enumerate_subspaces(ambient, k, budget=budget):
-            if classify(sub) is wanted:
-                nodes.append((sub, k))
-    inner = nodes[1:]
-    words = len(inner) * -(-(q**n) // 64)
+        for pattern in itertools.combinations(range(n), k):
+            slots = _free_positions(pattern, n)
+            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
+            # the tasks cover codes 0, 1, ... in order
+            codes = np.flatnonzero(np.concatenate([_chunk_classes(t) for t in tasks]) == wanted)
+            # slot s is code digit s, but itertools.product, and so
+            # enumerate_subspaces, makes slot 0 the most significant
+            digits = codes[:, None] // q ** np.arange(len(slots)) % q
+            digits = digits[np.argsort(digits @ q ** np.arange(len(slots))[::-1])]
+            basis = np.zeros((len(digits), k, n), dtype=np.intp)
+            basis[:, np.arange(k), list(pattern)] = 1
+            for s, (r, c) in enumerate(slots):
+                basis[:, r, c] = digits[:, s]
+            for rows in basis.tolist():
+                bases.append(rows)
+                node = tuple(tuple(elements[v] for v in row) for row in rows)
+                nodes.append((Subspace(ambient, node), k))
+    words = len(bases) * mask_words
     if words > budget:
         raise BudgetExceeded(
-            f"vector masks of {len(inner)} subspaces at (q={q}, n={n}) take "
+            f"vector masks of {len(bases)} subspaces at (q={q}, n={n}) take "
             f"{words} 64-bit words, exceeding budget {budget}"
         )
     nodes.append((full_subspace(ambient), n))
-    masks = [1] + _vector_masks(ambient, [sub for sub, _ in inner]) + [-1]
+    masks = [1] + _vector_masks(field, n, bases) + [-1]
     by_rank: dict[int, list[int]] = {}
     for idx, (_, rank) in enumerate(nodes):
         by_rank.setdefault(rank, []).append(idx)
@@ -501,30 +518,27 @@ def mobius_bottom(snapshot: PosetSnapshot) -> int:
 
 
 def _orthogonal_chunk(task):
-    p, e, n, diag_idx, start, stop = task
-    add, mul, _, _ = _field_tables(p, e)
+    """Isometries in one chunk of candidate matrices: Gram entry (i, j) is d_i or 0."""
+    p, e, diag_idx, rows, start, stop = task
+    add = _flat_tables(p, e)[0]
     q = p**e
-    codes = np.arange(start, stop, dtype=np.int64)
-    # cols[b, i, t] = entry M[t, i]: basis vectors appear as matrix columns
-    cols = np.zeros((codes.size, n, n), dtype=add.dtype)
-    rem = codes.copy()
-    for t in range(n):
-        for i in range(n):
-            cols[:, i, t] = rem % q
-            rem //= q
-    gram = _gram_batch(cols, diag_idx, add, mul, n, n)
-    keep = np.ones(codes.size, dtype=bool)
-    for i in range(n):
-        for j in range(i, n):
-            want = diag_idx[i] if i == j else 0
-            keep &= gram[i, j] == want
+    plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
+    gram = _gram_entries(plan, np.arange(start, stop, dtype=np.int64), add, q)
+    keep = np.ones(stop - start, dtype=bool)
+    for i, j in plan:
+        keep &= gram[i, j] == (diag_idx[i] if i == j else 0)
     return int(np.count_nonzero(keep))
 
 
 def enumerate_orthogonal_group(
     ambient: AmbientForm, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> int:
-    """Order of the isometry group, by scanning all n x n matrices."""
+    """Order of the isometry group, by scanning all n x n matrices.
+
+    A candidate M is a code of n * n base-q digits: column i takes digits
+    i * n .. i * n + n - 1, so M[t, i] is digit i * n + t.  M is counted when
+    the Gram matrix of its columns is diag(gram_diag).
+    """
     field = ambient.field
     n = ambient.n
     total = field.q ** (n * n)
@@ -533,11 +547,8 @@ def enumerate_orthogonal_group(
             f"{total} candidate matrices at (q={field.q}, n={n}) exceed budget {budget}"
         )
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    tasks = [
-        (field.p, field.e, n, diag_idx, start, min(start + _CHUNK, total))
-        for start in range(0, total, _CHUNK)
-    ]
-    return sum(_run_tasks(_orthogonal_chunk, tasks, jobs))
+    columns = ((None, tuple(range(n))),) * n  # n free entries each, no pivot
+    return sum(_run_tasks(_orthogonal_chunk, _chunk_tasks(field, diag_idx, columns), jobs))
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,8 @@ from .oracle import PosetKind
 from .quadspace import AmbientKind, SubspaceClass, ambient_space, dot_space
 from .report import CheckRecord, Status, VerifyReport
 
-# posets classify every subspace one object at a time and hold a q^n-bit
-# vector mask per node, so they stay small
+# posets scan every subspace, hold a q^n-bit vector mask per node and
+# compare node pairs in O(N^2) for edges and Mobius, so they stay small
 POSET_Q_MAX = 5
 POSET_N_MAX = 4
 KSET_N_MAX = 16

@@ -18,10 +18,13 @@ from dotbinom.oracle import PosetKind
 from dotbinom.quadspace import (
     AmbientKind,
     SubspaceClass,
+    bilinear,
     classify,
     contains,
     dot_space,
+    full_subspace,
     lambda_dot_space,
+    zero_subspace,
 )
 
 
@@ -202,25 +205,31 @@ def test_orthogonal_group_frozen():
     assert oracle.enumerate_orthogonal_group(dot_space(f3, 3)) == 48
 
 
-def test_orthogonal_group_matches_object_level_scan():
-    """Check the numpy path against direct matrix arithmetic on GF(3)^2."""
-    field = make_field(3)
-    ambient = dot_space(field, 2)
-    elems = list(field.elements())
+@pytest.mark.parametrize(
+    "q,n,maker",
+    [(3, 2, dot_space), (3, 2, lambda_dot_space), (5, 2, lambda_dot_space), (9, 2, dot_space)],
+)
+def test_orthogonal_group_matches_object_level_scan(q, n, maker):
+    """The Gram-plan scan against direct matrix arithmetic weighted by gram_diag."""
+    field = make_field(*closed.odd_prime_power(q))
+    ambient = maker(field, n)
+    diag = ambient.gram_diag
     found = 0
-    for entries in itertools.product(elems, repeat=4):
-        m = (entries[0:2], entries[2:4])
-        ok = True
-        for i in range(2):
-            for j in range(2):
-                acc = field.zero
-                for t in range(2):
-                    acc = field.add(acc, field.mul(m[t][i], m[t][j]))
-                want = field.one if i == j else field.zero
-                if acc != want:
-                    ok = False
-        found += ok
-    assert found == oracle.enumerate_orthogonal_group(ambient) == 8
+    for entries in itertools.product(list(field.elements()), repeat=n * n):
+        columns = [entries[i::n] for i in range(n)]  # columns[i][t] = M[t, i]
+        found += all(
+            bilinear(ambient, columns[i], columns[j]) == (diag[i] if i == j else field.zero)
+            for i in range(n)
+            for j in range(n)
+        )
+    assert found == oracle.enumerate_orthogonal_group(ambient)
+
+
+def test_orthogonal_group_with_small_chunks_and_digit_groups(monkeypatch):
+    """Columns of 3 digits split into groups of 2 and 1; chunks end mid-matrix."""
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
+    assert oracle.enumerate_orthogonal_group(dot_space(make_field(3), 3)) == 48
 
 
 def test_orthogonal_group_matches_closed_form():
@@ -314,6 +323,46 @@ def test_poset_mobius_matches_recursion():
     assert oracle.mobius_bottom(snap) == 5 == closed.mobius_sequence(3, 4).mu[4]
 
 
+POSET_NODE_CELLS = [
+    (3, 4, dot_space),
+    (5, 3, dot_space),
+    (9, 3, dot_space),
+    (5, 3, lambda_dot_space),
+]
+
+
+def _assert_poset_nodes_match_objects(q, n, maker):
+    ambient = maker(make_field(*closed.odd_prime_power(q)), n)
+    wanted = {
+        PosetKind.EUCLIDEAN: SubspaceClass.DOT_TYPE,
+        PosetKind.LORENTZIAN: SubspaceClass.LAMBDA_DOT_TYPE,
+    }
+    for kind, klass in wanted.items():
+        expected = (
+            [(zero_subspace(ambient), 0)]
+            + [
+                (sub, k)
+                for k in range(1, n)
+                for sub in oracle.enumerate_subspaces(ambient, k)
+                if classify(sub) is klass
+            ]
+            + [(full_subspace(ambient), n)]
+        )
+        assert list(oracle.build_poset(ambient, kind).nodes) == expected, (q, n, kind)
+
+
+@pytest.mark.parametrize("q,n,maker", POSET_NODE_CELLS)
+def test_poset_nodes_match_object_level_classification(q, n, maker):
+    """Kernel-classified nodes equal classify() over enumerate_subspaces, in order."""
+    _assert_poset_nodes_match_objects(q, n, maker)
+
+
+def test_poset_nodes_match_with_small_chunks_and_digit_groups(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
+    _assert_poset_nodes_match_objects(3, 4, dot_space)
+
+
 @pytest.mark.parametrize("q,n", [(3, 4), (5, 3)])
 @pytest.mark.parametrize("kind", list(PosetKind))
 def test_mask_containment_matches_object_level(q, n, kind):
@@ -336,6 +385,20 @@ def test_poset_budget_prices_vector_masks():
         oracle.build_poset(ambient, PosetKind.EUCLIDEAN)
     snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=10**5)
     assert oracle.count_flags(snap) == closed.bracket_factorial(211, 2)
+
+
+@pytest.mark.parametrize("kind", list(PosetKind))
+@pytest.mark.parametrize("q, budget", [(1009, 10000), (10007, oracle.DEFAULT_POSET_BUDGET)])
+def test_poset_budget_refuses_one_mask_before_tables(monkeypatch, kind, q, budget):
+    """The scan fits, but a single mask of ceil(q^2 / 64) words does not."""
+
+    def no_tables(p, e):
+        raise AssertionError("field tables were built")
+
+    monkeypatch.setattr(oracle, "_field_tables", no_tables)
+    words = -(-(q**2) // 64)
+    with pytest.raises(BudgetExceeded, match=f"one vector mask .* takes {words} 64-bit"):
+        oracle.build_poset(dot_space(make_field(q), 2), kind, budget=budget)
 
 
 def test_poset_without_inner_nodes_builds_no_tables(monkeypatch):
