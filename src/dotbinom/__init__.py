@@ -4,7 +4,16 @@ Counts subspaces of F_q^n by the square class of the Gram determinant of
 the standard dot product (and its lambda-scaled companion), in closed form
 and by brute-force enumeration, together with the polynomial families the
 counts trace out in q.
+
+Importing the package loads the closed forms and what they need, not numpy.
+The brute-force oracle (which needs numpy), the polynomial families and
+``run_verify`` are loaded on first use: the names this package re-exports
+from ``oracle``, ``polyq`` and ``verify``, and those three modules, are
+resolved by the module ``__getattr__`` below and then kept as ordinary
+attributes.
 """
+
+import importlib
 
 from .closed import (
     Flavor,
@@ -46,40 +55,11 @@ from .errors import (
     UnsupportedFlavor,
 )
 from .gf import FieldElement, FieldSpec, SquareClass, make_field
-from .oracle import (
-    CountReport,
-    PosetKind,
-    PosetSnapshot,
-    build_poset,
-    count_flags,
-    count_lines,
-    count_subspaces_by_class,
-    count_symmetric_ksets,
-    enumerate_orthogonal_group,
-    enumerate_subspaces,
-    export_hasse,
-    full_count_report,
-    mobius_bottom,
-)
-from .polyq import (
-    FunctionalSign,
-    PolyFamilyKey,
-    RatPoly,
-    coefficient_symmetry_report,
-    depressed_coefficients,
-    dot_binom_poly,
-    eval_consistency,
-    functional_equation_check,
-    functional_sign_report,
-    gaussian_binom_poly,
-    limit_check,
-    published_functional_sign,
-    row_symmetric,
-)
 from .quadspace import (
     AmbientForm,
     AmbientKind,
     LineType,
+    PosetKind,
     Subspace,
     SubspaceClass,
     ambient_space,
@@ -89,7 +69,59 @@ from .quadspace import (
     line_type,
 )
 from .report import CheckRecord, Status, VerifyReport
-from .verify import run_verify
+from .symsets import count_symmetric_ksets
+
+_LAZY_MODULES = ("oracle", "polyq", "verify")
+# re-exported name -> the lazily loaded module that defines it
+_LAZY_NAMES = {
+    **dict.fromkeys((
+        "CountReport",
+        "PosetSnapshot",
+        "build_poset",
+        "count_flags",
+        "count_lines",
+        "count_subspaces_by_class",
+        "enumerate_orthogonal_group",
+        "enumerate_subspaces",
+        "export_hasse",
+        "full_count_report",
+        "mobius_bottom",
+    ), "oracle"),
+    **dict.fromkeys((
+        "FunctionalSign",
+        "PolyFamilyKey",
+        "RatPoly",
+        "coefficient_symmetry_report",
+        "depressed_coefficients",
+        "dot_binom_poly",
+        "eval_consistency",
+        "functional_equation_check",
+        "functional_sign_report",
+        "gaussian_binom_poly",
+        "limit_check",
+        "published_functional_sign",
+        "row_symmetric",
+    ), "polyq"),
+    "run_verify": "verify",
+}
+
+
+def __getattr__(name):
+    """Import a lazily loaded module or name on first access (PEP 562)."""
+    if name in _LAZY_MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _LAZY_NAMES:
+        module = importlib.import_module(f".{_LAZY_NAMES[name]}", __name__)
+        value = getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_LAZY_MODULES))
+
 
 __version__ = "0.1.0"
 

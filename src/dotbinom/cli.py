@@ -1,4 +1,8 @@
-"""Command line interface for exact dot-analogue computations."""
+"""Command line interface for exact dot-analogue computations.
+
+The closed-form commands run without numpy: the oracle, ``polyq`` and
+``verify`` are imported only by the commands that use them.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +10,17 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import closed, oracle, polyq
+from . import closed, symsets
 from .closed import Flavor, Variant
 from .errors import DotAnalogueError, NeitherSign
-from .gf import make_field
-from .oracle import PosetKind
-from .polyq import PolyFamilyKey
-from .quadspace import ambient_space, dot_space
+from .gf import MAX_Q, make_field
+from .quadspace import (
+    DEFAULT_BUDGET,
+    DEFAULT_POSET_BUDGET,
+    PosetKind,
+    ambient_space,
+    dot_space,
+)
 from .report import (
     render_csv,
     render_json,
@@ -20,9 +28,12 @@ from .report import (
     verify_json,
     verify_plain_lines,
 )
-from .verify import run_verify
 
-MAX_TRIANGLE_ROWS = 30
+# Caps on --rows and --n.  At q just below the --q cap, triangle row 30 and
+# group-order or mobius at n = 22 hold integers beyond the 4300 digits that
+# Python converts to text; inside the caps every command takes under 0.3 s.
+MAX_TRIANGLE_ROWS = 29
+MAX_N = 21
 
 
 def _field_for(q):
@@ -89,6 +100,8 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    from . import polyq
+
     ks = range(args.n + 1) if args.k is None else [args.k]
     columns = ["q_class", "n", "k", "degree", "poly"]
     if args.checks:
@@ -96,7 +109,7 @@ def cmd_poly(args) -> int:
     rows = []
     plain = []
     for k in ks:
-        key = PolyFamilyKey(args.q_class, args.n, k)
+        key = polyq.PolyFamilyKey(args.q_class, args.n, k)
         poly = polyq.dot_binom_poly(key)
         row = {"q_class": args.q_class, "n": args.n, "k": k,
                "degree": poly.degree, "poly": str(poly)}
@@ -163,7 +176,7 @@ def cmd_limits(args) -> int:
     columns = ["n", "k", "limit", "symmetric_ksets"]
     rows = []
     for k in ks:
-        ksets = oracle.count_symmetric_ksets(args.n, k) if args.n <= 24 else None
+        ksets = symsets.count_symmetric_ksets(args.n, k) if args.n <= 24 else None
         rows.append({"n": args.n, "k": k,
                      "limit": closed.limit_value(args.n, k),
                      "symmetric_ksets": ksets})
@@ -179,6 +192,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_oracle_count(args) -> int:
+    from . import oracle
+
     ambient = ambient_space(_field_for(args.q), args.ambient, args.n)
     rep = oracle.full_count_report(ambient, budget=args.budget, jobs=args.jobs)
     columns = ["ambient", "q", "n", "k", "dot", "lambda_dot", "degenerate"]
@@ -206,6 +221,8 @@ def cmd_oracle_count(args) -> int:
 
 
 def cmd_oracle_poset(args) -> int:
+    from . import oracle
+
     ambient = dot_space(_field_for(args.q), args.n)
     snap = oracle.build_poset(ambient, PosetKind(args.kind), budget=args.budget)
     ranks = snap.rank_sizes()
@@ -231,6 +248,8 @@ def cmd_oracle_poset(args) -> int:
 
 
 def cmd_flags(args) -> int:
+    from . import oracle
+
     ambient = dot_space(_field_for(args.q), args.n)
     snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=args.budget)
     flags = oracle.count_flags(snap)
@@ -246,8 +265,10 @@ def cmd_flags(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verify(args.q, args.max_n, budget=args.budget,
-                        jobs=args.jobs, compare_paper=args.compare_paper)
+    from . import verify
+
+    report = verify.run_verify(args.q, args.max_n, budget=args.budget,
+                               jobs=args.jobs, compare_paper=args.compare_paper)
     if args.format == "csv":
         sys.stdout.write(verify_csv(report))
     elif args.format == "json":
@@ -257,33 +278,29 @@ def cmd_verify(args) -> int:
     return report.exit_status
 
 
-def _rows_arg(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= MAX_TRIANGLE_ROWS:
-        raise argparse.ArgumentTypeError(
-            f"rows must be between 0 and {MAX_TRIANGLE_ROWS}"
-        )
-    return value
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_in(low=None, high=None):
+    """argparse type: an integer in low..high; a None end is open."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"
     return parse
 
 
-_natural = _int_at_least(0)
-_positive = _int_at_least(1)
+_natural = _int_in(0)
+_positive = _int_in(1)
+_field_size = _int_in(high=MAX_Q - 1)
+_dimension = _int_in(0, MAX_N)
+_rows = _int_in(0, MAX_TRIANGLE_ROWS)
 
 
 def _q_list(text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [_field_size(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
     if not values:
@@ -291,6 +308,7 @@ def _q_list(text: str) -> list[int]:
     return values
 
 
+_N_HELP = f"at most {MAX_N}"
 _POSET_BUDGET_HELP = ("cap on the subspaces scanned and on the 64-bit words "
                       "of the nodes' vector masks (default: %(default)s)")
 
@@ -308,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", parents=[common],
                        help="bracket value [n] for one flavor")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.add_argument("--flavor", choices=[f.value for f in Flavor],
                    default=Flavor.SPACELIKE_DOT.value)
     p.add_argument("--compare-paper", action="store_true",
@@ -318,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binom", parents=[common],
                        help="dot-binomial coefficient for one variant")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--variant", choices=[v.value for v in Variant],
                    default=Variant.DD.value)
@@ -327,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", parents=[common],
                        help="triangle of dot-binomial coefficients")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--rows", type=_rows_arg, required=True,
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--rows", type=_rows, required=True,
                    help=f"last row index, at most {MAX_TRIANGLE_ROWS}")
     p.set_defaults(handler=cmd_triangle)
 
@@ -336,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polynomial forms of the dot-binomial coefficients")
     p.add_argument("--q-class", type=int, choices=(1, 3), required=True,
                    help="congruence class of q modulo 4")
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.add_argument("--k", type=_natural, default=None,
                    help="single cell (default: the whole row)")
     p.add_argument("--checks", action="store_true",
@@ -345,21 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group-order", parents=[common],
                        help="order of the orthogonal group of the dot form")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.add_argument("--compare-paper", action="store_true",
                    help="also evaluate the published product expression")
     p.set_defaults(handler=cmd_group_order)
 
     p = sub.add_parser("mobius", parents=[common],
                        help="Mobius sequence of the subspace poset")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.set_defaults(handler=cmd_mobius)
 
     p = sub.add_parser("limits", parents=[common],
                        help="limits of the normalized polynomials")
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.add_argument("--k", type=_natural, default=None)
     p.set_defaults(handler=cmd_limits)
 
@@ -368,30 +386,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = oracle_sub.add_parser("count", parents=[common],
                               help="enumerate and classify all subspaces")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.add_argument("--ambient", choices=("dot", "lambda_dot"), default="dot")
-    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(handler=cmd_oracle_count)
 
     p = oracle_sub.add_parser("poset", parents=[common],
                               help="build a rank poset over the dot ambient")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
     p.add_argument("--kind", choices=[k.value for k in PosetKind],
                    default=PosetKind.EUCLIDEAN.value)
     p.add_argument("--emit-graph", metavar="FILE", default=None,
                    help="write Hasse edges to FILE, one edge per line")
-    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET,
+    p.add_argument("--budget", type=_natural, default=DEFAULT_POSET_BUDGET,
                    help=_POSET_BUDGET_HELP)
     p.set_defaults(handler=cmd_oracle_poset)
 
     p = sub.add_parser("flags", parents=[common],
                        help="maximal chains against the bracket factorial")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_POSET_BUDGET,
+    p.add_argument("--q", type=_field_size, required=True)
+    p.add_argument("--n", type=_dimension, required=True, help=_N_HELP)
+    p.add_argument("--budget", type=_natural, default=DEFAULT_POSET_BUDGET,
                    help=_POSET_BUDGET_HELP)
     p.set_defaults(handler=cmd_flags)
 
@@ -400,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_q_list, required=True,
                    help="comma-separated field sizes, e.g. 3,5,9")
     p.add_argument("--max-n", type=_natural, required=True)
-    p.add_argument("--budget", type=_natural, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--compare-paper", action=argparse.BooleanOptionalAction,
                    default=True,

@@ -24,6 +24,7 @@ from .errors import (
     UndefinedForParameters,
     UnsupportedFlavor,
 )
+from .gf import _is_prime
 from .quadspace import AmbientKind
 
 
@@ -41,26 +42,34 @@ class Variant(Enum):
     LL = "ll"  # lambda-dot-type subspaces of the lambda-dot ambient
 
 
+def _integer_root(q: int, e: int) -> int:
+    """The largest r with r**e <= q, for q >= 1, by Newton's method on integers."""
+    r = 1 << -(-q.bit_length() // e)  # 2^ceil(bits / e) > q^(1/e)
+    while True:
+        s = ((e - 1) * r + q // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 @lru_cache(maxsize=None)
 def odd_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p**e for odd prime p, or raise InvalidQ."""
+    """Return (p, e) with q = p**e for odd prime p, or raise InvalidQ.
+
+    The largest e for which q is a perfect e-th power gives the smallest
+    root r; q is a prime power exactly when that r is prime.
+    """
     if q < 3 or q % 2 == 0:
         raise InvalidQ(f"q = {q} is not an odd prime power")
-    p = q
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            p = f
+    for e in range(q.bit_length(), 1, -1):
+        r = _integer_root(q, e)
+        if r**e == q:
             break
-        f += 2
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    else:
+        r, e = q, 1
+    if not _is_prime(r):
         raise InvalidQ(f"q = {q} is not a prime power")
-    return p, e
+    return r, e
 
 
 def _chi(q: int) -> int:

@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     DivisionByZero,
     EvenCharacteristic,
@@ -23,6 +24,7 @@ from .errors import (
 
 MAX_EXTENSION_DEGREE = 4
 MAX_FIELD_ORDER = 1 << 20
+MAX_Q = 1 << 64  # _is_prime is exact below this, and the CLI refuses q from it up
 
 
 class SquareClass(Enum):
@@ -44,15 +46,33 @@ class FieldElement:
 
 
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, exact for m < MAX_Q = 2^64.
+
+    The prime bases 2..37 leave no strong pseudoprime below 2^64 (Jaeschke
+    1993; Sorenson and Webster 2015).  Larger m is refused, not guessed.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    for b in bases:
+        if m % b == 0:
+            return m == b
+    if m >= MAX_Q:
+        raise BudgetExceeded(f"primality of {m} is not decided at or above 2^64")
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -27,7 +27,6 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from time import perf_counter
 
@@ -37,17 +36,18 @@ from .closed import gaussian_binom
 from .errors import BudgetExceeded, IdentityViolated, Mismatch, UndefinedForParameters
 from .gf import SquareClass, make_field
 from .quadspace import (
+    DEFAULT_BUDGET,
+    DEFAULT_POSET_BUDGET,
     AmbientForm,
     AmbientKind,
+    PosetKind,
     Subspace,
     SubspaceClass,
     contains,  # noqa: F401  unused here; the benchmark tracer counts its calls
     full_subspace,
     zero_subspace,
 )
-
-DEFAULT_BUDGET = 10**7
-DEFAULT_POSET_BUDGET = 20000
+from .symsets import count_symmetric_ksets  # noqa: F401  re-exported; verify calls it here
 _CHUNK = 1 << 16  # subspaces per task; each holds a few dozen arrays this long
 _GROUP_CAP = 1 << 16  # entries of one digit-group Gram table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
@@ -373,11 +373,6 @@ def enumerate_subspaces(ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDG
             yield Subspace(ambient, tuple(tuple(row) for row in rows))
 
 
-class PosetKind(Enum):
-    EUCLIDEAN = "euclidean"
-    LORENTZIAN = "lorentzian"
-
-
 @dataclass(frozen=True)
 class PosetSnapshot:
     """Graded inclusion poset with adjoined bottom (zero) and top (full space).
@@ -549,34 +544,6 @@ def enumerate_orthogonal_group(
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
     columns = ((None, tuple(range(n))),) * n  # n free entries each, no pivot
     return sum(_run_tasks(_orthogonal_chunk, _chunk_tasks(field, diag_idx, columns), jobs))
-
-
-@lru_cache(maxsize=None)
-def _symmetric_set_profile(n: int) -> tuple[int, ...]:
-    """Counts, by size, of subsets A of Z/(n+1) with A = -A and 0 not in A.
-
-    Scans all subsets of the negation orbits: floor(n/2) two-element orbits
-    {a, n+1-a} plus the self-negating element (n+1)/2 when n is odd.
-    """
-    pairs = n // 2
-    has_self = n % 2
-    counts = [0] * (n + 1)
-    pair_mask = (1 << pairs) - 1
-    for mask in range(1 << (pairs + has_self)):
-        size = 2 * (mask & pair_mask).bit_count() + (mask >> pairs)
-        counts[size] += 1
-    return tuple(counts)
-
-
-def count_symmetric_ksets(n: int, k: int) -> int:
-    """Number of k-element negation-closed subsets of Z/(n+1) avoiding 0."""
-    if n < 0 or k < 0:
-        raise UndefinedForParameters(f"need n, k >= 0, got n={n}, k={k}")
-    if n > 24:
-        raise BudgetExceeded(f"n = {n} beyond the subset-scan budget of n = 24")
-    if k > n:
-        return 0
-    return _symmetric_set_profile(n)[k]
 
 
 _LABEL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -4,6 +4,9 @@ An ambient form is either the all-ones diagonal (dot) or all-ones with a
 non-square last entry (lambda-dot).  Subspaces carry their reduced
 row-echelon basis, so two equal subspaces are structurally equal values and
 can be hashed, compared, and used as poset nodes directly.
+
+The enumeration budgets and the poset kinds live here too, so the command
+line can name them without importing the numpy-backed oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from enum import Enum
 
 from .errors import AmbientMismatch, DimensionMismatch, NotALine
 from .gf import FieldElement, FieldSpec, SquareClass
+
+DEFAULT_BUDGET = 10**7  # subspaces one oracle enumeration may scan
+DEFAULT_POSET_BUDGET = 20000  # poset subspaces, and the 64-bit words of their masks
 
 
 class AmbientKind(Enum):
@@ -30,6 +36,11 @@ class LineType(Enum):
     SPACELIKE = "spacelike"
     TIMELIKE = "timelike"
     LIGHTLIKE = "lightlike"
+
+
+class PosetKind(Enum):
+    EUCLIDEAN = "euclidean"
+    LORENTZIAN = "lorentzian"
 
 
 @dataclass(frozen=True)

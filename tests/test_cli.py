@@ -287,3 +287,53 @@ def test_poset_budget_guard_survives_optimize_flag():
     assert res.stdout == ""
     assert res.stderr.startswith("error: vector masks of 106 subspaces")
     assert "exceeding budget 20000" in res.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a prime just below the --q cap: answered at once, not by trial division
+    (["bracket", "--q", "1000000000000000003", "--n", "2"], 0),
+    # a product of two primes near 2^32: not a prime power
+    (["bracket", "--q", "18446743979220271189", "--n", "2"], 1),
+    (["bracket", "--q", str(2**64 + 13), "--n", "2"], 2),
+    (["bracket", "--q", "3", "--n", "50000000"], 2),
+    (["group-order", "--q", "3", "--n", "3000"], 2),
+    (["poly", "--q-class", "1", "--n", "200", "--k", "100"], 2),
+])
+def test_formerly_hanging_inputs_finish_quickly(argv, code):
+    started = time.monotonic()
+    res = subprocess.run(BASE + argv, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - started < 5
+    assert res.returncode == code, res.stderr
+    if code == 0:
+        assert res.stdout == "500000000000000002\n"
+    elif code == 1:
+        assert res.stderr == "error: q = 18446743979220271189 is not a prime power\n"
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["bracket", "--q", str(2**64), "--n", "2"], 2**64 - 1),
+    (["verify", "--q", f"3,{2**64}", "--max-n", "1"], 2**64 - 1),
+    (["mobius", "--q", "3", "--n", str(cli.MAX_N + 1)], cli.MAX_N),
+    (["oracle", "count", "--q", "3", "--n", str(cli.MAX_N + 1)], cli.MAX_N),
+    (["triangle", "--q", "3", "--rows", str(cli.MAX_TRIANGLE_ROWS + 1)],
+     cli.MAX_TRIANGLE_ROWS),
+])
+def test_caps_are_usage_errors_that_name_the_cap(argv, cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"must be at most {cap}," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-order", "--q", "18446744073709551557", "--n", str(cli.MAX_N),
+     "--compare-paper"],
+    ["mobius", "--q", "18446744073709551557", "--n", str(cli.MAX_N),
+     "--format", "json"],
+    ["triangle", "--q", "18446744073709551557",
+     "--rows", str(cli.MAX_TRIANGLE_ROWS), "--format", "csv"],
+])
+def test_largest_inputs_under_the_caps_are_answered(argv, capsys):
+    """q just below 2^64 (the largest prime there) at the caps: every integer prints."""
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Closed-form counts against frozen enumeration values and identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,56 @@ def test_bracket_factorial():
         for n in range(1, 6):
             assert closed.bracket_factorial(q, n) == \
                 closed.bracket_factorial(q, n - 1) * closed.bracket(q, n)
+
+
+def test_odd_prime_power_matches_trial_division_below_1e5():
+    limit = 10**5
+    smallest = list(range(limit))  # smallest prime factor, sieved
+    for f in range(2, math.isqrt(limit) + 1):
+        if smallest[f] == f:
+            for m in range(f * f, limit, f):
+                smallest[m] = min(smallest[m], f)
+    find = closed.odd_prime_power.__wrapped__  # keeps the cache small
+    for q in range(-3, limit):
+        want = None
+        if q >= 3 and q % 2:
+            p, e, rest = smallest[q], 0, q
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            want = (p, e) if rest == 1 else None
+        try:
+            got = find(q)
+        except InvalidQ:
+            got = None
+        assert got == want, q
+
+
+@pytest.mark.parametrize("p,e", [
+    (18446744073709551557, 1),  # the largest prime below 2^64
+    (4294967291, 2),  # the largest prime below 2^32
+    (65521, 4),  # the largest prime below 2^16
+    (2642239, 3),
+    (251, 8),
+    (13, 17),
+    (7, 22),
+    (5, 27),
+    (3, 40),
+])
+def test_odd_prime_power_near_two_to_the_64(p, e):
+    assert p**e < 2**64
+    assert closed.odd_prime_power(p**e) == (p, e)
+
+
+@pytest.mark.parametrize("q", [
+    4294967291 * 4294967279,  # two primes near 2^32
+    3 * 4294967291**2,
+    65521**3 * 65519,
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,  # Carmichael numbers
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    2**64 - 1,
+])
+def test_odd_prime_power_refuses_composites_that_fool_weaker_tests(q):
+    with pytest.raises(InvalidQ):
+        closed.odd_prime_power(q)

@@ -1,17 +1,19 @@
 """Field tower construction and arithmetic."""
 
+import math
 import subprocess
 import sys
 
 import pytest
 
 from dotbinom.errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     DivisionByZero,
     EvenCharacteristic,
     NotPrime,
 )
-from dotbinom.gf import MAX_FIELD_ORDER, SquareClass, make_field
+from dotbinom.gf import MAX_FIELD_ORDER, MAX_Q, SquareClass, _is_prime, make_field
 
 
 def test_construction_validation():
@@ -173,3 +175,21 @@ def test_euler_criterion_check_survives_optimize_flag():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "euler-criterion (3, 2) (1, 1) (2, 2)\n"
+
+
+def test_is_prime_matches_a_sieve_below_1e5():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, limit, i))
+    assert [m for m in range(limit) if _is_prime(m)] == \
+        [m for m in range(limit) if sieve[m]]
+
+
+def test_is_prime_near_and_beyond_two_to_the_64():
+    assert _is_prime(MAX_Q - 59)  # the largest prime below 2^64
+    assert not _is_prime(3825123056546413051)  # strong pseudoprime to bases up to 23
+    assert not _is_prime(MAX_Q + 5)  # divisible by 3
+    with pytest.raises(BudgetExceeded):  # 274177 * 67280421310721, undecided
+        _is_prime(MAX_Q + 1)
