@@ -7,12 +7,13 @@ The closed-form commands run without numpy: the oracle, ``polyq`` and
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from fractions import Fraction
 
 from . import closed, symsets
 from .closed import Flavor, Variant
-from .errors import DotAnalogueError, NeitherSign
+from .errors import DotAnalogueError, MissingDependency, NeitherSign
 from .gf import MAX_Q, make_field
 from .quadspace import (
     DEFAULT_BUDGET,
@@ -34,11 +35,25 @@ from .report import (
 # Python converts to text; inside the caps every command takes under 0.3 s.
 MAX_TRIANGLE_ROWS = 29
 MAX_N = 21
+# Cap on verify --max-n.  verify --q 3 took 1.6 s at --max-n 8 and 17 s at
+# 9, where the 8-million-subspace counts of 7-subspaces in each ambient
+# take most of it; the cost per subspace grows with k.
+MAX_VERIFY_N = 8
 
 
 def _field_for(q):
     p, e = closed.odd_prime_power(q)
     return make_field(p, e)
+
+
+def _numpy_module(name: str):
+    """Import the package module ``name``, which needs numpy; without numpy, a domain error."""
+    try:
+        return importlib.import_module(f"{__package__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise MissingDependency("this command needs numpy, which is not installed") from None
 
 
 def _fmt(value) -> str:
@@ -192,7 +207,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_oracle_count(args) -> int:
-    from . import oracle
+    oracle = _numpy_module("oracle")
 
     ambient = ambient_space(_field_for(args.q), args.ambient, args.n)
     rep = oracle.full_count_report(ambient, budget=args.budget, jobs=args.jobs)
@@ -221,7 +236,7 @@ def cmd_oracle_count(args) -> int:
 
 
 def cmd_oracle_poset(args) -> int:
-    from . import oracle
+    oracle = _numpy_module("oracle")
 
     ambient = dot_space(_field_for(args.q), args.n)
     snap = oracle.build_poset(ambient, PosetKind(args.kind), budget=args.budget)
@@ -248,7 +263,7 @@ def cmd_oracle_poset(args) -> int:
 
 
 def cmd_flags(args) -> int:
-    from . import oracle
+    oracle = _numpy_module("oracle")
 
     ambient = dot_space(_field_for(args.q), args.n)
     snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=args.budget)
@@ -265,7 +280,7 @@ def cmd_flags(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify
+    verify = _numpy_module("verify")
 
     report = verify.run_verify(args.q, args.max_n, budget=args.budget,
                                jobs=args.jobs, compare_paper=args.compare_paper)
@@ -296,6 +311,7 @@ _positive = _int_in(1)
 _field_size = _int_in(high=MAX_Q - 1)
 _dimension = _int_in(0, MAX_N)
 _rows = _int_in(0, MAX_TRIANGLE_ROWS)
+_verify_dimension = _int_in(0, MAX_VERIFY_N)
 
 
 def _q_list(text: str) -> list[int]:
@@ -417,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconcile closed forms against enumeration")
     p.add_argument("--q", type=_q_list, required=True,
                    help="comma-separated field sizes, e.g. 3,5,9")
-    p.add_argument("--max-n", type=_natural, required=True)
+    p.add_argument("--max-n", type=_verify_dimension, required=True,
+                   help=f"largest dimension checked, at most {MAX_VERIFY_N}")
     p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--compare-paper", action=argparse.BooleanOptionalAction,

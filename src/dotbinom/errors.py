@@ -33,6 +33,10 @@ class AmbientMismatch(DotAnalogueError):
     """Operands live in different ambient spaces."""
 
 
+class MissingDependency(DotAnalogueError):
+    """An optional dependency the command needs is not installed."""
+
+
 class BudgetExceeded(DotAnalogueError):
     """Enumeration would exceed the configured object budget."""
 

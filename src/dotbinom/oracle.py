@@ -6,18 +6,24 @@ determinant square classes, and tallied.  The closed-form module must agree
 with these counts; no formula beyond the Gaussian binomial (used for budget
 estimates) is consulted.
 
-The kernel works on field element indices and lookup tables.  A batch of
-k x n matrices is a range of codes whose base-q digits are the free entries
-of its rows, row by row; a row may also hold a pivot 1.  One Gram plan per
-row layout reads every Gram entry off the code: row j's free columns are
-the last ones of every earlier row i, and row i is 0 at row j's pivot, so
-B(r_i, r_j) pairs row j's digits with the top digits of row i's block only.
-Small per-digit-group tables of sum d_c * x_c * y_c turn each Gram entry
-into one divmod and one gather per group of digits.  Subspace counts and
-the poset's nodes use the RREF rows of each pivot pattern and a cofactor
-determinant that memoises the minors of the trailing rows (28 field
-multiplications at k = 4 and 75 at k = 5); the isometry scan uses n rows
-of n free digits, the columns of a candidate matrix.
+The kernel works on field element indices and lookup tables.  The k x n
+matrices of one row layout are the codes whose base-q digits are the free
+entries of their rows, row by row; a row may also hold a pivot 1.  A code
+is l + q^f0 * h, where l holds row 0's f0 free digits and h the digits of
+rows 1..k-1, and a task is a block of h values x l values.  One Gram plan
+per row layout reads every Gram entry off l and h: row j's free columns
+are the last ones of every earlier row i, and row i is 0 at row j's pivot,
+so B(r_i, r_j) pairs row j's digits with the top digits of row i's block
+only, and small per-digit-group tables of sum d_c * x_c * y_c turn it
+into one gather per group of digits.  So the Gram block C of rows 1..k-1
+is made once per h value, g00 = B(r_0, r_0) once per l value, and only
+b_j = B(r_0, r_j) for j = 1..k-1 at full block size.  Subspace counts and
+the poset's nodes take the determinant as the bordered expansion
+det G = g00 det C - b^T adj(C) b (Horn and Johnson, Matrix Analysis,
+0.8.5), which holds over any commutative ring: no division and no case
+for a singular C.  The isometry scan lays out a candidate matrix the same
+way, its columns as the rows: it keeps the h values whose C is diagonal
+and d-weighted before pairing them with column 0.
 """
 
 from __future__ import annotations
@@ -48,20 +54,38 @@ from .quadspace import (
     zero_subspace,
 )
 from .symsets import count_symmetric_ksets  # noqa: F401  re-exported; verify calls it here
-_CHUNK = 1 << 16  # subspaces per task; each holds a few dozen arrays this long
+# Codes per block.  A block's few full-size intp arrays are 256 KB each;
+# at 1 << 16 the six large count cells of the benchmark ran 1.5x slower.
+_CHUNK = 1 << 15
 _GROUP_CAP = 1 << 16  # entries of one digit-group Gram table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 _MAX_TABLE_Q = 0xFFFF  # the index tables store elements as uint16
+# q^2 entries of each q x q table.  A count on the lambda-dot ambient at
+# q = 1009 and at q = 2003 peaked 33 bytes per entry above its start (the
+# uint16 tables, their intp copies and two one-digit group tables), so
+# the limit keeps the tables near 140 MB: q = 2039 is the largest prime in.
+_MAX_TABLE_ENTRIES = 1 << 22
 # A count of fewer subspaces runs in-process whatever ``jobs`` says: below
 # it, starting a pool costs more than the extra workers save (break-even
-# about 1.7e5 subspaces on 2 cores).
-_POOL_MIN_SUBSPACES = 200_000
+# between 0.6e6 and 0.9e6 subspaces on 2 cores).
+_POOL_MIN_SUBSPACES = 750_000
 
 _CLASS_CODES = {
     SquareClass.ZERO: 0,
     SquareClass.SQUARE: 1,
     SquareClass.NON_SQUARE: 2,
 }
+
+
+def _price_tables(q: int) -> None:
+    """Refuse a field whose lookup tables are too large, before any is built."""
+    if q > _MAX_TABLE_Q:
+        raise BudgetExceeded(f"field order {q} exceeds the table limit {_MAX_TABLE_Q}")
+    if q * q > _MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"field tables of {q * q} entries at q={q} exceed the limit "
+            f"of {_MAX_TABLE_ENTRIES} entries"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +98,7 @@ def _field_tables(p: int, e: int):
     (2e - 1) * _TABLE_BLOCK integers.
     """
     q = p**e
-    if q > _MAX_TABLE_Q:
-        raise BudgetExceeded(f"field order {q} exceeds the table limit {_MAX_TABLE_Q}")
+    _price_tables(q)
     field = make_field(p, e)
     dtype = np.uint8 if q <= 0xFF else np.uint16
     index = np.arange(q, dtype=np.int64)
@@ -168,10 +191,11 @@ def _group_table(p: int, e: int, diag: tuple):
 
 @lru_cache(maxsize=64)
 def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
-    """How to read each upper Gram entry of a row layout off the code.
+    """How to read each upper Gram entry of a row layout off a block of codes.
 
-    ``rows`` holds (pivot column or None, free columns) per row.  Row r's
-    free columns fill the code digits off[r] .. off[r] + f[r] - 1 in
+    ``rows`` holds (pivot column or None, free columns) per row.  A code is
+    l + q^f0 * h: l holds row 0's f0 free digits and h the digits of rows
+    1..k-1, row r's at h digits start[r] .. start[r] + f[r] - 1, each row in
     increasing column order.  For rows i < j, row j's free columns must be
     the last f[j] of row i's and row i must be 0 at row j's pivot, so
     B(r_i, r_j) pairs row j's digits with the top f[j] digits of row i's
@@ -179,13 +203,15 @@ def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
     ``width`` from the top.  plan[i, j] is the entry as a field index when
     it does not depend on the code, else a list of terms
     (a_power, b_power, w, table) whose field sum is the entry; a term is
-    table[digit(a_power, w) * q^w + digit(b_power, w)] off the diagonal and
-    table[digit(b_power, w)] on it (a_power None), where
-    digit(s, w) = code // q^s % q^w.
+    table[digit(x_i, a_power, w) * q^w + digit(x_j, b_power, w)] off the
+    diagonal and table[digit(x_j, b_power, w)] on it (a_power None), where
+    digit(x, s, w) = x // q^s % q^w and x_r is l for row 0 and h for every
+    other row.  So the Gram block C of rows 1..k-1 reads h alone, g00 =
+    plan[0, 0] reads l alone, and only b_j = plan[0, j] reads both.
     """
     add, _, _, _ = _field_tables(p, e)
     q = p**e
-    off = list(itertools.accumulate((len(cols) for _, cols in rows), initial=0))
+    start = [0, *itertools.accumulate((len(cols) for _, cols in rows[1:]), initial=0)]
     plan = {}
     for j, (pc, cols) in enumerate(rows):
         groups = []
@@ -194,10 +220,10 @@ def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
             table = _group_table(p, e, tuple(diag_idx[c] for c in cols[lo:hi]))
             groups.append((lo, hi - lo, table))
         for i in range(j):
-            shift = off[i + 1] - len(cols)  # top f[j] digits of row i
-            plan[i, j] = [(shift + lo, off[j] + lo, w, table) for lo, w, table in groups] or 0
+            shift = start[i] + len(rows[i][1]) - len(cols)  # top f[j] digits of row i
+            plan[i, j] = [(shift + lo, start[j] + lo, w, table) for lo, w, table in groups] or 0
         diagonal = [
-            (None, off[j] + lo, w, table[:: q**w + 1].copy()) for lo, w, table in groups
+            (None, start[j] + lo, w, table[:: q**w + 1].copy()) for lo, w, table in groups
         ]
         pivot = 0 if pc is None else diag_idx[pc]  # B(r_j, r_j) = d_pivot + the free terms
         if diagonal:
@@ -207,21 +233,25 @@ def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
     return plan
 
 
-def _gram_entries(plan, codes, add, q: int):
-    """Upper Gram entries of a chunk of codes: arrays, or field indices where constant."""
+def _gram_entries(plan, l, h, add, q: int, pairs):
+    """The Gram entries ``pairs`` of a block: field indices where constant, else
+    arrays over l for row 0, over h for the other rows, broadcast where both."""
+    sides = (l, h)
     digits = {}
 
-    def digit(power, w):
-        if (power, w) not in digits:
-            digits[power, w] = codes // q**power % q**w
-        return digits[power, w]
+    def digit(row, power, w):
+        key = (min(row, 1), power, w)
+        if key not in digits:
+            digits[key] = sides[key[0]] // q**power % q**w
+        return digits[key]
 
     gram = {}
-    for (i, j), entry in plan.items():
+    for i, j in pairs:
+        entry = plan[i, j]
         if isinstance(entry, list):
             values = [
-                table.take(digit(b_power, w) if a_power is None
-                           else digit(a_power, w) * q**w + digit(b_power, w))
+                table.take(digit(j, b_power, w) if a_power is None
+                           else digit(i, a_power, w) * q**w + digit(j, b_power, w))
                 for a_power, b_power, w, table in entry
             ]
             entry = functools.reduce(lambda x, y: add.take(x * q + y), values)
@@ -229,54 +259,106 @@ def _gram_entries(plan, codes, add, q: int):
     return gram
 
 
-def _determinant(gram, k: int, add, mul, neg, q: int):
-    """Cofactor expansion along the top row, memoising minors of the trailing rows.
+class _Minors(dict):
+    """det G[rows, cols] of a Gram dict, made on first lookup by cofactor
+    expansion along rows[0] that skips constant 0 entries; each minor is
+    made once.  1 is the field index of 1, the empty determinant.
 
-    minors[cols] is the determinant of rows r..k-1 restricted to the columns
-    cols, so a k x k determinant costs sum_s s * C(k, s) multiplications:
-    28 at k = 4 and 75 at k = 5.  Entries that are the constant 0 are skipped.
+    A recursive closure would refer to itself, a reference cycle that keeps
+    every block's arrays alive until the garbage collector runs.
     """
-    minors = {(c,): gram[k - 1, c] for c in range(k)}
-    for r in range(k - 2, -1, -1):
-        nxt = {}
-        for cols in itertools.combinations(range(k), k - r):
-            acc = None
-            for idx, c in enumerate(cols):
-                entry = gram[r, c]
-                if isinstance(entry, int) and entry == 0:
-                    continue
-                term = mul.take(entry * q + minors[cols[:idx] + cols[idx + 1:]])
-                if idx % 2:
-                    term = neg.take(term)
-                acc = term if acc is None else add.take(acc * q + term)
-            nxt[cols] = 0 if acc is None else acc
-        minors = nxt
-    return minors[tuple(range(k))]
+
+    def __init__(self, gram, fmul, fadd, neg):
+        super().__init__({((), ()): 1})
+        self.gram, self.fmul, self.fadd, self.neg = gram, fmul, fadd, neg
+
+    def __missing__(self, key):
+        rows, cols = key
+        acc = None
+        for idx, c in enumerate(cols):
+            entry = self.gram[rows[0], c]
+            if isinstance(entry, int) and entry == 0:
+                continue
+            term = self.fmul(entry, self[rows[1:], cols[:idx] + cols[idx + 1:]])
+            if idx % 2:
+                term = self.neg.take(term)
+            acc = term if acc is None else self.fadd(acc, term)
+        self[key] = 0 if acc is None else acc
+        return self[key]
+
+
+def _determinant(gram, k: int, add, mul, neg, q: int):
+    """det G = g00 det C - b^T adj(C) b, for C the Gram block of rows 1..k-1
+    and b_j = G[0, j].
+
+    The bordered expansion holds over any commutative ring, so a singular C
+    needs no branch.  det C and adj(C) are cofactor expansions over h-side
+    arrays.  C is symmetric, so adj(C) is too, and
+    b^T adj(C) b = sum_i b_i (A_ii b_i + sum_{j>i} 2 A_ij b_j) with the
+    negated A_ii and 2 A_ij made on the h side: full block size is reached
+    only by products with b and the sum with g00 det C.
+    """
+    if k == 1:
+        return gram[0, 0]
+
+    def fmul(x, y):
+        return mul.take(x * q + y)
+
+    def fadd(x, y):
+        return add.take(x * q + y)
+
+    minors = _Minors(gram, fmul, fadd, neg)
+    inner = tuple(range(1, k))
+    drop = {i: inner[:i - 1] + inner[i:] for i in inner}
+    det = fmul(gram[0, 0], minors[inner, inner])
+    for i in inner:
+        # for i <= j, -adj(C)[i, j] = -(-1)^(i+j) det(C without row i and column j)
+        neg_adj = [
+            minors[drop[i], drop[j]] if (i + j) % 2 else neg.take(minors[drop[i], drop[j]])
+            for j in inner[i - 1:]
+        ]
+        z = fmul(neg_adj[0], gram[0, i])
+        for j, a in zip(inner[i:], neg_adj[1:]):
+            z = fadd(z, fmul(fadd(a, a), gram[0, j]))
+        det = fadd(det, fmul(gram[0, i], z))
+    return det
 
 
 def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
-    """Tasks of at most _CHUNK codes covering every code of a row layout."""
-    size = field.q ** sum(len(cols) for _, cols in rows)
-    return [
-        (field.p, field.e, diag_idx, rows, start, min(start + _CHUNK, size))
-        for start in range(0, size, _CHUNK)
-    ]
+    """Blocks of h values x l values covering every code l + q^f0 * h of a row
+    layout in code order, at most _CHUNK codes each.
+
+    A block holds whole rows of l values when they fit, so row 0 is split
+    only when q^f0 > _CHUNK, and then a block holds one h value.
+    """
+    q = field.q
+    size_l = q ** len(rows[0][1])
+    size_h = q ** sum(len(cols) for _, cols in rows[1:])
+    if size_l <= _CHUNK:
+        step = _CHUNK // size_l
+        blocks = [((h, min(h + step, size_h)), (0, size_l)) for h in range(0, size_h, step)]
+    else:
+        blocks = [((h, h + 1), (l, min(l + _CHUNK, size_l)))
+                  for h in range(size_h) for l in range(0, size_l, _CHUNK)]
+    return [(field.p, field.e, diag_idx, rows, hs, ls) for hs, ls in blocks]
 
 
 def _chunk_classes(task):
-    """Square-class code of the Gram determinant of each code in one chunk."""
-    p, e, diag_idx, rows, start, stop = task
+    """Square-class codes of the Gram determinants of one block, shape (h values, l values)."""
+    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
     add, mul, neg, klass = _flat_tables(p, e)
     q = p**e
     plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
-    codes = np.arange(start, stop, dtype=np.int64)
-    det = _determinant(_gram_entries(plan, codes, add, q), len(rows), add, mul, neg, q)
-    return klass.take(np.broadcast_to(det, codes.shape))
+    h = np.arange(h_lo, h_hi)[:, None]
+    l = np.arange(l_lo, l_hi)[None, :]
+    gram = _gram_entries(plan, l, h, add, q, plan)
+    det = _determinant(gram, len(rows), add, mul, neg, q)
+    return klass.take(np.broadcast_to(det, (h_hi - h_lo, l_hi - l_lo)))
 
 
 def _chunk_tallies(task):
-    """(square, non-square, zero) tallies for one pivot pattern chunk."""
-    counts = np.bincount(_chunk_classes(task), minlength=3)
+    """(square, non-square, zero) tallies for one block."""
+    counts = np.bincount(_chunk_classes(task).ravel(), minlength=3)
     return int(counts[1]), int(counts[2]), int(counts[0])
 
 
@@ -317,6 +399,7 @@ def count_subspaces_by_class(
             SubspaceClass.LAMBDA_DOT_TYPE: 0,
             SubspaceClass.DEGENERATE: 0,
         }
+    _price_tables(field.q)
     if total < _POOL_MIN_SUBSPACES:
         jobs = 1
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
@@ -436,12 +519,15 @@ def build_poset(
         )
     mask_words = -(-(q**n) // 64)
     # for n >= 2 a nondegenerate form takes every value, so both kinds have a
-    # line node: refuse a single mask over budget before any table is built
-    if n >= 2 and mask_words > budget:
-        raise BudgetExceeded(
-            f"one vector mask at (q={q}, n={n}) takes {mask_words} 64-bit words, "
-            f"exceeding budget {budget}"
-        )
+    # line node: refuse a single mask over budget, or tables over their
+    # limit, before any table is built
+    if n >= 2:
+        if mask_words > budget:
+            raise BudgetExceeded(
+                f"one vector mask at (q={q}, n={n}) takes {mask_words} 64-bit words, "
+                f"exceeding budget {budget}"
+            )
+        _price_tables(q)
     wanted = _CLASS_CODES[
         SquareClass.SQUARE if poset_kind is PosetKind.EUCLIDEAN else SquareClass.NON_SQUARE
     ]
@@ -452,8 +538,10 @@ def build_poset(
         for pattern in itertools.combinations(range(n), k):
             slots = _free_positions(pattern, n)
             tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
-            # the tasks cover codes 0, 1, ... in order
-            codes = np.flatnonzero(np.concatenate([_chunk_classes(t) for t in tasks]) == wanted)
+            # the blocks cover codes 0, 1, ... in order, and code h * q^f0 + l
+            # is the flat index of (h, l) within them
+            classes = np.concatenate([_chunk_classes(t).ravel() for t in tasks])
+            codes = np.flatnonzero(classes == wanted)
             # slot s is code digit s, but itertools.product, and so
             # enumerate_subspaces, makes slot 0 the most significant
             digits = codes[:, None] // q ** np.arange(len(slots)) % q
@@ -512,17 +600,31 @@ def mobius_bottom(snapshot: PosetSnapshot) -> int:
     return mu[-1]
 
 
-def _orthogonal_chunk(task):
-    """Isometries in one chunk of candidate matrices: Gram entry (i, j) is d_i or 0."""
-    p, e, diag_idx, rows, start, stop = task
+def _orthogonal_block(task):
+    """Isometries in one block of candidate matrices, row r of the layout being column r.
+
+    The h side, columns 1..n-1, must have the Gram block diag(d_1..d_{n-1});
+    only its survivors are paired with the block's column-0 values that have
+    B(c_0, c_0) = d_0, which must then be orthogonal to columns 1..n-1.
+    """
+    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
     add = _flat_tables(p, e)[0]
     q = p**e
     plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
-    gram = _gram_entries(plan, np.arange(start, stop, dtype=np.int64), add, q)
-    keep = np.ones(stop - start, dtype=bool)
-    for i, j in plan:
+    c_entries = [(i, j) for i, j in plan if i > 0]
+    h = np.arange(h_lo, h_hi)
+    gram = _gram_entries(plan, None, h, add, q, c_entries)
+    keep = np.ones(h.size, dtype=bool)
+    for i, j in c_entries:
         keep &= gram[i, j] == (diag_idx[i] if i == j else 0)
-    return int(np.count_nonzero(keep))
+    l = np.arange(l_lo, l_hi)
+    l = l[_gram_entries(plan, l, None, add, q, [(0, 0)])[0, 0] == diag_idx[0]]
+    cross = [(0, j) for j in range(1, len(rows))]
+    gram = _gram_entries(plan, l[None, :], h[keep][:, None], add, q, cross)
+    found = np.ones((np.count_nonzero(keep), l.size), dtype=bool)
+    for pair in cross:
+        found &= gram[pair] == 0
+    return int(np.count_nonzero(found))
 
 
 def enumerate_orthogonal_group(
@@ -541,9 +643,10 @@ def enumerate_orthogonal_group(
         raise BudgetExceeded(
             f"{total} candidate matrices at (q={field.q}, n={n}) exceed budget {budget}"
         )
+    _price_tables(field.q)
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
     columns = ((None, tuple(range(n))),) * n  # n free entries each, no pivot
-    return sum(_run_tasks(_orthogonal_chunk, _chunk_tasks(field, diag_idx, columns), jobs))
+    return sum(_run_tasks(_orthogonal_block, _chunk_tasks(field, diag_idx, columns), jobs))
 
 
 _LABEL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -259,6 +259,8 @@ def test_usage_errors_exit_two():
     # negative sizes and budgets and fewer than one job are refused at parse time
     assert run_cli("poly", "--q-class", "1", "--n", "-1").returncode == 2
     assert run_cli("verify", "--q", "3", "--max-n", "-1").returncode == 2
+    assert run_cli("verify", "--q", "3",
+                   "--max-n", str(cli.MAX_VERIFY_N + 1)).returncode == 2
     assert run_cli("verify", "--q", "3", "--max-n", "2", "--jobs", "0").returncode == 2
     assert run_cli("oracle", "count", "--q", "3", "--n", "2",
                    "--budget", "-1").returncode == 2
@@ -317,6 +319,7 @@ def test_formerly_hanging_inputs_finish_quickly(argv, code):
     (["oracle", "count", "--q", "3", "--n", str(cli.MAX_N + 1)], cli.MAX_N),
     (["triangle", "--q", "3", "--rows", str(cli.MAX_TRIANGLE_ROWS + 1)],
      cli.MAX_TRIANGLE_ROWS),
+    (["verify", "--q", "3", "--max-n", "21"], cli.MAX_VERIFY_N),
 ])
 def test_caps_are_usage_errors_that_name_the_cap(argv, cap, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -79,3 +79,16 @@ def test_unknown_package_attribute_is_an_attribute_error():
 
     with pytest.raises(AttributeError):
         dotbinom.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "count", "--q", "3", "--n", "2"],
+    ["oracle", "poset", "--q", "3", "--n", "2"],
+    ["flags", "--q", "3", "--n", "2"],
+    ["verify", "--q", "3", "--max-n", "2"],
+])
+def test_numpy_commands_without_numpy_print_one_error_line(argv):
+    res = run_python("-c", WITHOUT_NUMPY, *argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: this command needs numpy, which is not installed\n"

@@ -65,6 +65,24 @@ def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
         _assert_fast_matches_slow(p, e, n, maker)
 
 
+@pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
+@pytest.mark.parametrize("q,n,ks,chunk", [
+    (3, 5, range(1, 5), 2),  # q^f0 = 3^(5-k) > 2 on the largest pivot pattern of every k
+    (3, 6, [5], 2),  # k = 5: a 4 x 4 Gram block C beside row 0's 3 values
+    (5, 4, range(1, 4), 4),
+    (9, 3, range(1, 3), 8),
+])
+def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk, maker):
+    """Blocks of one h value and part of row 0's l values, at k up to 5."""
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    ambient = maker(make_field(*closed.odd_prime_power(q)), n)
+    for k in ks:
+        assert chunk < q ** (n - k)
+        slow = Counter(classify(sub) for sub in oracle.enumerate_subspaces(ambient, k))
+        fast = oracle.count_subspaces_by_class(ambient, k)
+        assert fast == {klass: slow.get(klass, 0) for klass in SubspaceClass}, (q, n, k)
+
+
 @pytest.mark.parametrize(
     "p,e", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 4)]
 )
@@ -226,10 +244,16 @@ def test_orthogonal_group_matches_object_level_scan(q, n, maker):
 
 
 def test_orthogonal_group_with_small_chunks_and_digit_groups(monkeypatch):
-    """Columns of 3 digits split into groups of 2 and 1; chunks end mid-matrix."""
+    """Columns of 3 digits split into groups of 2 and 1; column 0's 27 values
+    split into blocks of at most 7, each with one value of columns 1 and 2."""
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
     assert oracle.enumerate_orthogonal_group(dot_space(make_field(3), 3)) == 48
+
+
+def test_orthogonal_group_q3_n4_scans_43m_candidates():
+    ambient = dot_space(make_field(3), 4)
+    assert oracle.enumerate_orthogonal_group(ambient, budget=10**8) == 1152
 
 
 def test_orthogonal_group_matches_closed_form():
@@ -497,3 +521,30 @@ def test_full_count_report_counts_each_dimension_once(monkeypatch):
     rep = oracle.full_count_report(dot_space(make_field(3), 3))
     assert dims == [0, 1, 2, 3]
     assert rep.lines == (3, 6, 4)
+
+
+TABLE_PRICED = {
+    "count": lambda ambient: oracle.count_subspaces_by_class(ambient, 1, budget=10**12),
+    "group": lambda ambient: oracle.enumerate_orthogonal_group(ambient, budget=10**12),
+    "poset": lambda ambient: oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=10**12),
+}
+
+
+@pytest.mark.parametrize("q", [2053, 65521])
+@pytest.mark.parametrize("name", sorted(TABLE_PRICED))
+def test_field_tables_are_priced_before_they_are_built(monkeypatch, name, q):
+    """q = 65521 would need q x q tables of 8.6 GB each; 2053 is the first prime past the limit."""
+
+    def no_tables(p, e):
+        raise AssertionError("field tables were built")
+
+    monkeypatch.setattr(oracle, "_field_tables", no_tables)
+    n = 1 if name == "group" else 2
+    with pytest.raises(BudgetExceeded, match=f"field tables of {q * q} entries at q={q}"):
+        TABLE_PRICED[name](dot_space(make_field(q), n))
+
+
+def test_largest_prime_under_the_table_limit_is_not_refused():
+    oracle._price_tables(2039)
+    with pytest.raises(BudgetExceeded, match="field tables of 4214809 entries"):
+        oracle._price_tables(2053)
