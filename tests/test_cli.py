@@ -191,6 +191,17 @@ def test_oracle_poset_golden(tmp_path, monkeypatch, capsys):
         edges.read_text(encoding="utf-8")
 
 
+def test_table_commands_match_golden(capsys):
+    """Exit code and stdout of every table command in all three formats.
+
+    Frozen from the hand-built parser, before the command table replaced it.
+    """
+    golden = json.loads((DATA / "cli_commands.json").read_text(encoding="utf-8"))
+    for line, want in golden.items():
+        code = cli.main(line.split())
+        assert (code, capsys.readouterr().out) == (want["exit"], want["stdout"]), line
+
+
 def test_flags_command():
     res = run_cli("flags", "--q", "3", "--n", "3")
     assert res.returncode == 0
