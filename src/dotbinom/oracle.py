@@ -59,11 +59,11 @@ from .symsets import count_symmetric_ksets  # noqa: F401  re-exported; verify ca
 _CHUNK = 1 << 15
 _GROUP_CAP = 1 << 16  # entries of one digit-group Gram table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
-_MAX_TABLE_Q = 0xFFFF  # the index tables store elements as uint16
 # q^2 entries of each q x q table.  A count on the lambda-dot ambient at
 # q = 1009 and at q = 2003 peaked 33 bytes per entry above its start (the
 # uint16 tables, their intp copies and two one-digit group tables), so
 # the limit keeps the tables near 140 MB: q = 2039 is the largest prime in.
+# Every q it admits is below 2^16, so the uint16 element indices fit.
 _MAX_TABLE_ENTRIES = 1 << 22
 # A count of fewer subspaces runs in-process whatever ``jobs`` says: below
 # it, starting a pool costs more than the extra workers save (break-even
@@ -79,8 +79,6 @@ _CLASS_CODES = {
 
 def _price_tables(q: int) -> None:
     """Refuse a field whose lookup tables are too large, before any is built."""
-    if q > _MAX_TABLE_Q:
-        raise BudgetExceeded(f"field order {q} exceeds the table limit {_MAX_TABLE_Q}")
     if q * q > _MAX_TABLE_ENTRIES:
         raise BudgetExceeded(
             f"field tables of {q * q} entries at q={q} exceed the limit "

@@ -157,14 +157,15 @@ def test_oracle_count_respects_budget():
 
 
 def test_oracle_count_refuses_fields_beyond_table_limit():
-    """The uint16 index tables cannot hold q = 65537: refused before any table."""
+    """q = 65537 is refused by the table price, before any table is built."""
     started = time.monotonic()
     res = subprocess.run(BASE + ["oracle", "count", "--q", "65537", "--n", "1"],
                          capture_output=True, text=True, timeout=60)
     assert time.monotonic() - started < 10
     assert res.returncode == 1
     assert res.stdout == ""
-    assert res.stderr == "error: field order 65537 exceeds the table limit 65535\n"
+    assert res.stderr == ("error: field tables of 4295098369 entries at q=65537 "
+                          "exceed the limit of 4194304 entries\n")
 
 
 def test_oracle_poset_and_graph(tmp_path):
@@ -191,6 +192,19 @@ def test_oracle_poset_golden(tmp_path, monkeypatch, capsys):
         edges.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,reason", [
+    ("missing/edges.txt", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_unwritable_graph_file_is_one_error_line(name, reason, tmp_path, capsys):
+    path = str(tmp_path / name)
+    code = cli.main(["oracle", "poset", "--q", "3", "--n", "2", "--emit-graph", path])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: cannot write {path}: {reason}\n"
+
+
 def test_table_commands_match_golden(capsys):
     """Exit code and stdout of every table command in all three formats.
 
@@ -210,6 +224,14 @@ def test_flags_command():
         "bracket_factorial 6",
         "status pass",
     ]
+
+
+def test_flags_exit_one_when_the_count_disagrees(monkeypatch, capsys):
+    from dotbinom import oracle
+
+    monkeypatch.setattr(oracle, "count_flags", lambda snapshot: 5)
+    assert cli.main(["flags", "--q", "3", "--n", "3"]) == 1
+    assert capsys.readouterr().out == "flags 5\nbracket_factorial 6\nstatus fail\n"
 
 
 def test_verify_exit_zero_with_discrepancies():

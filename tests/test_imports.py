@@ -92,3 +92,10 @@ def test_numpy_commands_without_numpy_print_one_error_line(argv):
     assert res.returncode == 1
     assert res.stdout == ""
     assert res.stderr == "error: this command needs numpy, which is not installed\n"
+
+
+@pytest.mark.parametrize("name", [command.name for command in cli.COMMANDS])
+def test_help_runs_without_numpy(name):
+    res = run_python("-c", WITHOUT_NUMPY, *name.split(), "--help")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith(f"usage: dotbinom {name} [-h]")

@@ -1,6 +1,7 @@
 """Enumeration oracle: tallies, posets, groups, and cross-checks."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -110,6 +111,11 @@ def test_field_tables_refuse_orders_beyond_uint16(monkeypatch):
     monkeypatch.setattr(oracle, "make_field", no_field)
     with pytest.raises(BudgetExceeded, match="65537"):
         oracle._field_tables(65537, 1)
+
+
+def test_table_limit_keeps_element_indices_in_uint16():
+    """The entry limit alone refuses every q whose indices overflow uint16."""
+    assert math.isqrt(oracle._MAX_TABLE_ENTRIES) <= 0xFFFF
 
 
 def test_field_tables_check_euler_criterion(monkeypatch):

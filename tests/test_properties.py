@@ -1,7 +1,11 @@
 """Property tests over random odd prime powers: identities of the closed forms,
-and the oracle against itself."""
+and the oracle against itself; and a fuzz of the command line."""
 
+import argparse
+import contextlib
 import functools
+import io
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,7 +14,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from dotbinom import closed, oracle, polyq  # noqa: E402
+from dotbinom import cli, closed, oracle, polyq  # noqa: E402
 from dotbinom.gf import make_field  # noqa: E402
 from dotbinom.quadspace import SubspaceClass, dot_space, lambda_dot_space  # noqa: E402
 
@@ -132,3 +136,76 @@ def test_oracle_group_orders_satisfy_the_quotient_identity(cell):
     assert order(dot_space(field, n)) == (
         binom * order(dot_space(field, k)) * order(dot_space(field, n - k))
     )
+
+
+# the commands that enumerate draw small inputs only, so each finishes at once
+ENUMERATING = {"oracle count", "oracle poset", "flags", "verify"}
+
+
+def _in_or_out(low, high, *out):
+    """Integers in low..high first (where hypothesis shrinks to), else ``out``."""
+    return st.one_of(st.integers(low, high), st.sampled_from(out))
+
+
+def _value(command, flag, spec):
+    """A strategy for the text of one option: in range, out of range, or not valid."""
+    small = command.name in ENUMERATING
+    if "choices" in spec:
+        return st.sampled_from([*map(str, spec["choices"]), "none-of-these"])
+    if spec.get("metavar") == "FILE":
+        # a writable file, a missing directory, and a directory
+        return st.sampled_from([os.devnull, "/nonexistent/dir/edges.txt", "."])
+    good = [3, 5, 7, 9] if small else [*ODD_PRIME_POWERS, 2**64 - 59]
+    bad = [-1, 0, 1, 2, 4, 6] + ([] if small else [15, 18446743979220271189, 2**64])
+    q = st.one_of(st.sampled_from(good), st.sampled_from(bad))
+    if command.name == "verify" and flag == "--q":
+        return st.one_of(st.lists(q, max_size=3).map(lambda qs: ",".join(map(str, qs))),
+                         st.just("x"))
+    ints = {
+        "--q": q,
+        "--n": _in_or_out(1, 3, -1, 0) if small else _in_or_out(0, cli.MAX_N, -1, cli.MAX_N + 1),
+        "--k": _in_or_out(0, cli.MAX_N + 2, -1),
+        "--rows": _in_or_out(0, cli.MAX_TRIANGLE_ROWS, -1, cli.MAX_TRIANGLE_ROWS + 1),
+        "--max-n": _in_or_out(0, 1, -1, cli.MAX_VERIFY_N + 1),
+        "--budget": _in_or_out(0, 10**6, -1),
+        "--jobs": _in_or_out(1, 2, -1, 0),
+    }
+    return ints[flag].map(str)
+
+
+@st.composite
+def _argv(draw):
+    """An argv built from one entry of cli.COMMANDS and its argument specs."""
+    command = draw(st.sampled_from([c for c in cli.COMMANDS if c.handler]))
+    argv = [*command.name.split(), "--format",
+            draw(st.sampled_from(["plain", "csv", "json"]))]
+    for flags, spec in command.args:
+        flag = flags[0]
+        if spec.get("action") == "store_true":
+            argv += [flag] if draw(st.booleans()) else []
+        elif spec.get("action") is argparse.BooleanOptionalAction:
+            argv += draw(st.sampled_from([[], [flag], ["--no-" + flag[2:]]]))
+        elif spec.get("required") or draw(st.booleans()):
+            argv += [flag, draw(_value(command, flag, spec))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_argv())
+def test_every_command_line_exits_zero_one_or_two(argv):
+    """No argv drawn from the command table ends in a traceback.
+
+    Exit 2 is a usage error from argparse; exit 1 is a domain error, which
+    prints one ``error:`` line and nothing on stdout.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
