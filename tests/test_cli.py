@@ -194,7 +194,7 @@ def test_oracle_poset_golden(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name,reason", [
     ("missing/edges.txt", "No such file or directory"),
-    ("", "Is a directory"),
+    (".", "Is a directory"),
 ])
 def test_unwritable_graph_file_is_one_error_line(name, reason, tmp_path, capsys):
     path = str(tmp_path / name)
