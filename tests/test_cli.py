@@ -205,15 +205,29 @@ def test_unwritable_graph_file_is_one_error_line(name, reason, tmp_path, capsys)
     assert out.err == f"error: cannot write {path}: {reason}\n"
 
 
+def _replay_golden(name, capsys):
+    """Run every command line of a golden and compare exit code and stdout."""
+    golden = json.loads((DATA / name).read_text(encoding="utf-8"))
+    for line, want in golden.items():
+        code = cli.main(line.split())
+        assert (code, capsys.readouterr().out) == (want["exit"], want["stdout"]), line
+
+
 def test_table_commands_match_golden(capsys):
     """Exit code and stdout of every table command in all three formats.
 
     Frozen from the hand-built parser, before the command table replaced it.
     """
-    golden = json.loads((DATA / "cli_commands.json").read_text(encoding="utf-8"))
-    for line, want in golden.items():
-        code = cli.main(line.split())
-        assert (code, capsys.readouterr().out) == (want["exit"], want["stdout"]), line
+    _replay_golden("cli_commands.json", capsys)
+
+
+def test_poly_rows_match_golden(capsys):
+    """``poly --checks`` for every row n = 0..MAX_N of both classes, plain and json.
+
+    Frozen from the Fraction-arithmetic polynomials, before they were built
+    on integer coefficients.
+    """
+    _replay_golden("poly_rows.json", capsys)
 
 
 def test_flags_command():
