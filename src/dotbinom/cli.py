@@ -263,7 +263,7 @@ def _q_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("at least one field size is required")
-    return values
+    return list(dict.fromkeys(values))  # repeats dropped, first-seen order kept
 
 
 def _arg(*flags, **kwargs):

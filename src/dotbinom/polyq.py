@@ -1,4 +1,13 @@
-"""Dot-binomial coefficients as exact polynomials in the indeterminate q."""
+"""Dot-binomial coefficients as exact polynomials in the indeterminate q.
+
+Every p_(n,k)(q) is 1/2 * q^m times a polynomial with integer coefficients,
+m = floor(k(n-k)/2), and that polynomial is built on integer coefficient
+lists only: Gaussian binomials by the q-Pascal rule, row by row, products
+with q^e +- 1 by convolution, and the two even-n, even-k cells by an exact
+integer division by q^(n/2) +- 1.  The factor 1/2 * q^m is applied last,
+when the cell's ``RatPoly`` is made; ``RatPoly`` is a read-only value with
+``Fraction`` coefficients.
+"""
 
 from __future__ import annotations
 
@@ -72,80 +81,12 @@ class RatPoly:
             return Fraction(0)
         return self.coeffs[-1]
 
-    def __add__(self, other) -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly.from_coeffs(out)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly.from_coeffs([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly.from_coeffs(out)
-
-    __rmul__ = __mul__
-
-    def divexact(self, other: "RatPoly") -> "RatPoly":
-        """Long division requiring a zero remainder."""
-        if other.is_zero():
-            raise ExactDivisionFailed("polynomial division by zero")
-        if self.is_zero():
-            return self
-        if self.degree < other.degree:
-            raise ExactDivisionFailed(
-                f"degree {self.degree} not divisible by degree {other.degree}"
-            )
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * (len(self.coeffs) - len(other.coeffs) + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            factor = rem[i + other.degree] / lead
-            quot[i] = factor
-            if factor == 0:
-                continue
-            for j, c in enumerate(other.coeffs):
-                rem[i + j] -= factor * c
-        if any(c != 0 for c in rem):
-            raise ExactDivisionFailed(
-                f"({self}) is not divisible by ({other}): nonzero remainder"
-            )
-        return RatPoly.from_coeffs(quot)
-
     def evaluate(self, x) -> Fraction:
         """Exact evaluation at a rational point."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def inflate(self, m: int) -> "RatPoly":
-        """Substitute q -> q^m."""
-        if m < 1:
-            raise ValueError("inflation exponent must be positive")
-        if self.is_zero() or m == 1:
-            return self
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
-        return RatPoly.from_coeffs(out)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -168,17 +109,64 @@ class RatPoly:
         return " ".join(parts)
 
 
-def _qpm(e: int, sign: int) -> RatPoly:
-    """The polynomial q^e + sign with sign in {+1, -1}."""
-    return RatPoly.monomial(1, e) + RatPoly.constant(sign)
+# Integer coefficient lists, lowest degree first, for the construction below.
+
+
+def _qpm(e: int, sign: int) -> list:
+    """q^e + sign with sign in {+1, -1}; q^0 + 1 is the constant 2."""
+    cs = [sign] + [0] * e
+    cs[e] += 1
+    return cs
+
+
+def _times(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divexact(num: list, den: list) -> list:
+    """Quotient num / den with integer coefficients, or ExactDivisionFailed."""
+    rem = list(num)
+    top = len(den) - 1
+    quot = [0] * (len(num) - top)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + top], den[top])
+        if r:
+            raise ExactDivisionFailed(f"{num} / {den}: quotient is not integral")
+        quot[i] = c
+        for j, d in enumerate(den):
+            rem[i + j] -= c * d
+    if any(rem):
+        raise ExactDivisionFailed(f"{num} / {den}: nonzero remainder")
+    return quot
 
 
 @lru_cache(maxsize=None)
-def _gaussian_binom_poly(n: int, k: int) -> RatPoly:
-    out = RatPoly.constant(1)
-    # each partial product is itself a Gaussian binomial, so division stays exact
-    for i in range(k):
-        out = (out * _qpm(n - i, -1)).divexact(_qpm(i + 1, -1))
+def _gaussian_row(n: int) -> tuple:
+    """[n, k] for k = 0..n, from [m, k] = [m-1, k-1] + q^k [m-1, k] row by row."""
+    row = ((1,),)
+    for m in range(1, n + 1):
+        inner = []
+        for k in range(1, m):
+            lo, hi = row[k - 1], row[k]
+            cs = [0] * (len(hi) + k)
+            cs[:len(lo)] = lo
+            for i, c in enumerate(hi):
+                cs[i + k] += c
+            inner.append(tuple(cs))
+        row = ((1,), *inner, (1,))
+    return row
+
+
+def _gaussian(n: int, k: int, step: int = 2) -> list:
+    """[n, k] as a polynomial in q^step."""
+    cs = _gaussian_row(n)[k]
+    out = [0] * ((len(cs) - 1) * step + 1)
+    out[::step] = cs
     return out
 
 
@@ -186,8 +174,7 @@ def gaussian_binom_poly(n: int, k: int, squared: bool = False) -> RatPoly:
     """Gaussian binomial as a polynomial, in q or (squared) in q^2."""
     if not 0 <= k <= n:
         raise UndefinedForParameters(f"need 0 <= k <= n, got n={n}, k={k}")
-    out = _gaussian_binom_poly(n, k)
-    return out.inflate(2) if squared else out
+    return RatPoly.from_coeffs(_gaussian(n, k, 2 if squared else 1))
 
 
 @dataclass(frozen=True)
@@ -215,53 +202,46 @@ class PolyFamilyKey:
 
 @lru_cache(maxsize=None)
 def _dot_binom_poly(q_class: int, n: int, k: int) -> RatPoly:
-    kk = k * (n - k)
+    # each case is 1/2 * q^m * cs; the printed exponent (k(n-k)-1)/2 of the
+    # odd k(n-k) cases is this floor too
+    m = k * (n - k) // 2
+    nm, km = n % 4, k % 4
     if q_class == 1:
         if n % 2 == 1:
             if k % 2 == 1:
-                fac = _qpm((n - k) // 2, +1)
-                gb = gaussian_binom_poly((n - 1) // 2, (k - 1) // 2, squared=True)
+                cs = _times(_qpm((n - k) // 2, +1), _gaussian((n - 1) // 2, (k - 1) // 2))
             else:
-                fac = _qpm(k // 2, +1)
-                gb = gaussian_binom_poly((n - 1) // 2, k // 2, squared=True)
-            return RatPoly.monomial(HALF, kk // 2) * fac * gb
-        if k % 2 == 1:
-            fac = _qpm(n // 2, -1)
-            gb = gaussian_binom_poly((n - 2) // 2, (k - 1) // 2, squared=True)
-            return RatPoly.monomial(HALF, (kk - 1) // 2) * fac * gb
-        num = (
-            _qpm((n - k) // 2, +1)
-            * _qpm(k // 2, +1)
-            * gaussian_binom_poly(n // 2, k // 2, squared=True)
-        )
-        return (RatPoly.monomial(HALF, kk // 2) * num).divexact(_qpm(n // 2, +1))
-
-    nm, km = n % 4, k % 4
-    if k % 2 == 1:
-        if n % 2 == 1:
-            gb = gaussian_binom_poly((n - 1) // 2, (k - 1) // 2, squared=True)
-            if nm == 1:
-                sign = +1 if km == 1 else -1
-            else:
-                sign = -1 if km == 1 else +1
-            return RatPoly.monomial(HALF, kk // 2) * _qpm((n - k) // 2, sign) * gb
-        gb = gaussian_binom_poly((n - 2) // 2, (k - 1) // 2, squared=True)
+                cs = _times(_qpm(k // 2, +1), _gaussian((n - 1) // 2, k // 2))
+        elif k % 2 == 1:
+            cs = _times(_qpm(n // 2, -1), _gaussian((n - 2) // 2, (k - 1) // 2))
+        else:
+            num = _times(_qpm((n - k) // 2, +1),
+                         _times(_qpm(k // 2, +1), _gaussian(n // 2, k // 2)))
+            cs = _divexact(num, _qpm(n // 2, +1))
+    elif k % 2 == 1 and n % 2 == 1:
+        if nm == 1:
+            sign = +1 if km == 1 else -1
+        else:
+            sign = -1 if km == 1 else +1
+        cs = _times(_qpm((n - k) // 2, sign), _gaussian((n - 1) // 2, (k - 1) // 2))
+    elif k % 2 == 1:
         sign = +1 if nm == 2 else -1
-        return RatPoly.monomial(HALF, (kk - 1) // 2) * _qpm(n // 2, sign) * gb
-    if n % 2 == 1:
+        cs = _times(_qpm(n // 2, sign), _gaussian((n - 2) // 2, (k - 1) // 2))
+    elif n % 2 == 1:
         sign = -1 if km == 2 else +1
-        gb = gaussian_binom_poly((n - 1) // 2, k // 2, squared=True)
-        return RatPoly.monomial(HALF, kk // 2) * _qpm(k // 2, sign) * gb
-    gb = gaussian_binom_poly(n // 2, k // 2, squared=True)
-    s_k = -1 if km == 2 else +1
-    if nm == 2:
-        s_nk = +1 if km == 2 else -1
-        denom = _qpm(n // 2, -1)
+        cs = _times(_qpm(k // 2, sign), _gaussian((n - 1) // 2, k // 2))
     else:
-        s_nk = -1 if km == 2 else +1
-        denom = _qpm(n // 2, +1)
-    num = _qpm((n - k) // 2, s_nk) * _qpm(k // 2, s_k) * gb
-    return (RatPoly.monomial(HALF, kk // 2) * num).divexact(denom)
+        s_k = -1 if km == 2 else +1
+        if nm == 2:
+            s_nk = +1 if km == 2 else -1
+            denom = _qpm(n // 2, -1)
+        else:
+            s_nk = -1 if km == 2 else +1
+            denom = _qpm(n // 2, +1)
+        num = _times(_qpm((n - k) // 2, s_nk),
+                     _times(_qpm(k // 2, s_k), _gaussian(n // 2, k // 2)))
+        cs = _divexact(num, denom)
+    return RatPoly.from_coeffs([0] * m + [Fraction(c, 2) for c in cs])
 
 
 def dot_binom_poly(key: PolyFamilyKey) -> RatPoly:

@@ -7,7 +7,13 @@ from time import perf_counter
 
 from . import closed, oracle, polyq
 from .closed import Variant
-from .errors import BudgetExceeded, IdentityViolated, Mismatch, NeitherSign
+from .errors import (
+    BudgetExceeded,
+    DegreeOutOfRange,
+    IdentityViolated,
+    Mismatch,
+    NeitherSign,
+)
 from .gf import make_field
 from .oracle import PosetKind
 from .quadspace import AmbientKind, SubspaceClass, ambient_space, dot_space
@@ -26,20 +32,27 @@ _VARIANT_BY_CELL = {
     (AmbientKind.LAMBDA_DOT, SubspaceClass.LAMBDA_DOT_TYPE): Variant.LL,
 }
 _FAILURES = (IdentityViolated, Mismatch, NeitherSign)
+# an enumeration over budget, or over a field the oracle cannot build
+_SKIPS = (BudgetExceeded, DegreeOutOfRange)
+
+
+def _field(q):
+    return make_field(*closed.odd_prime_power(q))
 
 
 def _check(add, check, params, expected, actual, failed="", compare=True):
     """Add the record of one check; return the actual value, or None on error.
 
     ``actual`` is a value or a callable computing it here.  BudgetExceeded
-    makes the record SKIPPED; a violated identity, a mismatch or an
-    indefinite sign makes it FAIL with ``failed`` as its actual value.
+    or a field the oracle cannot build makes the record SKIPPED; a violated
+    identity, a mismatch or an indefinite sign makes it FAIL with ``failed``
+    as its actual value.
     Otherwise it is PASS when ``expected`` equals the actual value, FAIL when
     not, and with ``compare`` false it is left to the caller.
     """
     try:
         value = actual() if callable(actual) else actual
-    except BudgetExceeded as exc:
+    except _SKIPS as exc:
         add(CheckRecord(check, params, str(expected), "", Status.SKIPPED, str(exc)))
         return None
     except _FAILURES as exc:
@@ -56,13 +69,12 @@ def _line_counts(tallies):
     return tuple(tallies[klass] for klass in SubspaceClass)
 
 
-def _subspace_family(add, tally, field, q, n):
+def _subspace_family(add, tally, q, n):
     for kind in AmbientKind:
-        ambient = ambient_space(field, kind, n)
         for k in range(n + 1):
             params = f"q={q} n={n} k={k} ambient={kind.value}"
             tallies = _check(add, "oracle/subspace-count", params, "",
-                             lambda: tally(ambient, k), compare=False)
+                             lambda: tally(q, kind, n, k), compare=False)
             if tallies is None:
                 continue
             for klass in (SubspaceClass.DOT_TYPE, SubspaceClass.LAMBDA_DOT_TYPE):
@@ -72,7 +84,7 @@ def _subspace_family(add, tally, field, q, n):
                        closed.dot_binom_variant(q, n, k, variant), tallies[klass])
         params = f"q={q} n={n} ambient={kind.value}"
         lines = _check(add, "oracle/line-count", params, "",
-                       lambda: _line_counts(tally(ambient, 1)), compare=False)
+                       lambda: _line_counts(tally(q, kind, n, 1)), compare=False)
         if lines is not None:
             _check(add, "oracle/line-count", params,
                    closed.line_counts(q, n, kind), lines)
@@ -96,8 +108,8 @@ def _closed_family(add, q, n):
                failed="violated")
 
 
-def _poset_family(add, field, q, n, poset_budget):
-    ambient = dot_space(field, n)
+def _poset_family(add, q, n, poset_budget):
+    ambient = dot_space(_field(q), n)
     params = f"q={q} n={n}"
     euclidean = params + " kind=euclidean"
     snap = _check(add, "oracle/poset-ranks", euclidean, "",
@@ -120,18 +132,18 @@ def _poset_family(add, field, q, n, poset_budget):
            want, lo.rank_sizes())
 
 
-def _group_family(add, field, q, n, budget, jobs):
+def _group_family(add, q, n, budget, jobs):
     _check(add, "oracle/group-order", f"q={q} n={n}", closed.group_order(q, n),
            lambda: oracle.enumerate_orthogonal_group(
-               dot_space(field, n), budget=budget, jobs=jobs))
+               dot_space(_field(q), n), budget=budget, jobs=jobs))
 
 
-def _published_family(add, tally, field, q, n):
+def _published_family(add, tally, q, n):
     for kind in AmbientKind:
         note = ""
         try:
-            s, t, _ = _line_counts(tally(ambient_space(field, kind, n), 1))
-        except BudgetExceeded:
+            s, t, _ = _line_counts(tally(q, kind, n, 1))
+        except _SKIPS:
             s, t, _ = closed.line_counts(q, n, kind)
             note = "expected from fitted bracket; enumeration beyond budget"
         for which, want in (("spacelike", s), ("timelike", t)):
@@ -237,32 +249,33 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
     started = perf_counter()
     records = []
     add = records.append
-    # each (ambient, k) is enumerated once per run: its tallies or its BudgetExceeded
+    # each (q, ambient kind, n, k) is enumerated once per run: its tallies or
+    # the error that skipped it
     found = {}
 
-    def tally(ambient, k):
-        if (ambient, k) not in found:
+    def tally(q, kind, n, k):
+        key = q, kind, n, k
+        if key not in found:
             try:
-                found[ambient, k] = oracle.count_subspaces_by_class(
-                    ambient, k, budget=budget, jobs=jobs
+                found[key] = oracle.count_subspaces_by_class(
+                    ambient_space(_field(q), kind, n), k, budget=budget, jobs=jobs
                 )
-            except BudgetExceeded as exc:
-                found[ambient, k] = exc
-        if isinstance(found[ambient, k], BudgetExceeded):
-            raise found[ambient, k]
-        return found[ambient, k]
+            except _SKIPS as exc:
+                found[key] = exc
+        if isinstance(found[key], _SKIPS):
+            raise found[key]
+        return found[key]
 
     for q in qs:
-        p, e = closed.odd_prime_power(q)
-        field = make_field(p, e)
+        closed.odd_prime_power(q)  # a q that is not an odd prime power raises here
         for n in range(1, max_n + 1):
-            _subspace_family(add, tally, field, q, n)
+            _subspace_family(add, tally, q, n)
             _closed_family(add, q, n)
             if q <= POSET_Q_MAX and n <= POSET_N_MAX:
-                _poset_family(add, field, q, n, poset_budget)
-            _group_family(add, field, q, n, budget, jobs)
+                _poset_family(add, q, n, poset_budget)
+            _group_family(add, q, n, budget, jobs)
             if compare_paper:
-                _published_family(add, tally, field, q, n)
+                _published_family(add, tally, q, n)
     _poly_family(add, qs, max_n, compare_paper)
     _kset_family(add)
     return VerifyReport(tuple(records), perf_counter() - started)

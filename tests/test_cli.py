@@ -298,6 +298,29 @@ def test_verify_multiple_fields():
     assert ",q=5 n=1" in res.stdout or "q=5 n=1" in res.stdout
 
 
+def test_verify_drops_repeated_field_sizes(capsys):
+    assert cli.main(["verify", "--q", "3", "--max-n", "1"]) == 0
+    once = capsys.readouterr().out
+    assert cli.main(["verify", "--q", "3,3", "--max-n", "1"]) == 0
+    assert capsys.readouterr().out == once
+
+
+def test_verify_skips_the_oracle_on_fields_it_cannot_build(capsys):
+    """243 = 3^5 is past the oracle's extension degrees; the closed forms still run."""
+    code = cli.main(["verify", "--q", "243", "--max-n", "2", "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"]["fail"] == 0
+    families = {r["check"].split("/")[0] for r in payload["checks"]}
+    assert {"oracle", "closed", "published", "poly"} <= families
+    oracle = [r for r in payload["checks"] if r["check"].startswith("oracle/")]
+    assert {r["check"] for r in oracle} == {
+        "oracle/subspace-count", "oracle/line-count", "oracle/group-order"}
+    for record in oracle:
+        assert (record["status"], record["note"]) == (
+            "skipped", "extension degree 5 outside 1..4"), record
+
+
 def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
     assert run_cli("frobnicate").returncode == 2
