@@ -24,11 +24,21 @@ det G = g00 det C - b^T adj(C) b (Horn and Johnson, Matrix Analysis,
 for a singular C.  The isometry scan lays out a candidate matrix the same
 way, its columns as the rows: it keeps the h values whose C is diagonal
 and d-weighted before pairing them with column 0.
+
+Every full-size (h values x l values) array of a count or poset block is
+written into a workspace that each process keeps and reuses across
+blocks: the k-1 entries b_j, the determinant and z accumulators of the
+bordered expansion and one temporary, sized by _CHUNK so that short blocks
+and every row layout share them.  A field op there is x * q + y formed in
+place and a gather with take(out=, mode='clip'); only the h-side and
+l-side arrays, and the class codes a block returns, are new.  Clipping
+never acts: every add, mul, neg, digit-group and diagonal table is checked
+once, where it is built, to hold field indices in [0, q), so every index
+x * q + y and every digit-group index is in range by construction.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -140,6 +150,20 @@ def _field_tables(p: int, e: int):
     return add, mul, neg, klass
 
 
+def _field_indices(table, q: int):
+    """``table`` itself, refused unless every entry is a field index in [0, q).
+
+    The kernel gathers with mode='clip', which clamps an index out of range
+    where mode='raise' would refuse it.  Its indices x * q + y and digit
+    groups are in range only because every table it gathers from holds
+    field indices, so that is checked here, once per table built, by a
+    check that python -O keeps.
+    """
+    if table.size and not (0 <= table.min() and table.max() < q):
+        raise IdentityViolated("field-index-range", q, int(table.min()), int(table.max()))
+    return table
+
+
 def _pattern_rows(pattern, n: int):
     """(pivot column, free columns) of each RREF row for a pivot-column pattern."""
     return tuple(
@@ -164,8 +188,10 @@ def _group_width(q: int) -> int:
 def _flat_tables(p: int, e: int):
     """The field tables as flat intp arrays: a op b is table[a * q + b]."""
     add, mul, neg, klass = _field_tables(p, e)
-    return (add.ravel().astype(np.intp), mul.ravel().astype(np.intp),
-            neg.astype(np.intp), klass)
+    q = p**e
+    return (_field_indices(add.ravel().astype(np.intp), q),
+            _field_indices(mul.ravel().astype(np.intp), q),
+            _field_indices(neg.astype(np.intp), q), klass)
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +210,7 @@ def _group_table(p: int, e: int, diag: tuple):
         if d != 1:
             prod = mul[d, prod]
         table = add[table, prod]
-    return table.ravel().astype(np.intp)
+    return _field_indices(table.ravel().astype(np.intp), q)
 
 
 @lru_cache(maxsize=64)
@@ -226,14 +252,35 @@ def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
         pivot = 0 if pc is None else diag_idx[pc]  # B(r_j, r_j) = d_pivot + the free terms
         if diagonal:
             _, power, w, table = diagonal[0]
-            diagonal[0] = (None, power, w, add[pivot, table].astype(np.intp))
+            diagonal[0] = (None, power, w, _field_indices(add[pivot, table].astype(np.intp), q))
         plan[j, j] = diagonal or pivot
     return plan
 
 
-def _gram_entries(plan, l, h, add, q: int, pairs):
+def _gather(table, x, y, scale: int, out=None):
+    """table[x * scale + y], written into ``out`` when it is given.
+
+    ``out`` must have the full broadcast shape and must not be ``y``, which
+    is read after ``out`` is first written; ``x`` may be ``out``.  The
+    gather reads each index before it writes over it.  It clips because
+    take(out=) with mode='raise' writes a copy first; the tables'
+    range check (_field_indices) keeps every index in range.
+    """
+    if out is None:
+        return table.take(x * scale + y, mode="clip")
+    np.multiply(x, scale, out=out)
+    np.add(out, y, out=out)
+    return table.take(out, out=out, mode="clip")
+
+
+def _gram_entries(plan, l, h, add, q: int, pairs, out=None, temp=None):
     """The Gram entries ``pairs`` of a block: field indices where constant, else
-    arrays over l for row 0, over h for the other rows, broadcast where both."""
+    arrays over l for row 0, over h for the other rows, broadcast where both.
+
+    An entry whose pair is a key of ``out`` is written into that full-size
+    buffer, with ``temp`` holding each further digit group's term; the other
+    entries are new arrays.
+    """
     sides = (l, h)
     digits = {}
 
@@ -247,12 +294,18 @@ def _gram_entries(plan, l, h, add, q: int, pairs):
     for i, j in pairs:
         entry = plan[i, j]
         if isinstance(entry, list):
-            values = [
-                table.take(digit(j, b_power, w) if a_power is None
-                           else digit(i, a_power, w) * q**w + digit(j, b_power, w))
-                for a_power, b_power, w, table in entry
-            ]
-            entry = functools.reduce(lambda x, y: add.take(x * q + y), values)
+            buf = out.get((i, j)) if out else None
+            spare = None if buf is None else temp
+            acc = None
+            for a_power, b_power, w, table in entry:
+                y = digit(j, b_power, w)
+                if a_power is None:
+                    term = table.take(y, mode="clip")
+                else:
+                    term = _gather(table, digit(i, a_power, w), y, q**w,
+                                   buf if acc is None else spare)
+                acc = term if acc is None else _gather(add, acc, term, q, buf)
+            entry = acc
         gram[i, j] = gram[j, i] = entry
     return gram
 
@@ -285,7 +338,7 @@ class _Minors(dict):
         return self[key]
 
 
-def _determinant(gram, k: int, add, mul, neg, q: int):
+def _determinant(gram, k: int, add, mul, neg, q: int, det, z, temp):
     """det G = g00 det C - b^T adj(C) b, for C the Gram block of rows 1..k-1
     and b_j = G[0, j].
 
@@ -294,31 +347,32 @@ def _determinant(gram, k: int, add, mul, neg, q: int):
     arrays.  C is symmetric, so adj(C) is too, and
     b^T adj(C) b = sum_i b_i (A_ii b_i + sum_{j>i} 2 A_ij b_j) with the
     negated A_ii and 2 A_ij made on the h side: full block size is reached
-    only by products with b and the sum with g00 det C.
+    only by products with b and the sum with g00 det C, which are written
+    into the full-size buffers ``det`` (returned), ``z`` and ``temp``.
     """
     if k == 1:
         return gram[0, 0]
 
-    def fmul(x, y):
-        return mul.take(x * q + y)
+    def fmul(x, y, out=None):
+        return _gather(mul, x, y, q, out)
 
-    def fadd(x, y):
-        return add.take(x * q + y)
+    def fadd(x, y, out=None):
+        return _gather(add, x, y, q, out)
 
     minors = _Minors(gram, fmul, fadd, neg)
     inner = tuple(range(1, k))
     drop = {i: inner[:i - 1] + inner[i:] for i in inner}
-    det = fmul(gram[0, 0], minors[inner, inner])
+    fmul(gram[0, 0], minors[inner, inner], det)
     for i in inner:
         # for i <= j, -adj(C)[i, j] = -(-1)^(i+j) det(C without row i and column j)
         neg_adj = [
             minors[drop[i], drop[j]] if (i + j) % 2 else neg.take(minors[drop[i], drop[j]])
             for j in inner[i - 1:]
         ]
-        z = fmul(neg_adj[0], gram[0, i])
+        fmul(neg_adj[0], gram[0, i], z)
         for j, a in zip(inner[i:], neg_adj[1:]):
-            z = fadd(z, fmul(fadd(a, a), gram[0, j]))
-        det = fadd(det, fmul(gram[0, i], z))
+            fadd(z, fmul(fadd(a, a), gram[0, j], temp), z)
+        fadd(det, fmul(z, gram[0, i], z), det)
     return det
 
 
@@ -341,23 +395,49 @@ def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
     return [(field.p, field.e, diag_idx, rows, hs, ls) for hs, ls in blocks]
 
 
+@lru_cache(maxsize=1)
+def _workspace(count: int, size: int):
+    """``count`` intp buffers of ``size`` entries, reused by every block of a
+    process; a call with another (count, size) replaces them."""
+    return np.empty((count, size), dtype=np.intp)
+
+
 def _chunk_classes(task):
-    """Square-class codes of the Gram determinants of one block, shape (h values, l values)."""
+    """Square-class codes of the Gram determinants of one block, shape (h values, l values).
+
+    The result is a new array: none of the workspace buffers escapes.
+    """
     p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
     add, mul, neg, klass = _flat_tables(p, e)
     q = p**e
+    k = len(rows)
     plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
     h = np.arange(h_lo, h_hi)[:, None]
     l = np.arange(l_lo, l_hi)[None, :]
-    gram = _gram_entries(plan, l, h, add, q, plan)
-    det = _determinant(gram, len(rows), add, mul, neg, q)
-    return klass.take(np.broadcast_to(det, (h_hi - h_lo, l_hi - l_lo)))
+    shape = (h_hi - h_lo, l_hi - l_lo)
+    size = shape[0] * shape[1]
+    # b_1..b_{k-1}, det, z and a temporary.  Sized by _CHUNK, not by the
+    # block, so short blocks and every row layout share one set.
+    buffers = [b[:size].reshape(shape) for b in _workspace(k + 2, max(size, _CHUNK))]
+    cross = {(0, j): buffers[j - 1] for j in range(1, k)}
+    det, z, temp = buffers[k - 1:]
+    gram = _gram_entries(plan, l, h, add, q, plan, cross, temp)
+    det = _determinant(gram, k, add, mul, neg, q, det, z, temp)
+    # take copies a read-only index array such as a broadcast view, so the
+    # codes are broadcast after the gather: at k = 1, det is g00 alone
+    return np.broadcast_to(klass.take(det), shape)
 
 
 def _chunk_tallies(task):
-    """(square, non-square, zero) tallies for one block."""
-    counts = np.bincount(_chunk_classes(task).ravel(), minlength=3)
-    return int(counts[1]), int(counts[2]), int(counts[0])
+    """(square, non-square, zero) tallies for one block.
+
+    Counted class by class: bincount would cast the int8 codes to a new
+    full-size intp array.
+    """
+    classes = _chunk_classes(task)
+    square = int(np.count_nonzero(classes == _CLASS_CODES[SquareClass.SQUARE]))
+    non_square = int(np.count_nonzero(classes == _CLASS_CODES[SquareClass.NON_SQUARE]))
+    return square, non_square, classes.size - square - non_square
 
 
 def _run_tasks(worker, tasks, jobs: int):

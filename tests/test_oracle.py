@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -82,6 +85,114 @@ def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk,
         slow = Counter(classify(sub) for sub in oracle.enumerate_subspaces(ambient, k))
         fast = oracle.count_subspaces_by_class(ambient, k)
         assert fast == {klass: slow.get(klass, 0) for klass in SubspaceClass}, (q, n, k)
+
+
+def _slow_tallies(ambient, k):
+    slow = Counter(classify(sub) for sub in oracle.enumerate_subspaces(ambient, k))
+    return {klass: slow.get(klass, 0) for klass in SubspaceClass}
+
+
+def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch):
+    """One process, one workspace: block shapes, q and k change from call to
+    call, a pool inherits the workspace, and a poset follows a count."""
+    space = {q: make_field(*closed.odd_prime_power(q)) for q in (3, 5, 7, 9)}
+    steps = [
+        (2, 3, 5, 3, lambda_dot_space),  # row 0 split: one h value per block
+        (10, 5, 3, 2, dot_space),  # short last blocks of ten codes
+        (oracle._CHUNK, 9, 3, 2, lambda_dot_space),
+        (oracle._CHUNK, 7, 3, 1, dot_space),
+        (oracle._CHUNK, 3, 4, 3, dot_space),
+        (2, 5, 3, 1, lambda_dot_space),
+    ]
+    for chunk, q, n, k, maker in steps:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        ambient = maker(space[q], n)
+        assert oracle.count_subspaces_by_class(ambient, k) == _slow_tallies(ambient, k), (
+            chunk, q, n, k)
+    monkeypatch.setattr(oracle, "_POOL_MIN_SUBSPACES", 0)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    started = _count_pools(monkeypatch)
+    ambient = dot_space(space[5], 4)
+    assert oracle.count_subspaces_by_class(ambient, 2, jobs=2) == _slow_tallies(ambient, 2)
+    assert started == [2]
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    _assert_poset_nodes_match_objects(3, 4, dot_space)
+
+
+def _largest_block(q, n, k, maker):
+    field = make_field(*closed.odd_prime_power(q))
+    diag_idx = tuple(field.index(d) for d in maker(field, n).gram_diag)
+    tasks = [
+        task
+        for pattern in itertools.combinations(range(n), k)
+        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n))
+    ]
+    return max(tasks, key=lambda t: (t[4][1] - t[4][0]) * (t[5][1] - t[5][0]))
+
+
+@pytest.mark.parametrize("q,n,k,maker", [
+    (13, 5, 2, dot_space),
+    (11, 5, 3, lambda_dot_space),
+    (3, 7, 4, lambda_dot_space),
+    (5, 6, 3, dot_space),
+])
+def test_warm_block_allocates_under_two_full_size_arrays(q, n, k, maker):
+    """A warm block writes its full-size intermediates into the workspace.
+
+    A kernel that allocated each of them peaked at 6 to 9 full-size intp
+    arrays on these blocks; the workspace leaves about one at most.
+    """
+    task = _largest_block(q, n, k, maker)
+    (h_lo, h_hi), (l_lo, l_hi) = task[4:]
+    full_size = (h_hi - h_lo) * (l_hi - l_lo) * np.dtype(np.intp).itemsize
+    for _ in range(2):
+        oracle._chunk_tallies(task)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle._chunk_tallies(task)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * full_size, (peak, full_size)
+
+
+@pytest.mark.parametrize("name", ["add", "mul", "neg"])
+def test_field_table_entry_beyond_q_is_refused(monkeypatch, name):
+    """The kernel's gathers clip, so a table entry >= q is refused where the
+    table is built instead of being clamped into a wrong class."""
+    tables = dict(zip(("add", "mul", "neg", "klass"), oracle._field_tables(3, 1)))
+    tables[name] = tables[name].copy()
+    tables[name].flat[-1] = 3
+    monkeypatch.setattr(oracle, "_field_tables", lambda p, e: tuple(tables.values()))
+    oracle._flat_tables.cache_clear()
+    try:
+        with pytest.raises(IdentityViolated, match="field-index-range"):
+            oracle.count_subspaces_by_class(dot_space(make_field(3), 2), 1)
+    finally:
+        oracle._flat_tables.cache_clear()
+
+
+def test_field_table_range_check_survives_optimize_flag():
+    script = "\n".join([
+        "import sys",
+        "from dotbinom import oracle",
+        "from dotbinom.errors import IdentityViolated",
+        "from dotbinom.gf import make_field",
+        "from dotbinom.quadspace import dot_space",
+        "add, mul, neg, klass = oracle._field_tables(3, 1)",
+        "add = add.copy()",
+        "add[2, 2] = 3",
+        "oracle._field_tables = lambda p, e: (add, mul, neg, klass)",
+        "try:",
+        "    oracle.count_subspaces_by_class(dot_space(make_field(3), 2), 2)",
+        "except IdentityViolated as exc:",
+        "    print(sys.flags.optimize, exc.args[0])",
+    ])
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "field-index-range"]
 
 
 @pytest.mark.parametrize(
