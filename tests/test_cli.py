@@ -321,6 +321,20 @@ def test_verify_skips_the_oracle_on_fields_it_cannot_build(capsys):
             "skipped", "extension degree 5 outside 1..4"), record
 
 
+def test_verify_fallback_note_gives_the_skip_reason(capsys):
+    """A published line count checked against the fitted bracket names what
+    stopped the enumeration: here the field, not a budget."""
+    assert cli.main(["verify", "--q", "243", "--max-n", "1", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["checks"]
+    skipped = {r["params"]: r["note"] for r in records if r["check"] == "oracle/line-count"}
+    published = [r for r in records if r["check"] == "published/line-count"]
+    assert len(published) == 4
+    for record in published:
+        reason = skipped[record["params"].rsplit(" which=", 1)[0]]
+        assert reason == "extension degree 5 outside 1..4"
+        assert record["note"] == f"expected from fitted bracket; {reason}"
+
+
 def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
     assert run_cli("frobnicate").returncode == 2
