@@ -64,8 +64,9 @@ from .quadspace import (
     zero_subspace,
 )
 from .symsets import count_symmetric_ksets  # noqa: F401  re-exported; verify calls it here
-# Codes per block.  A block's few full-size intp arrays are 256 KB each;
-# at 1 << 16 the six large count cells of the benchmark ran 1.5x slower.
+# Codes per block.  Each of a block's k + 2 workspace buffers is 256 KB;
+# the six large count cells of the benchmark ran 1.2x slower at 1 << 14
+# and no faster at 1 << 16.
 _CHUNK = 1 << 15
 _GROUP_CAP = 1 << 16  # entries of one digit-group Gram table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
@@ -263,13 +264,12 @@ def _gather(table, x, y, scale: int, out=None):
     ``out`` must have the full broadcast shape and must not be ``y``, which
     is read after ``out`` is first written; ``x`` may be ``out``.  The
     gather reads each index before it writes over it.  It clips because
-    take(out=) with mode='raise' writes a copy first; the tables'
-    range check (_field_indices) keeps every index in range.
+    take(out=) with mode='raise' writes a copy first (see _field_indices).
     """
     if out is None:
         return table.take(x * scale + y, mode="clip")
-    np.multiply(x, scale, out=out)
-    np.add(out, y, out=out)
+    # a small x is scaled at its own size, not broadcast to out's
+    np.add(np.multiply(x, scale, out=out) if x is out else x * scale, y, out=out)
     return table.take(out, out=out, mode="clip")
 
 
