@@ -35,6 +35,17 @@ l-side arrays, and the class codes a block returns, are new.  Clipping
 never acts: every add, mul, neg, digit-group and diagonal table is checked
 once, where it is built, to hold field indices in [0, q), so every index
 x * q + y and every digit-group index is in range by construction.
+
+The inclusion posets are stored a rank at a time.  Each rank holds its
+nodes' basis rows as vector codes and their vector sets as one packed bit
+array, N_r rows of ceil(q^n / 8) bytes, spanned for a whole group of nodes
+at once.  U lies in W exactly when every basis row of U is a vector of W,
+so the containment block of rank s under rank r is an AND over U's s row
+codes, each gathered from W's packed row; blocks are made a group of upper
+nodes at a time, at most _INCIDENCE_ENTRIES entries per lower rank.  The
+Hasse edges are the nonzero entries of the blocks of adjacent present
+ranks, and mu(0, .) is the recursion mu_r = -sum_{s<r} C_{s,r}^T mu_s, in
+int64 while an a priori bound on its sums holds and on Python ints beyond.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from time import perf_counter
 
@@ -80,6 +91,16 @@ _MAX_TABLE_ENTRIES = 1 << 22
 # it, starting a pool costs more than the extra workers save (break-even
 # between 0.6e6 and 0.9e6 subspaces on 2 cores).
 _POOL_MIN_SUBSPACES = 750_000
+# A scan of fewer candidate matrices runs in-process whatever ``jobs`` says:
+# on 2 cores, pooled against in-process, 7.9e6 candidates took 28 against
+# 24 ms and 13.8e6 took 46 against 60 ms.
+_POOL_MIN_CANDIDATES = 10_000_000
+# Entries of one poset block: a group of upper nodes is gathered against a
+# lower rank's N_s nodes at most this many entries at a time, and vector
+# sets are made a group of nodes of q^k * n + q^n entries at a time.
+_INCIDENCE_ENTRIES = 1 << 20
+# mobius_bottom sums in int64 while this bounds every partial sum
+_MU_LIMIT = 1 << 63
 
 _CLASS_CODES = {
     SquareClass.ZERO: 0,
@@ -535,20 +556,43 @@ def enumerate_subspaces(ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDG
 
 
 @dataclass(frozen=True)
+class _Layer:
+    """The nodes of one rank, nodes[start:start + size].
+
+    ``row_codes[i]`` holds node i's basis rows as vector codes, vector x being
+    code sum_t index(x_t) * q^t.  ``vectors[i]`` is node i's vector set,
+    packed little-endian: code c is bit c % 8 of byte c // 8.  The bottom
+    has no rows, and no vector set since it is never the upper rank; the
+    top, which holds every vector, has neither array.
+    """
+
+    rank: int
+    start: int
+    size: int
+    row_codes: object  # (size, rank) intp array, or None for the top
+    vectors: object  # (size, ceil(q^n / 8)) uint8 array, or None
+
+
+@dataclass(frozen=True)
 class PosetSnapshot:
     """Graded inclusion poset with adjoined bottom (zero) and top (full space).
 
-    ``masks[i]`` holds node i's vectors as bits: vector x is bit
-    sum_t index(x_t) * q^t.  The bottom is 1 (the zero vector) and the top is
-    -1 (every bit), so node i lies in node j exactly when masks[i] & masks[j]
-    == masks[i].
+    ``layers`` holds the nodes rank by rank (see _Layer), each rank's vector
+    sets as one packed bit array.  Node U of rank s lies in node W of rank
+    r > s exactly when every basis row of U is a vector of W, so the
+    containment block of two ranks is an AND over the lower rank's row
+    codes, gathered from the upper rank's packed rows a group of upper nodes
+    at a time (_containment).  The Hasse edges are read off the blocks of
+    adjacent ranks; mobius_bottom reads every block, and sums in int64 only
+    while an a priori bound rules out overflow.
     """
 
     ambient: AmbientForm
     poset_kind: PosetKind
     nodes: tuple  # (Subspace, rank) pairs, sorted by rank
     hasse_edges: tuple  # (lower node index, upper node index)
-    masks: tuple  # one int per node
+    # a _Layer per rank present; its arrays have no == or short repr
+    layers: tuple = dataclass_field(compare=False, repr=False)
 
     def rank_sizes(self) -> tuple[int, ...]:
         sizes = [0] * (self.ambient.n + 1)
@@ -557,26 +601,51 @@ class PosetSnapshot:
         return tuple(sizes)
 
 
-def _vector_masks(field, n: int, bases: list) -> list[int]:
-    """Bitmask of the vectors spanned by each basis of field-index rows."""
-    if not bases:
-        return []  # no tables: they cost O(q^2) to build
+def _vector_sets(field, n: int, basis):
+    """Packed vector sets of the subspaces spanned by ``basis``, an
+    (N, k, n) array of field-index rows, made a group of nodes at a time."""
     add, mul, _, _ = _field_tables(field.p, field.e)
     q = field.q
-    weights = q ** np.arange(n, dtype=np.int64)
-    bits = np.zeros(q**n, dtype=bool)
-    masks = []
-    for basis in bases:
-        vecs = np.zeros((1, n), dtype=add.dtype)
-        for row in basis:
-            # multiples[s, t] = s * row[t]; add every multiple to every vector so far
-            multiples = mul[:, row]
-            vecs = add[vecs[:, None, :], multiples[None, :, :]].reshape(-1, n)
-        bits[:] = False
-        bits[vecs.astype(np.int64) @ weights] = True
-        packed = np.packbits(bits, bitorder="little")
-        masks.append(int.from_bytes(packed.tobytes(), "little"))
-    return masks
+    size, k, _ = basis.shape
+    weights = q ** np.arange(n)
+    packed = np.empty((size, -(-(q**n) // 8)), dtype=np.uint8)
+    step = max(1, _INCIDENCE_ENTRIES // (q**k * n + q**n))
+    for first in range(0, size, step):
+        rows = basis[first:first + step]
+        vecs = np.zeros((len(rows), 1, n), dtype=add.dtype)
+        for i in range(k):
+            # multiples[g, s, t] = s * row_i[t]; add each to every vector so far
+            multiples = mul[:, rows[:, i]].transpose(1, 0, 2)
+            vecs = add[vecs[:, :, None, :], multiples[:, None, :, :]].reshape(len(rows), -1, n)
+        bits = np.zeros((len(rows), q**n), dtype=bool)
+        bits[np.arange(len(rows))[:, None], vecs @ weights] = True
+        packed[first:first + step] = np.packbits(bits, axis=1, bitorder="little")
+    return packed
+
+
+def _containment(upper: _Layer, lowers):
+    """Yield (first, blocks) for each group of ``upper``'s nodes: blocks[i] is
+    a bool array whose [w, u] is True when node u of lowers[i] lies in
+    upper node first + w.
+
+    A group holds at most _INCIDENCE_ENTRIES // N_s upper nodes for the
+    widest lower rank, and each of that rank's s basis rows is gathered into
+    one group x N_s array, so no temporary grows as N_r x N_s x s.
+    """
+    if upper.vectors is None:  # the top holds every vector
+        yield 0, [np.ones((1, lower.size), dtype=bool) for lower in lowers]
+        return
+    step = max(1, _INCIDENCE_ENTRIES // max(lower.size for lower in lowers))
+    for first in range(0, upper.size, step):
+        vectors = upper.vectors[first:first + step]
+        blocks = []
+        for lower in lowers:
+            # bit 0 of the AND of each row's byte, shifted down to its bit
+            block = np.ones((len(vectors), lower.size), dtype=np.uint8)
+            for codes in lower.row_codes.T:
+                block &= vectors[:, codes >> 3] >> (codes & 7).astype(np.uint8)
+            blocks.append((block & 1).view(bool))
+        yield first, blocks
 
 
 def build_poset(
@@ -585,7 +654,8 @@ def build_poset(
     """Euclidean (dot-type) or Lorentzian (lambda-dot-type) inclusion poset.
 
     ``budget`` bounds both the subspaces scanned and the 64-bit words of the
-    intermediate nodes' vector masks.  Nodes come in enumerate_subspaces order.
+    intermediate nodes' vector sets.  Nodes come in enumerate_subspaces order;
+    edges join adjacent present ranks, upper node first, then lower node.
     """
     poset_kind = PosetKind(poset_kind)
     field, n = ambient.field, ambient.n
@@ -611,8 +681,9 @@ def build_poset(
     ]
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
     elements = list(field.elements())
-    nodes, bases = [(zero_subspace(ambient), 0)], []
+    nodes, bases = [(zero_subspace(ambient), 0)], {}
     for k in range(1, n):
+        rank = []
         for pattern in itertools.combinations(range(n), k):
             slots = _free_positions(pattern, n)
             tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
@@ -628,32 +699,35 @@ def build_poset(
             basis[:, np.arange(k), list(pattern)] = 1
             for s, (r, c) in enumerate(slots):
                 basis[:, r, c] = digits[:, s]
+            rank.append(basis)
             for rows in basis.tolist():
-                bases.append(rows)
                 node = tuple(tuple(elements[v] for v in row) for row in rows)
                 nodes.append((Subspace(ambient, node), k))
-    words = len(bases) * mask_words
+        basis = np.concatenate(rank)
+        if len(basis):
+            bases[k] = basis
+    inner = len(nodes) - 1
+    words = inner * mask_words
     if words > budget:
         raise BudgetExceeded(
-            f"vector masks of {len(bases)} subspaces at (q={q}, n={n}) take "
+            f"vector masks of {inner} subspaces at (q={q}, n={n}) take "
             f"{words} 64-bit words, exceeding budget {budget}"
         )
     nodes.append((full_subspace(ambient), n))
-    masks = [1] + _vector_masks(field, n, bases) + [-1]
-    by_rank: dict[int, list[int]] = {}
-    for idx, (_, rank) in enumerate(nodes):
-        by_rank.setdefault(rank, []).append(idx)
-    ranks_present = sorted(by_rank)
+    layers = [_Layer(0, 0, 1, np.empty((1, 0), dtype=np.intp), None)]
+    weights = q ** np.arange(n)
+    for k, basis in bases.items():
+        start = layers[-1].start + layers[-1].size
+        layers.append(_Layer(k, start, len(basis), basis @ weights,
+                             _vector_sets(field, n, basis)))
+    layers.append(_Layer(n, len(nodes) - 1, 1, None, None))
     edges = []
-    for lo_rank, hi_rank in zip(ranks_present, ranks_present[1:]):
-        for hi in by_rank[hi_rank]:
-            big = masks[hi]
-            for lo in by_rank[lo_rank]:
-                if masks[lo] & big == masks[lo]:
-                    edges.append((lo, hi))
-    return PosetSnapshot(
-        ambient, poset_kind, tuple(nodes), tuple(edges), tuple(masks)
-    )
+    for lower, upper in zip(layers, layers[1:]):
+        for first, (block,) in _containment(upper, [lower]):
+            hi, lo = np.nonzero(block)  # row-major: upper node, then lower node
+            edges.extend(zip((lower.start + lo).tolist(),
+                             (upper.start + first + hi).tolist()))
+    return PosetSnapshot(ambient, poset_kind, tuple(nodes), tuple(edges), tuple(layers))
 
 
 def count_flags(snapshot: PosetSnapshot) -> int:
@@ -668,14 +742,26 @@ def count_flags(snapshot: PosetSnapshot) -> int:
 
 
 def mobius_bottom(snapshot: PosetSnapshot) -> int:
-    """Mobius value mu(0, top) by the definitional recursion over the order."""
-    masks = snapshot.masks
-    mu = [0] * len(masks)
-    mu[0] = 1
-    for y in range(1, len(masks)):
-        big = masks[y]
-        mu[y] = -sum(mu[z] for z in range(y) if masks[z] & big == masks[z])
-    return mu[-1]
+    """Mobius value mu(0, top) by the definitional recursion, a rank at a time.
+
+    mu_r = -sum_{s<r} C_{s,r}^T mu_s over every comparable pair, C_{s,r}
+    being the containment block of rank s under rank r (Stanley, EC1 3.6).
+    Each rank's sums run in int64 while sum_{s<r} N_s max|mu_s|, which
+    bounds every partial sum, is below _MU_LIMIT, and on Python ints beyond.
+    """
+    layers = snapshot.layers
+    mus = [np.ones(1, dtype=np.int64)]
+    for r in range(1, len(layers)):
+        bound = sum(lower.size * int(abs(mu).max()) for lower, mu in zip(layers, mus))
+        dtype = np.int64 if bound < _MU_LIMIT else object
+        below = [mu.astype(dtype) for mu in mus]
+        mu = np.empty(layers[r].size, dtype=dtype)
+        for first, blocks in _containment(layers[r], layers[:r]):
+            mu[first:first + len(blocks[0])] = -sum(
+                block @ m for block, m in zip(blocks, below)
+            )
+        mus.append(mu)
+    return int(mus[-1][0])
 
 
 def _orthogonal_block(task):
@@ -722,6 +808,8 @@ def enumerate_orthogonal_group(
             f"{total} candidate matrices at (q={field.q}, n={n}) exceed budget {budget}"
         )
     _price_tables(field.q)
+    if total < _POOL_MIN_CANDIDATES:
+        jobs = 1
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
     columns = ((None, tuple(range(n))),) * n  # n free entries each, no pivot
     return sum(_run_tasks(_orthogonal_block, _chunk_tasks(field, diag_idx, columns), jobs))

@@ -1,5 +1,6 @@
 """Enumeration oracle: tallies, posets, groups, and cross-checks."""
 
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from dotbinom import closed, gf, oracle
+from dotbinom.closed import Variant
 from dotbinom.errors import (
     BudgetExceeded,
     IdentityViolated,
@@ -288,6 +290,20 @@ def test_counts_below_break_even_run_without_a_pool(monkeypatch):
     assert started == []
 
 
+def test_small_isometry_scans_run_without_a_pool(monkeypatch):
+    """q=5 n=3 scans 1.95 M candidates, below the break-even, so jobs=2 runs in-process."""
+    ambient = dot_space(make_field(5), 3)
+    assert 5**9 < oracle._POOL_MIN_CANDIDATES
+    serial = oracle.enumerate_orthogonal_group(ambient)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    started = _count_pools(monkeypatch)
+    assert oracle.enumerate_orthogonal_group(ambient, jobs=2) == serial
+    assert started == []
+    monkeypatch.setattr(oracle, "_POOL_MIN_CANDIDATES", 0)
+    assert oracle.enumerate_orthogonal_group(ambient, jobs=2) == serial == 240
+    assert started == [2]
+
+
 def test_budget_is_enforced():
     field = make_field(13)
     ambient = dot_space(field, 5)
@@ -504,14 +520,103 @@ def test_poset_nodes_match_with_small_chunks_and_digit_groups(monkeypatch):
     _assert_poset_nodes_match_objects(3, 4, dot_space)
 
 
+def _containment_matrix(snap):
+    """[i, j] is True when node i lies in node j, read off the per-rank arrays."""
+    inside = np.eye(len(snap.nodes), dtype=bool)
+    layers = snap.layers
+    for r in range(1, len(layers)):
+        upper = layers[r]
+        for first, blocks in oracle._containment(upper, layers[:r]):
+            hi = slice(upper.start + first, upper.start + first + len(blocks[0]))
+            for lower, block in zip(layers[:r], blocks):
+                inside[lower.start:lower.start + lower.size, hi] = block.T
+    return inside
+
+
 @pytest.mark.parametrize("q,n", [(3, 4), (5, 3)])
 @pytest.mark.parametrize("kind", list(PosetKind))
 def test_mask_containment_matches_object_level(q, n, kind):
+    """Containment from the packed per-rank vector sets equals contains() on every node pair."""
     snap = oracle.build_poset(dot_space(make_field(q), n), kind)
     subs = [sub for sub, _ in snap.nodes]
-    for lo, small in zip(snap.masks, subs):
-        for hi, big in zip(snap.masks, subs):
-            assert (lo & hi == lo) == contains(big, small), (small, big)
+    inside = _containment_matrix(snap)
+    for i, small in enumerate(subs):
+        for j, big in enumerate(subs):
+            assert inside[i, j] == contains(big, small), (small, big)
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 3)])
+@pytest.mark.parametrize("kind", list(PosetKind))
+def test_hasse_edges_match_pairwise_rule(monkeypatch, q, n, kind, small_blocks):
+    """Edges equal the pairwise rule over adjacent present ranks: upper node in
+    order, then lower node in order, tested with contains()."""
+    if small_blocks:
+        monkeypatch.setattr(oracle, "_CHUNK", 7)
+        monkeypatch.setattr(oracle, "_INCIDENCE_ENTRIES", 1)  # one upper node per block
+    snap = oracle.build_poset(dot_space(make_field(q), n), kind)
+    by_rank = {}
+    for idx, (_, rank) in enumerate(snap.nodes):
+        by_rank.setdefault(rank, []).append(idx)
+    ranks = sorted(by_rank)
+    expected = [
+        (lo, hi)
+        for lo_rank, hi_rank in zip(ranks, ranks[1:])
+        for hi in by_rank[hi_rank]
+        for lo in by_rank[lo_rank]
+        if contains(snap.nodes[hi][0], snap.nodes[lo][0])
+    ]
+    assert list(snap.hasse_edges) == expected
+
+
+@pytest.mark.parametrize("q,n,mu", [(7, 4, 4745), (3, 5, -181), (9, 4, 20969)])
+def test_posets_beyond_verify_window(monkeypatch, q, n, mu):
+    ambient = dot_space(make_field(*closed.odd_prime_power(q)), n)
+    snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=10**6)
+    assert oracle.mobius_bottom(snap) == mu == closed.mobius_sequence(q, n).mu[n]
+    assert oracle.count_flags(snap) == closed.bracket_factorial(q, n)
+    lorentzian = oracle.build_poset(ambient, PosetKind.LORENTZIAN, budget=10**6)
+    inner = tuple(closed.dot_binom_variant(q, n, k, Variant.DL) for k in range(1, n))
+    assert lorentzian.rank_sizes() == (1, *inner, 1)
+    monkeypatch.setattr(oracle, "_MU_LIMIT", 0)  # every rank sums on Python ints
+    assert oracle.mobius_bottom(snap) == mu
+
+
+def _degree_faults(snap):
+    """Interior nodes whose (up, down) degree in hasse_edges is not the variant count.
+
+    A rank-k node lies in one node of rank k + 1 for each line of its
+    complement of the wanted type, and contains one of rank k - 1 for each
+    wanted hyperplane of itself; the bottom and top stand alone at ranks 0
+    and n.
+    """
+    q, n = snap.ambient.field.q, snap.ambient.n
+    up = Counter(lo for lo, _ in snap.hasse_edges)
+    down = Counter(hi for _, hi in snap.hasse_edges)
+    if snap.poset_kind is PosetKind.EUCLIDEAN:
+        up_variant, down_variant = Variant.DD, Variant.DD
+    else:
+        up_variant, down_variant = Variant.LD, Variant.LL
+    faults = []
+    for idx, (_, k) in enumerate(snap.nodes):
+        if 0 < k < n:
+            want = (1 if k == n - 1 else closed.dot_binom_variant(q, n - k, 1, up_variant),
+                    1 if k == 1 else closed.dot_binom_variant(q, k, k - 1, down_variant))
+            if (up[idx], down[idx]) != want:
+                faults.append((idx, k, up[idx], down[idx], want))
+    return faults
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (7, 4), (9, 3)])
+@pytest.mark.parametrize("kind", list(PosetKind))
+def test_poset_degrees_are_regular(q, n, kind):
+    ambient = dot_space(make_field(*closed.odd_prime_power(q)), n)
+    snap = oracle.build_poset(ambient, kind, budget=10**6)
+    assert _degree_faults(snap) == []
+    edges = snap.hasse_edges
+    middle = len(edges) // 2
+    dropped = dataclasses.replace(snap, hasse_edges=edges[:middle] + edges[middle + 1:])
+    assert _degree_faults(dropped)
 
 
 def test_mobius_at_q5_n4():
@@ -548,7 +653,7 @@ def test_poset_without_inner_nodes_builds_no_tables(monkeypatch):
 
     monkeypatch.setattr(oracle, "_field_tables", no_tables)
     snap = oracle.build_poset(dot_space(make_field(1009), 1), PosetKind.EUCLIDEAN)
-    assert snap.masks == (1, -1)
+    assert [layer.vectors for layer in snap.layers] == [None, None]
     assert oracle.count_flags(snap) == 1
     assert oracle.mobius_bottom(snap) == -1
 
