@@ -21,9 +21,15 @@ b_j = B(r_0, r_j) for j = 1..k-1 at full block size.  Subspace counts and
 the poset's nodes take the determinant as the bordered expansion
 det G = g00 det C - b^T adj(C) b (Horn and Johnson, Matrix Analysis,
 0.8.5), which holds over any commutative ring: no division and no case
-for a singular C.  The isometry scan lays out a candidate matrix the same
-way, its columns as the rows: it keeps the h values whose C is diagonal
-and d-weighted before pairing them with column 0.
+for a singular C.  Its last term is a * b_{k-1}^2, a = -adj(C)[k-1, k-1]
+being an h-side value, so for k >= 2 a block stops one term short,
+det G = D + a * b_{k-1}^2, and finishes with one gather at the index
+(D * q + a) * q + b_{k-1} from a composite table of the square class of
+x + a * b * b (_class_table).  It has q^3 int8 entries, priced against the
+field tables' limit; above it (q > 161) a block adds the term and looks up
+the class of the sum instead.  The isometry scan lays out a candidate
+matrix the same way, its columns as the rows: it keeps the h values whose
+C is diagonal and d-weighted before pairing them with column 0.
 
 Every full-size (h values x l values) array of a count or poset block is
 written into a workspace that each process keeps and reuses across
@@ -34,7 +40,8 @@ place and a gather with take(out=, mode='clip'); only the h-side and
 l-side arrays, and the class codes a block returns, are new.  Clipping
 never acts: every add, mul, neg, digit-group and diagonal table is checked
 once, where it is built, to hold field indices in [0, q), so every index
-x * q + y and every digit-group index is in range by construction.
+x * q + y and every digit-group index is in range by construction.  The
+composite gather allocates its int8 codes and keeps take's bounds check.
 
 The inclusion posets are stored a rank at a time.  Each rank holds its
 nodes' basis rows as vector codes and their vector sets as one packed bit
@@ -123,36 +130,44 @@ def _field_tables(p: int, e: int):
     """Index-level (add, mul, neg, square-class) lookup tables, cached per process.
 
     Element index i has base-p digits i_t = (i // p^t) % p, the polynomial
-    coefficients of the element, constant term first.  The tables are built
-    a block of rows at a time, so no temporary holds more than about
-    (2e - 1) * _TABLE_BLOCK integers.
+    coefficients of the element, constant term first.  Addition is digit by
+    digit, so the add table of t + 1 digits is the add table of Z/p at the
+    top digit, scaled by p^t, plus the table of the t digits below it.  The
+    mul table is built a block of rows at a time, digit by digit in int32,
+    so no temporary holds more than about (2e - 1) * _TABLE_BLOCK integers;
+    every intermediate there is below 2 e p^2 in magnitude, far below 2^31
+    for any q that _price_tables admits.
     """
     q = p**e
     _price_tables(q)
     field = make_field(p, e)
     dtype = np.uint8 if q <= 0xFF else np.uint16
-    index = np.arange(q, dtype=np.int64)
-    weights = p ** np.arange(e, dtype=np.int64)
-    digits = index[:, None] // weights % p  # digits[i, t]
-    neg = ((-digits) % p @ weights).astype(dtype)
-    add = np.empty((q, q), dtype=dtype)
+    index = np.arange(q, dtype=np.int32)
+    weights = [p**t for t in range(e)]
+    digits = [index // w % p for w in weights]  # digits[t][i]
+    neg = sum((-d) % p * w for d, w in zip(digits, weights)).astype(dtype)
+    # row i of Z/p's add table is 0..p-1 rotated left by i, a strided view
+    digit_add = np.lib.stride_tricks.sliding_window_view(
+        np.tile(np.arange(p, dtype=dtype), 2), p)[:p]
+    add = digit_add.copy()
+    for w in weights[1:]:
+        # every entry is below q, so the dtype holds it
+        add = (digit_add[:, None, :, None] * w + add[None, :, None, :]).reshape(p * w, p * w)
     mul = np.empty((q, q), dtype=dtype)
     modulus = field.modulus
     rows = max(1, _TABLE_BLOCK // q)
     for lo in range(0, q, rows):
-        a = digits[lo:lo + rows, None, :]  # (rows, 1, e)
-        b = digits[None, :, :]  # (1, q, e)
-        add[lo:lo + rows] = ((a + b) % p) @ weights
+        a = [d[lo:lo + rows, None] for d in digits]  # (rows, 1) each
         prod = [0] * (2 * e - 1)
         for s in range(e):
             for t in range(e):
-                prod[s + t] = prod[s + t] + a[..., s] * b[..., t]
+                prod[s + t] = prod[s + t] + a[s] * digits[t]
         # reduce modulo the monic modulus, top coefficient first
         for s in range(2 * e - 2, e - 1, -1):
             c = prod[s] % p
             for t in range(e):
                 prod[s - e + t] = prod[s - e + t] - c * modulus[t]
-        mul[lo:lo + rows] = sum((prod[t] % p) * weights[t] for t in range(e))
+        mul[lo:lo + rows] = sum(prod[t] % p * weights[t] for t in range(e))
     # Euler's criterion by square-and-multiply on the mul table
     power = np.ones(q, dtype=np.int64)
     base = index.copy()
@@ -214,6 +229,20 @@ def _flat_tables(p: int, e: int):
     return (_field_indices(add.ravel().astype(np.intp), q),
             _field_indices(mul.ravel().astype(np.intp), q),
             _field_indices(neg.astype(np.intp), q), klass)
+
+
+@lru_cache(maxsize=None)
+def _class_table(p: int, e: int):
+    """Flat int8 table of klass(x + a * b * b) at (x * q + a) * q + b, cached per process.
+
+    Made from the add, mul and klass tables alone.  Its q^3 entries finish
+    every count and poset block with k >= 2 in one gather; _chunk_classes
+    prices them against _MAX_TABLE_ENTRIES before it asks for the table.
+    """
+    add, mul, _, klass = _field_tables(p, e)
+    index = np.arange(p**e)
+    term = mul[index[:, None], mul[index, index]]  # term[a, b] = a * b * b
+    return klass[add[index[:, None, None], term]].ravel()
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +390,8 @@ class _Minors(dict):
 
 def _determinant(gram, k: int, add, mul, neg, q: int, det, z, temp):
     """det G = g00 det C - b^T adj(C) b, for C the Gram block of rows 1..k-1
-    and b_j = G[0, j].
+    and b_j = G[0, j], stopped one term short: (D, a, b) with
+    det G = D + a * b * b, for k >= 2.
 
     The bordered expansion holds over any commutative ring, so a singular C
     needs no branch.  det C and adj(C) are cofactor expansions over h-side
@@ -369,11 +399,11 @@ def _determinant(gram, k: int, add, mul, neg, q: int, det, z, temp):
     b^T adj(C) b = sum_i b_i (A_ii b_i + sum_{j>i} 2 A_ij b_j) with the
     negated A_ii and 2 A_ij made on the h side: full block size is reached
     only by products with b and the sum with g00 det C, which are written
-    into the full-size buffers ``det`` (returned), ``z`` and ``temp``.
+    into the full-size buffers ``det`` (D), ``z`` and ``temp``.  The last
+    term, i = k - 1, has no j > i: it is a * b * b with a = -A_{k-1,k-1}
+    an h-side array or a constant and b = b_{k-1}, and the caller folds it
+    into the class lookup.
     """
-    if k == 1:
-        return gram[0, 0]
-
     def fmul(x, y, out=None):
         return _gather(mul, x, y, q, out)
 
@@ -390,11 +420,12 @@ def _determinant(gram, k: int, add, mul, neg, q: int, det, z, temp):
             minors[drop[i], drop[j]] if (i + j) % 2 else neg.take(minors[drop[i], drop[j]])
             for j in inner[i - 1:]
         ]
+        if i == k - 1:
+            return det, neg_adj[0], gram[0, i]
         fmul(neg_adj[0], gram[0, i], z)
         for j, a in zip(inner[i:], neg_adj[1:]):
             fadd(z, fmul(fadd(a, a), gram[0, j], temp), z)
         fadd(det, fmul(z, gram[0, i], z), det)
-    return det
 
 
 def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
@@ -443,10 +474,20 @@ def _chunk_classes(task):
     cross = {(0, j): buffers[j - 1] for j in range(1, k)}
     det, z, temp = buffers[k - 1:]
     gram = _gram_entries(plan, l, h, add, q, plan, cross, temp)
-    det = _determinant(gram, k, add, mul, neg, q, det, z, temp)
-    # take copies a read-only index array such as a broadcast view, so the
-    # codes are broadcast after the gather: at k = 1, det is g00 alone
-    return np.broadcast_to(klass.take(det), shape)
+    if k == 1:
+        # take copies a read-only index array such as a broadcast view, so
+        # the codes of g00 alone are broadcast after the gather
+        return np.broadcast_to(klass.take(gram[0, 0]), shape)
+    det, a, b = _determinant(gram, k, add, mul, neg, q, det, z, temp)
+    if q**3 > _MAX_TABLE_ENTRIES:
+        # no composite table at this q: add a * b * b, then look up the class
+        term = _gather(mul, _gather(mul, a, b, q, z), b, q, z)
+        return klass.take(_gather(add, det, term, q, det))
+    # the composite index (D * q + a) * q + b, formed in place; a * q is h-side
+    np.multiply(det, q * q, out=det)
+    np.add(det, a * q, out=det)
+    np.add(det, b, out=det)
+    return _class_table(p, e).take(det)
 
 
 def _chunk_tallies(task):

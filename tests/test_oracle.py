@@ -240,6 +240,71 @@ def test_field_tables_check_euler_criterion(monkeypatch):
         oracle._field_tables.__wrapped__(3, 2)
 
 
+@pytest.mark.parametrize("q,samples", [(3, None), (5, None), (9, None), (25, 2000), (27, 2000)])
+def test_class_table_matches_field_arithmetic(q, samples):
+    """Entry (x * q + a) * q + b is the square class of x + a * b * b."""
+    field = make_field(*closed.odd_prime_power(q))
+    table = oracle._class_table.__wrapped__(field.p, field.e)
+    assert table.dtype == np.int8 and table.shape == (q**3,)
+    assert set(np.unique(table).tolist()) <= {0, 1, 2}
+    codes = {SquareClass.ZERO: 0, SquareClass.SQUARE: 1, SquareClass.NON_SQUARE: 2}
+    elems = list(field.elements())
+    if samples is None:
+        triples = itertools.product(range(q), repeat=3)
+    else:
+        triples = np.random.default_rng(q).integers(0, q, size=(samples, 3)).tolist()
+    for x, a, b in triples:
+        value = field.add(elems[x], field.mul(elems[a], field.mul(elems[b], elems[b])))
+        assert table[(x * q + a) * q + b] == codes[field.square_class(value)], (q, x, a, b)
+
+
+def _closed_tallies(q, n, k, maker):
+    dot_variant, lambda_variant = {
+        dot_space: (Variant.DD, Variant.DL), lambda_dot_space: (Variant.LD, Variant.LL),
+    }[maker]
+    dot = closed.dot_binom_variant(q, n, k, dot_variant)
+    lam = closed.dot_binom_variant(q, n, k, lambda_variant)
+    return {
+        SubspaceClass.DOT_TYPE: dot,
+        SubspaceClass.LAMBDA_DOT_TYPE: lam,
+        SubspaceClass.DEGENERATE: closed.gaussian_binom(q, n, k) - dot - lam,
+    }
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_blocks_above_the_class_table_price_match_object_level(monkeypatch, q):
+    """With the q^3 composite table priced out, blocks finish with the
+    multiply-add-klass tail: counts at k = 2, 3, 4 and poset nodes stay exact.
+
+    Counts are checked against classify() up to 2000 subspaces and against
+    the closed form beyond (q = 9: n = 4, k = 2 and n = 5, k = 4).
+    """
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", q**3 - 1)
+
+    def no_table(p, e):
+        raise AssertionError("the composite table was built above its price")
+
+    monkeypatch.setattr(oracle, "_class_table", no_table)
+    field = make_field(*closed.odd_prime_power(q))
+    for maker in (dot_space, lambda_dot_space):
+        for n, k in [(4, 2), (4, 3), (5, 4)]:
+            ambient = maker(field, n)
+            if closed.gaussian_binom(q, n, k) <= 2000:
+                expected = _slow_tallies(ambient, k)
+            else:
+                expected = _closed_tallies(q, n, k, maker)
+            assert oracle.count_subspaces_by_class(ambient, k) == expected, (q, n, k)
+        _assert_poset_nodes_match_objects(q, {3: 5, 5: 4, 9: 3}[q], maker)
+
+
+@pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
+def test_field_above_the_class_table_price_matches_closed_form(maker):
+    """q = 167 has 167^3 > 2^22 composite entries: the tail alone classifies."""
+    assert 167**2 <= oracle._MAX_TABLE_ENTRIES < 167**3
+    tallies = oracle.count_subspaces_by_class(maker(make_field(167), 3), 2)
+    assert tallies == _closed_tallies(167, 3, 2, maker)
+
+
 def test_count_lines_frozen():
     f3, f5 = make_field(3), make_field(5)
     assert oracle.count_lines(dot_space(f5, 2)) == (2, 2, 2)
