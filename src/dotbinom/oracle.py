@@ -26,10 +26,9 @@ being an h-side value, so for k >= 2 a block stops one term short,
 det G = D + a * b_{k-1}^2, and finishes with one gather at the index
 (D * q + a) * q + b_{k-1} from a composite table of the square class of
 x + a * b * b (_class_table).  It has q^3 int8 entries, priced against the
-field tables' limit; above it (q > 161) a block adds the term and looks up
-the class of the sum instead.  The isometry scan lays out a candidate
-matrix the same way, its columns as the rows: it keeps the h values whose
-C is diagonal and d-weighted before pairing them with column 0.
+field tables' limit and built only for a count of at least q^3 subspaces;
+otherwise (always for q > 161) a block adds the term and looks up the class
+of the sum instead.
 
 Every full-size (h values x l values) array of a count or poset block is
 written into a workspace that each process keeps and reuses across
@@ -53,6 +52,10 @@ nodes at a time, at most _INCIDENCE_ENTRIES entries per lower rank.  The
 Hasse edges are the nonzero entries of the blocks of adjacent present
 ranks, and mu(0, .) is the recursion mu_r = -sum_{s<r} C_{s,r}^T mu_s, in
 int64 while an a priori bound on its sums holds and on Python ints beyond.
+
+The isometry group is counted as frames of columns, one column at a time
+among the vectors of the wanted norm orthogonal to those chosen so far; it
+reads the field tables but not the kernel (enumerate_orthogonal_group).
 """
 
 from __future__ import annotations
@@ -98,10 +101,6 @@ _MAX_TABLE_ENTRIES = 1 << 22
 # it, starting a pool costs more than the extra workers save (break-even
 # between 0.6e6 and 0.9e6 subspaces on 2 cores).
 _POOL_MIN_SUBSPACES = 750_000
-# A scan of fewer candidate matrices runs in-process whatever ``jobs`` says:
-# on 2 cores, pooled against in-process, 7.9e6 candidates took 28 against
-# 24 ms and 13.8e6 took 46 against 60 ms.
-_POOL_MIN_CANDIDATES = 10_000_000
 # Entries of one poset block: a group of upper nodes is gathered against a
 # lower rank's N_s nodes at most this many entries at a time, and vector
 # sets are made a group of nodes of q^k * n + q^n entries at a time.
@@ -236,13 +235,23 @@ def _class_table(p: int, e: int):
     """Flat int8 table of klass(x + a * b * b) at (x * q + a) * q + b, cached per process.
 
     Made from the add, mul and klass tables alone.  Its q^3 entries finish
-    every count and poset block with k >= 2 in one gather; _chunk_classes
-    prices them against _MAX_TABLE_ENTRIES before it asks for the table.
+    a count or poset block with k >= 2 in one gather, where _class_table_pays.
     """
     add, mul, _, klass = _field_tables(p, e)
     index = np.arange(p**e)
     term = mul[index[:, None], mul[index, index]]  # term[a, b] = a * b * b
     return klass[add[index[:, None, None], term]].ravel()
+
+
+def _class_table_pays(q: int, subspaces: int) -> bool:
+    """Whether the blocks of a count of ``subspaces`` end with _class_table.
+
+    Its q^3 entries are priced against _MAX_TABLE_ENTRIES, and they are built
+    at about 10 ns each to save about five full-size passes per subspace, so
+    a count of fewer than q^3 subspaces (q = 157, n = 2, k = 2: one) takes
+    the add-and-klass tail instead.
+    """
+    return q**3 <= min(_MAX_TABLE_ENTRIES, subspaces)
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +277,7 @@ def _group_table(p: int, e: int, diag: tuple):
 def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
     """How to read each upper Gram entry of a row layout off a block of codes.
 
-    ``rows`` holds (pivot column or None, free columns) per row.  A code is
+    ``rows`` holds (pivot column, free columns) per row.  A code is
     l + q^f0 * h: l holds row 0's f0 free digits and h the digits of rows
     1..k-1, row r's at h digits start[r] .. start[r] + f[r] - 1, each row in
     increasing column order.  For rows i < j, row j's free columns must be
@@ -300,7 +309,7 @@ def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
         diagonal = [
             (None, start[j] + lo, w, table[:: q**w + 1].copy()) for lo, w, table in groups
         ]
-        pivot = 0 if pc is None else diag_idx[pc]  # B(r_j, r_j) = d_pivot + the free terms
+        pivot = diag_idx[pc]  # B(r_j, r_j) = d_pivot + the free terms
         if diagonal:
             _, power, w, table = diagonal[0]
             diagonal[0] = (None, power, w, _field_indices(add[pivot, table].astype(np.intp), q))
@@ -323,9 +332,9 @@ def _gather(table, x, y, scale: int, out=None):
     return table.take(out, out=out, mode="clip")
 
 
-def _gram_entries(plan, l, h, add, q: int, pairs, out=None, temp=None):
-    """The Gram entries ``pairs`` of a block: field indices where constant, else
-    arrays over l for row 0, over h for the other rows, broadcast where both.
+def _gram_entries(plan, l, h, add, q: int, out, temp):
+    """Every Gram entry of a block: field indices where constant, else arrays
+    over l for row 0, over h for the other rows, broadcast where both.
 
     An entry whose pair is a key of ``out`` is written into that full-size
     buffer, with ``temp`` holding each further digit group's term; the other
@@ -341,10 +350,9 @@ def _gram_entries(plan, l, h, add, q: int, pairs, out=None, temp=None):
         return digits[key]
 
     gram = {}
-    for i, j in pairs:
-        entry = plan[i, j]
+    for (i, j), entry in plan.items():
         if isinstance(entry, list):
-            buf = out.get((i, j)) if out else None
+            buf = out.get((i, j))
             spare = None if buf is None else temp
             acc = None
             for a_power, b_power, w, table in entry:
@@ -428,9 +436,10 @@ def _determinant(gram, k: int, add, mul, neg, q: int, det, z, temp):
         fadd(det, fmul(z, gram[0, i], z), det)
 
 
-def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
+def _chunk_tasks(field, diag_idx: tuple, rows: tuple, table: bool):
     """Blocks of h values x l values covering every code l + q^f0 * h of a row
-    layout in code order, at most _CHUNK codes each.
+    layout in code order, at most _CHUNK codes each; ``table`` says whether
+    they end with _class_table (see _class_table_pays).
 
     A block holds whole rows of l values when they fit, so row 0 is split
     only when q^f0 > _CHUNK, and then a block holds one h value.
@@ -444,7 +453,7 @@ def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
     else:
         blocks = [((h, h + 1), (l, min(l + _CHUNK, size_l)))
                   for h in range(size_h) for l in range(0, size_l, _CHUNK)]
-    return [(field.p, field.e, diag_idx, rows, hs, ls) for hs, ls in blocks]
+    return [(field.p, field.e, diag_idx, rows, table, hs, ls) for hs, ls in blocks]
 
 
 @lru_cache(maxsize=1)
@@ -459,7 +468,7 @@ def _chunk_classes(task):
 
     The result is a new array: none of the workspace buffers escapes.
     """
-    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
+    p, e, diag_idx, rows, table, (h_lo, h_hi), (l_lo, l_hi) = task
     add, mul, neg, klass = _flat_tables(p, e)
     q = p**e
     k = len(rows)
@@ -473,14 +482,14 @@ def _chunk_classes(task):
     buffers = [b[:size].reshape(shape) for b in _workspace(k + 2, max(size, _CHUNK))]
     cross = {(0, j): buffers[j - 1] for j in range(1, k)}
     det, z, temp = buffers[k - 1:]
-    gram = _gram_entries(plan, l, h, add, q, plan, cross, temp)
+    gram = _gram_entries(plan, l, h, add, q, cross, temp)
     if k == 1:
         # take copies a read-only index array such as a broadcast view, so
         # the codes of g00 alone are broadcast after the gather
         return np.broadcast_to(klass.take(gram[0, 0]), shape)
     det, a, b = _determinant(gram, k, add, mul, neg, q, det, z, temp)
-    if q**3 > _MAX_TABLE_ENTRIES:
-        # no composite table at this q: add a * b * b, then look up the class
+    if not table:
+        # no composite table: add a * b * b, then look up the class
         term = _gather(mul, _gather(mul, a, b, q, z), b, q, z)
         return klass.take(_gather(add, det, term, q, det))
     # the composite index (D * q + a) * q + b, formed in place; a * q is h-side
@@ -543,10 +552,11 @@ def count_subspaces_by_class(
     if total < _POOL_MIN_SUBSPACES:
         jobs = 1
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
+    table = _class_table_pays(field.q, total)
     tasks = [
         task
         for pattern in itertools.combinations(range(n), k)
-        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
+        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), table)
     ]
     square = non_square = zero = 0
     for s, ns, z in _run_tasks(_chunk_tallies, tasks, jobs):
@@ -725,9 +735,10 @@ def build_poset(
     nodes, bases = [(zero_subspace(ambient), 0)], {}
     for k in range(1, n):
         rank = []
+        table = _class_table_pays(q, gaussian_binom(q, n, k))
         for pattern in itertools.combinations(range(n), k):
             slots = _free_positions(pattern, n)
-            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
+            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), table)
             # the blocks cover codes 0, 1, ... in order, and code h * q^f0 + l
             # is the flat index of (h, l) within them
             classes = np.concatenate([_chunk_classes(t).ravel() for t in tasks])
@@ -805,55 +816,73 @@ def mobius_bottom(snapshot: PosetSnapshot) -> int:
     return int(mus[-1][0])
 
 
-def _orthogonal_block(task):
-    """Isometries in one block of candidate matrices, row r of the layout being column r.
-
-    The h side, columns 1..n-1, must have the Gram block diag(d_1..d_{n-1});
-    only its survivors are paired with the block's column-0 values that have
-    B(c_0, c_0) = d_0, which must then be orthogonal to columns 1..n-1.
-    """
-    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
-    add = _flat_tables(p, e)[0]
-    q = p**e
-    plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
-    c_entries = [(i, j) for i, j in plan if i > 0]
-    h = np.arange(h_lo, h_hi)
-    gram = _gram_entries(plan, None, h, add, q, c_entries)
-    keep = np.ones(h.size, dtype=bool)
-    for i, j in c_entries:
-        keep &= gram[i, j] == (diag_idx[i] if i == j else 0)
-    l = np.arange(l_lo, l_hi)
-    l = l[_gram_entries(plan, l, None, add, q, [(0, 0)])[0, 0] == diag_idx[0]]
-    cross = [(0, j) for j in range(1, len(rows))]
-    gram = _gram_entries(plan, l[None, :], h[keep][:, None], add, q, cross)
-    found = np.ones((np.count_nonzero(keep), l.size), dtype=bool)
-    for pair in cross:
-        found &= gram[pair] == 0
-    return int(np.count_nonzero(found))
-
-
 def enumerate_orthogonal_group(
     ambient: AmbientForm, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> int:
-    """Order of the isometry group, by scanning all n x n matrices.
+    """Order of the isometry group, counted as frames of columns.
 
-    A candidate M is a code of n * n base-q digits: column i takes digits
-    i * n .. i * n + n - 1, so M[t, i] is digit i * n + t.  M is counted when
-    the Gram matrix of its columns is diag(gram_diag).
+    M is an isometry exactly when its columns u_0..u_{n-1} satisfy
+    B(u_i, u_j) = d_i delta_ij, d being gram_diag.  So column i is chosen
+    among the vectors of norm B(v, v) = d_i orthogonal to columns 0..i-1,
+    and the last three are counted at once: with A, B and Z the 0/1
+    orthogonality matrices of their candidate sets a x b, a x c and b x c,
+    they complete sum((A @ Z) * B) frames.  For n <= 2 the candidates are
+    counted directly.
+
+    The count is priced as the q^(n^2) candidate matrices it stands for, a
+    bound on its work.  Its arrays, the q^n vectors and for n >= 3 the pair
+    arrays of about q^2 x q^2 entries, are refused beyond the field tables'
+    entry limit before any is built.  ``jobs`` is accepted and unused.
     """
-    field = ambient.field
-    n = ambient.n
-    total = field.q ** (n * n)
+    field, n = ambient.field, ambient.n
+    q = field.q
+    total = q ** (n * n)
     if total > budget:
         raise BudgetExceeded(
-            f"{total} candidate matrices at (q={field.q}, n={n}) exceed budget {budget}"
+            f"{total} candidate matrices at (q={q}, n={n}) exceed budget {budget}"
         )
-    _price_tables(field.q)
-    if total < _POOL_MIN_CANDIDATES:
-        jobs = 1
-    diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    columns = ((None, tuple(range(n))),) * n  # n free entries each, no pivot
-    return sum(_run_tasks(_orthogonal_block, _chunk_tasks(field, diag_idx, columns), jobs))
+    _price_tables(q)
+    entries = max(q**n, q**4 if n >= 3 else 0)
+    if entries > _MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"frame count arrays of {entries} entries at (q={q}, n={n}) exceed "
+            f"the limit of {_MAX_TABLE_ENTRIES} entries"
+        )
+    add, mul, _, _ = _field_tables(field.p, field.e)
+    diag = [field.index(d) for d in ambient.gram_diag]
+    vectors = np.indices((q,) * n, dtype=add.dtype).reshape(n, -1).T  # every vector, a row each
+
+    def form(x, y):
+        """B(x, y) = sum_t d_t x_t y_t, broadcast over the leading axes of x and y."""
+        acc = 0
+        for t, d in enumerate(diag):
+            acc = add[acc, mul[mul[d, x[..., t]], y[..., t]]]
+        return acc
+
+    def orthogonal(x, y):
+        return form(x[:, None], y[None]) == 0
+
+    norms = form(vectors, vectors)
+
+    def frames(rest, i):
+        """Completions of columns i..n-1 from ``rest``, the codes of the
+        vectors of a norm in d that are orthogonal to columns 0..i-1."""
+        here = vectors[rest]
+        if n - i > 3:
+            return sum(frames(rest[form(u, here) == 0], i + 1)
+                       for u in here[norms[rest] == diag[i]])
+        sets = [here[norms[rest] == d] for d in diag[i:]]
+        if len(sets) == 1:
+            return len(sets[0])
+        if len(sets) == 2:
+            return int(np.count_nonzero(orthogonal(*sets)))
+        a, b, c = sets
+        # each entry of A @ Z counts at most len(b) <= q^n < 2^24 vectors,
+        # so float32 holds it exactly
+        paths = orthogonal(a, b).astype(np.float32) @ orthogonal(b, c).astype(np.float32)
+        return int(paths[orthogonal(a, c)].sum(dtype=np.float64))
+
+    return frames(np.flatnonzero(np.isin(norms, diag)), 0)
 
 
 _LABEL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -134,10 +134,9 @@ def _poset_family(add, q, n, poset_budget):
            want, lo.rank_sizes())
 
 
-def _group_family(add, q, n, budget, jobs):
+def _group_family(add, q, n, budget):
     _check(add, "oracle/group-order", f"q={q} n={n}", closed.group_order(q, n),
-           lambda: oracle.enumerate_orthogonal_group(
-               dot_space(_field(q), n), budget=budget, jobs=jobs))
+           lambda: oracle.enumerate_orthogonal_group(dot_space(_field(q), n), budget=budget))
 
 
 def _published_family(add, tally, q, n):
@@ -276,7 +275,7 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
             _closed_family(add, q, n)
             if q <= POSET_Q_MAX and n <= POSET_N_MAX:
                 _poset_family(add, q, n, poset_budget)
-            _group_family(add, q, n, budget, jobs)
+            _group_family(add, q, n, budget)
             if compare_paper:
                 _published_family(add, tally, q, n)
     _poly_family(add, qs, max_n, compare_paper)

@@ -127,9 +127,9 @@ def _largest_block(q, n, k, maker):
     tasks = [
         task
         for pattern in itertools.combinations(range(n), k)
-        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n))
+        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n), True)
     ]
-    return max(tasks, key=lambda t: (t[4][1] - t[4][0]) * (t[5][1] - t[5][0]))
+    return max(tasks, key=lambda t: (t[5][1] - t[5][0]) * (t[6][1] - t[6][0]))
 
 
 @pytest.mark.parametrize("q,n,k,maker", [
@@ -145,7 +145,7 @@ def test_warm_block_allocates_under_two_full_size_arrays(q, n, k, maker):
     arrays on these blocks; the workspace leaves about one at most.
     """
     task = _largest_block(q, n, k, maker)
-    (h_lo, h_hi), (l_lo, l_hi) = task[4:]
+    (h_lo, h_hi), (l_lo, l_hi) = task[5:]
     full_size = (h_hi - h_lo) * (l_hi - l_lo) * np.dtype(np.intp).itemsize
     for _ in range(2):
         oracle._chunk_tallies(task)
@@ -298,6 +298,20 @@ def test_blocks_above_the_class_table_price_match_object_level(monkeypatch, q):
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
+def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker):
+    """q = 157, n = 2, k = 2 is one subspace: its block takes the tail, not a
+    table of 157^3 entries built for it alone."""
+    assert 157**3 <= oracle._MAX_TABLE_ENTRIES
+
+    def no_table(p, e):
+        raise AssertionError("the composite table was built for one subspace")
+
+    monkeypatch.setattr(oracle, "_class_table", no_table)
+    tallies = oracle.count_subspaces_by_class(maker(make_field(157), 2), 2)
+    assert tallies == _closed_tallies(157, 2, 2, maker)
+
+
+@pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 def test_field_above_the_class_table_price_matches_closed_form(maker):
     """q = 167 has 167^3 > 2^22 composite entries: the tail alone classifies."""
     assert 167**2 <= oracle._MAX_TABLE_ENTRIES < 167**3
@@ -356,17 +370,13 @@ def test_counts_below_break_even_run_without_a_pool(monkeypatch):
 
 
 def test_small_isometry_scans_run_without_a_pool(monkeypatch):
-    """q=5 n=3 scans 1.95 M candidates, below the break-even, so jobs=2 runs in-process."""
-    ambient = dot_space(make_field(5), 3)
-    assert 5**9 < oracle._POOL_MIN_CANDIDATES
-    serial = oracle.enumerate_orthogonal_group(ambient)
+    """q=3 n=4 is priced at 43 M candidate matrices, yet jobs=2 starts no pool:
+    the frame count always runs in-process."""
+    ambient = dot_space(make_field(3), 4)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     started = _count_pools(monkeypatch)
-    assert oracle.enumerate_orthogonal_group(ambient, jobs=2) == serial
+    assert oracle.enumerate_orthogonal_group(ambient, budget=10**8, jobs=2) == 1152
     assert started == []
-    monkeypatch.setattr(oracle, "_POOL_MIN_CANDIDATES", 0)
-    assert oracle.enumerate_orthogonal_group(ambient, jobs=2) == serial == 240
-    assert started == [2]
 
 
 def test_budget_is_enforced():
@@ -423,10 +433,12 @@ def test_orthogonal_group_frozen():
 
 @pytest.mark.parametrize(
     "q,n,maker",
-    [(3, 2, dot_space), (3, 2, lambda_dot_space), (5, 2, lambda_dot_space), (9, 2, dot_space)],
+    [(3, 2, dot_space), (3, 2, lambda_dot_space), (5, 2, lambda_dot_space), (9, 2, dot_space),
+     (3, 3, lambda_dot_space)],
 )
 def test_orthogonal_group_matches_object_level_scan(q, n, maker):
-    """The Gram-plan scan against direct matrix arithmetic weighted by gram_diag."""
+    """The frame count against a scan of every matrix, by direct matrix
+    arithmetic weighted by gram_diag."""
     field = make_field(*closed.odd_prime_power(q))
     ambient = maker(field, n)
     diag = ambient.gram_diag
@@ -441,24 +453,41 @@ def test_orthogonal_group_matches_object_level_scan(q, n, maker):
     assert found == oracle.enumerate_orthogonal_group(ambient)
 
 
-def test_orthogonal_group_with_small_chunks_and_digit_groups(monkeypatch):
-    """Columns of 3 digits split into groups of 2 and 1; column 0's 27 values
-    split into blocks of at most 7, each with one value of columns 1 and 2."""
-    monkeypatch.setattr(oracle, "_CHUNK", 7)
-    monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
-    assert oracle.enumerate_orthogonal_group(dot_space(make_field(3), 3)) == 48
-
-
 def test_orthogonal_group_q3_n4_scans_43m_candidates():
     ambient = dot_space(make_field(3), 4)
     assert oracle.enumerate_orthogonal_group(ambient, budget=10**8) == 1152
 
 
 def test_orthogonal_group_matches_closed_form():
-    for q, n in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (9, 2)):
+    """q=5 n=4, q=7 n=3 and q=9 n=3 are priced at 4e7 to 1.5e11 candidate
+    matrices, beyond the default budget of 10^7."""
+    for q, n in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (9, 2), (5, 4), (7, 3), (9, 3)):
         p, e = closed.odd_prime_power(q)
         ambient = dot_space(make_field(p, e), n)
-        assert oracle.enumerate_orthogonal_group(ambient) == closed.group_order(q, n)
+        assert oracle.enumerate_orthogonal_group(ambient, budget=10**16) == closed.group_order(q, n)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_lambda_dot_group_equals_dot_group_in_odd_dimension(q):
+    """At odd n, lambda times the dot form is similar to the lambda-dot form,
+    and scaling a form keeps its isometries: O(lambda-dot) = O(dot)."""
+    field = make_field(*closed.odd_prime_power(q))
+    orders = [oracle.enumerate_orthogonal_group(maker(field, 3), budget=10**16)
+              for maker in (dot_space, lambda_dot_space)]
+    assert orders[0] == orders[1] == closed.group_order(q, 3)
+
+
+def test_frame_count_arrays_are_priced_before_they_are_built(monkeypatch):
+    """q = 47, n = 3 is within a budget of 10^16 candidates, but its pair
+    arrays of about 47^4 entries exceed the table limit."""
+
+    def no_tables(p, e):
+        raise AssertionError("field tables were built")
+
+    monkeypatch.setattr(oracle, "_field_tables", no_tables)
+    ambient = dot_space(make_field(47), 3)
+    with pytest.raises(BudgetExceeded, match=f"frame count arrays of {47**4} entries"):
+        oracle.enumerate_orthogonal_group(ambient, budget=10**16)
 
 
 def test_lambda_witness_choice_is_irrelevant():

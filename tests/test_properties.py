@@ -121,8 +121,11 @@ def test_oracle_counts_match_the_polynomials(q, n, k):
     assert polyq.eval_consistency(key, q)
 
 
-# cells whose q^(n^2) isometry scan stays under a few million candidates
-GROUP_CELLS = [(q, 2, 1) for q in ODD_PRIME_POWERS] + [(3, 3, 1), (3, 3, 2), (5, 3, 1), (5, 3, 2)]
+# cells whose frame counts each take milliseconds; n = 4 and q >= 7 at n = 3
+# are priced at 4e7 to 4e8 candidate matrices, inside a budget of 10^9
+GROUP_CELLS = [(q, 2, 1) for q in ODD_PRIME_POWERS] + [
+    (3, 3, 1), (3, 3, 2), (5, 3, 1), (5, 3, 2), (3, 4, 1), (3, 4, 2), (7, 3, 1), (9, 3, 1),
+]
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
@@ -131,7 +134,7 @@ def test_oracle_group_orders_satisfy_the_quotient_identity(cell):
     """|O(n)| = C(n,k)_d |O(k)| |O(n-k)|, every factor enumerated."""
     q, n, k = cell
     field = _fields(q)
-    order = functools.partial(oracle.enumerate_orthogonal_group, budget=10**7)
+    order = functools.partial(oracle.enumerate_orthogonal_group, budget=10**9)
     binom = oracle.count_subspaces_by_class(dot_space(field, n), k)[DOT]
     assert order(dot_space(field, n)) == (
         binom * order(dot_space(field, k)) * order(dot_space(field, n - k))
