@@ -21,14 +21,12 @@ b_j = B(r_0, r_j) for j = 1..k-1 at full block size.  Subspace counts and
 the poset's nodes take the determinant as the bordered expansion
 det G = g00 det C - b^T adj(C) b (Horn and Johnson, Matrix Analysis,
 0.8.5), which holds over any commutative ring: no division and no case
-for a singular C.  Its last term is a * b_{k-1}^2, a = -adj(C)[k-1, k-1]
-being an h-side value, so for k >= 2 a block stops one term short,
-det G = D + a * b_{k-1}^2, and finishes with one gather at the index
-(D * q + a) * q + b_{k-1} from a composite table of the square class of
-x + a * b * b (_class_table).  It has q^3 int8 entries, priced against the
-field tables' limit and built only for a count of at least q^3 subspaces;
-otherwise (always for q > 161) a block adds the term and looks up the class
-of the sum instead.
+for a singular C.  For k >= 2 its last term is a * b_{k-1}^2, with
+a = -adj(C)[k-1, k-1] an h-side value, so det G = D + a * b_{k-1}^2 is
+a (D / a + b_{k-1}^2) where a != 0 and D where a = 0.  A block scales its
+h-side coefficients by 1 / a (by 1 where a = 0), which reaches D / a at no
+extra full-size cost, and ends with one gather from a 3 q^2 table of
+square classes (_ending_tables).
 
 Every full-size (h values x l values) array of a count or poset block is
 written into a workspace that each process keeps and reuses across
@@ -40,7 +38,7 @@ l-side arrays, and the class codes a block returns, are new.  Clipping
 never acts: every add, mul, neg, digit-group and diagonal table is checked
 once, where it is built, to hold field indices in [0, q), so every index
 x * q + y and every digit-group index is in range by construction.  The
-composite gather allocates its int8 codes and keeps take's bounds check.
+final class gather allocates its int8 codes and keeps take's bounds check.
 
 The inclusion posets are stored a rank at a time.  Each rank holds its
 nodes' basis rows as vector codes and their vector sets as one packed bit
@@ -92,15 +90,17 @@ _CHUNK = 1 << 15
 _GROUP_CAP = 1 << 16  # entries of one digit-group Gram table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 # q^2 entries of each q x q table.  A count on the lambda-dot ambient at
-# q = 1009 and at q = 2003 peaked 33 bytes per entry above its start (the
-# uint16 tables, their intp copies and two one-digit group tables), so
-# the limit keeps the tables near 140 MB: q = 2039 is the largest prime in.
+# q = 1009 and at q = 2003 peaked 35-37 bytes per entry above its start (the
+# uint16 tables, their intp copies, two one-digit group tables and the
+# 3 q^2 int8 ending table), so the limit keeps the tables near 150 MB:
+# q = 2039 is the largest prime in.
 # Every q it admits is below 2^16, so the uint16 element indices fit.
 _MAX_TABLE_ENTRIES = 1 << 22
 # A count of fewer subspaces runs in-process whatever ``jobs`` says: below
-# it, starting a pool costs more than the extra workers save (break-even
-# between 0.6e6 and 0.9e6 subspaces on 2 cores).
-_POOL_MIN_SUBSPACES = 750_000
+# it, starting a pool costs more than the extra workers save.  On 2 cores,
+# best of 3, jobs=2 took 1.4-2x as long up to 2.6e6 subspaces, 0.84-1.4x at
+# 5.3e6 (q = 13, n = 5, k = 2) and 0.53-0.73x from 6.9e6 to 25e6.
+_POOL_MIN_SUBSPACES = 5_000_000
 # Entries of one poset block: a group of upper nodes is gathered against a
 # lower rank's N_s nodes at most this many entries at a time, and vector
 # sets are made a group of nodes of q^k * n + q^n entries at a time.
@@ -231,27 +231,28 @@ def _flat_tables(p: int, e: int):
 
 
 @lru_cache(maxsize=None)
-def _class_table(p: int, e: int):
-    """Flat int8 table of klass(x + a * b * b) at (x * q + a) * q + b, cached per process.
+def _ending_tables(p: int, e: int):
+    """(inverse, offsets, classes) that end a block with k >= 2, cached per process.
 
-    Made from the add, mul and klass tables alone.  Its q^3 entries finish
-    a count or poset block with k >= 2 in one gather, where _class_table_pays.
+    inverse[a] is 1 / a, and 1 at a = 0.  offsets[a] is s * q^2, s being 0,
+    1 or 2 for a square, a non-square or zero a.  classes is flat int8 with
+    the square class of a * (x + b * b) at (s * q + x) * q + b for a != 0,
+    and of x for a = 0.  Only square classes multiply here (Euler's
+    criterion): klass(x + b * b), the same with square and non-square
+    swapped, and klass(x).
     """
     add, mul, _, klass = _field_tables(p, e)
-    index = np.arange(p**e)
-    term = mul[index[:, None], mul[index, index]]  # term[a, b] = a * b * b
-    return klass[add[index[:, None, None], term]].ravel()
-
-
-def _class_table_pays(q: int, subspaces: int) -> bool:
-    """Whether the blocks of a count of ``subspaces`` end with _class_table.
-
-    Its q^3 entries are priced against _MAX_TABLE_ENTRIES, and they are built
-    at about 10 ns each to save about five full-size passes per subspace, so
-    a count of fewer than q^3 subspaces (q = 157, n = 2, k = 2: one) takes
-    the add-and-klass tail instead.
-    """
-    return q**3 <= min(_MAX_TABLE_ENTRIES, subspaces)
+    q = p**e
+    index = np.arange(q)
+    # every row a != 0 holds a 1, since _field_tables checked a^(q-1) = 1
+    inverse = (mul == 1).argmax(axis=1)
+    inverse[0] = 1  # where a = 0, D is left as it is
+    offsets = (klass.astype(np.intp) - _CLASS_CODES[SquareClass.SQUARE]) % 3 * q * q
+    classes = np.empty((3, q, q), dtype=np.int8)
+    classes[0] = klass.take(add[:, mul[index, index]])  # [x, b] = klass(x + b * b)
+    classes[1] = np.array([0, 2, 1], dtype=np.int8).take(classes[0])  # codes 1 and 2 swapped
+    classes[2] = klass[:, None]
+    return _field_indices(inverse, q), offsets, classes.ravel()
 
 
 @lru_cache(maxsize=None)
@@ -396,21 +397,19 @@ class _Minors(dict):
         return self[key]
 
 
-def _determinant(gram, k: int, add, mul, neg, q: int, det, z, temp):
+def _determinant(gram, k: int, add, mul, neg, inverse, q: int, det, z, temp):
     """det G = g00 det C - b^T adj(C) b, for C the Gram block of rows 1..k-1
-    and b_j = G[0, j], stopped one term short: (D, a, b) with
-    det G = D + a * b * b, for k >= 2.
+    and b_j = G[0, j], as (x, a, b) with det G = a * (x + b * b) where
+    a != 0 and det G = x where a = 0, for k >= 2.
 
     The bordered expansion holds over any commutative ring, so a singular C
-    needs no branch.  det C and adj(C) are cofactor expansions over h-side
-    arrays.  C is symmetric, so adj(C) is too, and
-    b^T adj(C) b = sum_i b_i (A_ii b_i + sum_{j>i} 2 A_ij b_j) with the
-    negated A_ii and 2 A_ij made on the h side: full block size is reached
-    only by products with b and the sum with g00 det C, which are written
-    into the full-size buffers ``det`` (D), ``z`` and ``temp``.  The last
-    term, i = k - 1, has no j > i: it is a * b * b with a = -A_{k-1,k-1}
-    an h-side array or a constant and b = b_{k-1}, and the caller folds it
-    into the class lookup.
+    needs no branch.  C is symmetric, so adj(C) is too, and
+    b^T adj(C) b = sum_i b_i (A_ii b_i + sum_{j>i} 2 A_ij b_j).  Its last
+    term, i = k - 1, is a * b * b with a = -A_{k-1,k-1} an h-side array or
+    a constant and b = b_{k-1}.  det C and every -A_ij are cofactor
+    expansions on the h side, scaled there by 1 / a (by 1 where a = 0), so
+    x reaches full block size only through products with b and the sum
+    with g00 det C, written into the buffers ``det`` (x), ``z`` and ``temp``.
     """
     def fmul(x, y, out=None):
         return _gather(mul, x, y, q, out)
@@ -421,25 +420,27 @@ def _determinant(gram, k: int, add, mul, neg, q: int, det, z, temp):
     minors = _Minors(gram, fmul, fadd, neg)
     inner = tuple(range(1, k))
     drop = {i: inner[:i - 1] + inner[i:] for i in inner}
-    fmul(gram[0, 0], minors[inner, inner], det)
-    for i in inner:
-        # for i <= j, -adj(C)[i, j] = -(-1)^(i+j) det(C without row i and column j)
-        neg_adj = [
-            minors[drop[i], drop[j]] if (i + j) % 2 else neg.take(minors[drop[i], drop[j]])
-            for j in inner[i - 1:]
-        ]
-        if i == k - 1:
-            return det, neg_adj[0], gram[0, i]
-        fmul(neg_adj[0], gram[0, i], z)
-        for j, a in zip(inner[i:], neg_adj[1:]):
-            fadd(z, fmul(fadd(a, a), gram[0, j], temp), z)
+    a = neg.take(minors[drop[k - 1], drop[k - 1]])
+    scale = inverse.take(a)
+
+    def scaled_neg_adj(i, j):
+        """-adj(C)[i, j] / a = -(-1)^(i+j) det(C without row i and column j) / a."""
+        minor = minors[drop[i], drop[j]]
+        return fmul(scale, minor if (i + j) % 2 else neg.take(minor))
+
+    fmul(gram[0, 0], fmul(scale, minors[inner, inner]), det)
+    for i in inner[:-1]:
+        fmul(scaled_neg_adj(i, i), gram[0, i], z)
+        for j in inner[i:]:
+            coeff = scaled_neg_adj(i, j)
+            fadd(z, fmul(fadd(coeff, coeff), gram[0, j], temp), z)
         fadd(det, fmul(z, gram[0, i], z), det)
+    return det, a, gram[0, k - 1]
 
 
-def _chunk_tasks(field, diag_idx: tuple, rows: tuple, table: bool):
+def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
     """Blocks of h values x l values covering every code l + q^f0 * h of a row
-    layout in code order, at most _CHUNK codes each; ``table`` says whether
-    they end with _class_table (see _class_table_pays).
+    layout in code order, at most _CHUNK codes each.
 
     A block holds whole rows of l values when they fit, so row 0 is split
     only when q^f0 > _CHUNK, and then a block holds one h value.
@@ -453,7 +454,7 @@ def _chunk_tasks(field, diag_idx: tuple, rows: tuple, table: bool):
     else:
         blocks = [((h, h + 1), (l, min(l + _CHUNK, size_l)))
                   for h in range(size_h) for l in range(0, size_l, _CHUNK)]
-    return [(field.p, field.e, diag_idx, rows, table, hs, ls) for hs, ls in blocks]
+    return [(field.p, field.e, diag_idx, rows, hs, ls) for hs, ls in blocks]
 
 
 @lru_cache(maxsize=1)
@@ -468,7 +469,7 @@ def _chunk_classes(task):
 
     The result is a new array: none of the workspace buffers escapes.
     """
-    p, e, diag_idx, rows, table, (h_lo, h_hi), (l_lo, l_hi) = task
+    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
     add, mul, neg, klass = _flat_tables(p, e)
     q = p**e
     k = len(rows)
@@ -487,16 +488,15 @@ def _chunk_classes(task):
         # take copies a read-only index array such as a broadcast view, so
         # the codes of g00 alone are broadcast after the gather
         return np.broadcast_to(klass.take(gram[0, 0]), shape)
-    det, a, b = _determinant(gram, k, add, mul, neg, q, det, z, temp)
-    if not table:
-        # no composite table: add a * b * b, then look up the class
-        term = _gather(mul, _gather(mul, a, b, q, z), b, q, z)
-        return klass.take(_gather(add, det, term, q, det))
-    # the composite index (D * q + a) * q + b, formed in place; a * q is h-side
-    np.multiply(det, q * q, out=det)
-    np.add(det, a * q, out=det)
-    np.add(det, b, out=det)
-    return _class_table(p, e).take(det)
+    inverse, offsets, classes = _ending_tables(p, e)
+    x, a, b = _determinant(gram, k, add, mul, neg, inverse, q, det, z, temp)
+    # the index (s * q + x) * q + b, formed in place; s * q^2 is h-side
+    np.multiply(x, q, out=x)
+    np.add(x, b, out=x)
+    if np.ndim(a):
+        np.add(x, offsets.take(a), out=x)
+        return classes.take(x)
+    return classes[offsets[a]:offsets[a] + q * q].take(x)
 
 
 def _chunk_tallies(task):
@@ -552,11 +552,10 @@ def count_subspaces_by_class(
     if total < _POOL_MIN_SUBSPACES:
         jobs = 1
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    table = _class_table_pays(field.q, total)
     tasks = [
         task
         for pattern in itertools.combinations(range(n), k)
-        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), table)
+        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
     ]
     square = non_square = zero = 0
     for s, ns, z in _run_tasks(_chunk_tallies, tasks, jobs):
@@ -641,7 +640,8 @@ class PosetSnapshot:
     ambient: AmbientForm
     poset_kind: PosetKind
     nodes: tuple  # (Subspace, rank) pairs, sorted by rank
-    hasse_edges: tuple  # (lower node index, upper node index)
+    # (lower node index, upper node index), by rank pair in increasing order
+    hasse_edges: tuple
     # a _Layer per rank present; its arrays have no == or short repr
     layers: tuple = dataclass_field(compare=False, repr=False)
 
@@ -735,10 +735,9 @@ def build_poset(
     nodes, bases = [(zero_subspace(ambient), 0)], {}
     for k in range(1, n):
         rank = []
-        table = _class_table_pays(q, gaussian_binom(q, n, k))
         for pattern in itertools.combinations(range(n), k):
             slots = _free_positions(pattern, n)
-            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), table)
+            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
             # the blocks cover codes 0, 1, ... in order, and code h * q^f0 + l
             # is the flat index of (h, l) within them
             classes = np.concatenate([_chunk_classes(t).ravel() for t in tasks])
@@ -788,7 +787,7 @@ def count_flags(snapshot: PosetSnapshot) -> int:
         raise UndefinedForParameters("flag counts are defined on the Euclidean poset")
     ways = [0] * len(snapshot.nodes)
     ways[0] = 1
-    for lo, hi in sorted(snapshot.hasse_edges, key=lambda e: snapshot.nodes[e[0]][1]):
+    for lo, hi in snapshot.hasse_edges:  # lower ranks first
         ways[hi] += ways[lo]
     return ways[-1]
 
@@ -816,9 +815,7 @@ def mobius_bottom(snapshot: PosetSnapshot) -> int:
     return int(mus[-1][0])
 
 
-def enumerate_orthogonal_group(
-    ambient: AmbientForm, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> int:
+def enumerate_orthogonal_group(ambient: AmbientForm, budget: int = DEFAULT_BUDGET) -> int:
     """Order of the isometry group, counted as frames of columns.
 
     M is an isometry exactly when its columns u_0..u_{n-1} satisfy
@@ -832,7 +829,7 @@ def enumerate_orthogonal_group(
     The count is priced as the q^(n^2) candidate matrices it stands for, a
     bound on its work.  Its arrays, the q^n vectors and for n >= 3 the pair
     arrays of about q^2 x q^2 entries, are refused beyond the field tables'
-    entry limit before any is built.  ``jobs`` is accepted and unused.
+    entry limit before any is built.
     """
     field, n = ambient.field, ambient.n
     q = field.q
@@ -948,10 +945,7 @@ class CountReport:
 
 
 def full_count_report(
-    ambient: AmbientForm,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
-    poset_budget: int = DEFAULT_POSET_BUDGET,
+    ambient: AmbientForm, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> CountReport:
     """Tallies for every dimension plus poset summaries when in budget."""
     started = perf_counter()
@@ -971,7 +965,7 @@ def full_count_report(
     # flag and Mobius summaries belong to the Euclidean poset of the dot ambient
     if ambient.kind is AmbientKind.DOT:
         try:
-            snapshot = build_poset(ambient, PosetKind.EUCLIDEAN, budget=poset_budget)
+            snapshot = build_poset(ambient, PosetKind.EUCLIDEAN)
         except BudgetExceeded:
             snapshot = None
         if snapshot is not None:

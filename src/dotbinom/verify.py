@@ -110,13 +110,12 @@ def _closed_family(add, q, n):
                failed="violated")
 
 
-def _poset_family(add, q, n, poset_budget):
+def _poset_family(add, q, n):
     ambient = dot_space(_field(q), n)
     params = f"q={q} n={n}"
     euclidean = params + " kind=euclidean"
     snap = _check(add, "oracle/poset-ranks", euclidean, "",
-                  lambda: oracle.build_poset(ambient, PosetKind.EUCLIDEAN,
-                                             budget=poset_budget),
+                  lambda: oracle.build_poset(ambient, PosetKind.EUCLIDEAN),
                   compare=False)
     if snap is None:
         return
@@ -126,7 +125,7 @@ def _poset_family(add, q, n, poset_budget):
            closed.bracket_factorial(q, n), oracle.count_flags(snap))
     _check(add, "oracle/mobius", params,
            closed.mobius_sequence(q, n).mu[n], oracle.mobius_bottom(snap))
-    lo = oracle.build_poset(ambient, PosetKind.LORENTZIAN, budget=poset_budget)
+    lo = oracle.build_poset(ambient, PosetKind.LORENTZIAN)
     want = (1,) + tuple(
         closed.dot_binom_variant(q, n, k, Variant.DL) for k in range(1, n)
     ) + (1,)
@@ -245,8 +244,7 @@ def _kset_family(add):
 
 
 def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
-               compare_paper=True,
-               poset_budget=oracle.DEFAULT_POSET_BUDGET) -> VerifyReport:
+               compare_paper=True) -> VerifyReport:
     """Run every check family over the given field sizes and dimensions."""
     started = perf_counter()
     records = []
@@ -274,7 +272,7 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
             _subspace_family(add, tally, q, n)
             _closed_family(add, q, n)
             if q <= POSET_Q_MAX and n <= POSET_N_MAX:
-                _poset_family(add, q, n, poset_budget)
+                _poset_family(add, q, n)
             _group_family(add, q, n, budget)
             if compare_paper:
                 _published_family(add, tally, q, n)

@@ -110,7 +110,7 @@ def test_criterion_03_orthogonal_group_orders():
     t0 = time.perf_counter()
     for q, n, order in ((5, 2, 8), (3, 2, 8), (3, 3, 48)):
         ambient = dot_space(_field(q), n)
-        found = oracle.enumerate_orthogonal_group(ambient, jobs=2)
+        found = oracle.enumerate_orthogonal_group(ambient)
         assert found == order
         assert found == 2**n * closed.bracket_factorial(q, n)
         assert found == closed.group_order(q, n)

@@ -127,9 +127,9 @@ def _largest_block(q, n, k, maker):
     tasks = [
         task
         for pattern in itertools.combinations(range(n), k)
-        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n), True)
+        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n))
     ]
-    return max(tasks, key=lambda t: (t[5][1] - t[5][0]) * (t[6][1] - t[6][0]))
+    return max(tasks, key=lambda t: (t[4][1] - t[4][0]) * (t[5][1] - t[5][0]))
 
 
 @pytest.mark.parametrize("q,n,k,maker", [
@@ -145,7 +145,7 @@ def test_warm_block_allocates_under_two_full_size_arrays(q, n, k, maker):
     arrays on these blocks; the workspace leaves about one at most.
     """
     task = _largest_block(q, n, k, maker)
-    (h_lo, h_hi), (l_lo, l_hi) = task[5:]
+    (h_lo, h_hi), (l_lo, l_hi) = task[4:]
     full_size = (h_hi - h_lo) * (l_hi - l_lo) * np.dtype(np.intp).itemsize
     for _ in range(2):
         oracle._chunk_tallies(task)
@@ -240,22 +240,32 @@ def test_field_tables_check_euler_criterion(monkeypatch):
         oracle._field_tables.__wrapped__(3, 2)
 
 
-@pytest.mark.parametrize("q,samples", [(3, None), (5, None), (9, None), (25, 2000), (27, 2000)])
-def test_class_table_matches_field_arithmetic(q, samples):
-    """Entry (x * q + a) * q + b is the square class of x + a * b * b."""
+@pytest.mark.parametrize("q,samples", [
+    (3, None), (5, None), (9, None), (25, 2000), (27, 2000), (157, 2000),
+])
+def test_ending_tables_match_field_arithmetic(q, samples):
+    """inverse[a] * a = 1 for a != 0, and the entry at offsets[a] + x * q + b
+    is the square class of a * (x + b * b) for a != 0 and of x for a = 0."""
     field = make_field(*closed.odd_prime_power(q))
-    table = oracle._class_table.__wrapped__(field.p, field.e)
-    assert table.dtype == np.int8 and table.shape == (q**3,)
-    assert set(np.unique(table).tolist()) <= {0, 1, 2}
+    inverse, offsets, classes = oracle._ending_tables.__wrapped__(field.p, field.e)
+    assert inverse.shape == offsets.shape == (q,)
+    assert classes.dtype == np.int8 and classes.shape == (3 * q * q,)
+    assert set(np.unique(classes).tolist()) <= {0, 1, 2}
     codes = {SquareClass.ZERO: 0, SquareClass.SQUARE: 1, SquareClass.NON_SQUARE: 2}
     elems = list(field.elements())
+    assert inverse[0] == 1 and offsets[0] == 2 * q * q
+    for a in range(1, q):
+        assert field.mul(elems[a], elems[inverse[a]]) == field.one, (q, a)
+        part = {SquareClass.SQUARE: 0, SquareClass.NON_SQUARE: 1}[field.square_class(elems[a])]
+        assert offsets[a] == part * q * q, (q, a)
     if samples is None:
         triples = itertools.product(range(q), repeat=3)
     else:
         triples = np.random.default_rng(q).integers(0, q, size=(samples, 3)).tolist()
-    for x, a, b in triples:
-        value = field.add(elems[x], field.mul(elems[a], field.mul(elems[b], elems[b])))
-        assert table[(x * q + a) * q + b] == codes[field.square_class(value)], (q, x, a, b)
+    for a, x, b in triples:
+        value = field.add(elems[x], field.mul(elems[b], elems[b]))
+        value = field.mul(elems[a], value) if a else elems[x]
+        assert classes[offsets[a] + x * q + b] == codes[field.square_class(value)], (q, a, x, b)
 
 
 def _closed_tallies(q, n, k, maker):
@@ -272,19 +282,14 @@ def _closed_tallies(q, n, k, maker):
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
-def test_blocks_above_the_class_table_price_match_object_level(monkeypatch, q):
-    """With the q^3 composite table priced out, blocks finish with the
-    multiply-add-klass tail: counts at k = 2, 3, 4 and poset nodes stay exact.
+def test_blocks_above_the_class_table_price_match_object_level(q):
+    """Counts at k = 2, 3, 4 and poset nodes, whose blocks end on every part
+    of the ending table: a = -1 at k = 2 is a non-square at q = 3 and a
+    square at q = 5 and 9, and at k = 3, 4 the h-side a takes every class.
 
     Counts are checked against classify() up to 2000 subspaces and against
     the closed form beyond (q = 9: n = 4, k = 2 and n = 5, k = 4).
     """
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", q**3 - 1)
-
-    def no_table(p, e):
-        raise AssertionError("the composite table was built above its price")
-
-    monkeypatch.setattr(oracle, "_class_table", no_table)
     field = make_field(*closed.odd_prime_power(q))
     for maker in (dot_space, lambda_dot_space):
         for n, k in [(4, 2), (4, 3), (5, 4)]:
@@ -297,26 +302,24 @@ def test_blocks_above_the_class_table_price_match_object_level(monkeypatch, q):
         _assert_poset_nodes_match_objects(q, {3: 5, 5: 4, 9: 3}[q], maker)
 
 
-@pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker):
-    """q = 157, n = 2, k = 2 is one subspace: its block takes the tail, not a
-    table of 157^3 entries built for it alone."""
-    assert 157**3 <= oracle._MAX_TABLE_ENTRIES
-
-    def no_table(p, e):
-        raise AssertionError("the composite table was built for one subspace")
-
-    monkeypatch.setattr(oracle, "_class_table", no_table)
-    tallies = oracle.count_subspaces_by_class(maker(make_field(157), 2), 2)
-    assert tallies == _closed_tallies(157, 2, 2, maker)
+def test_only_blocks_of_k_at_least_two_build_the_ending_tables():
+    """k = 1 blocks end on klass alone; the 3 q^2 ending table is built on
+    the first k >= 2 block of a field (about 60 ms at q = 2039)."""
+    oracle._ending_tables.cache_clear()
+    ambient = lambda_dot_space(make_field(13), 3)
+    oracle.count_subspaces_by_class(ambient, 1)
+    assert oracle._ending_tables.cache_info().currsize == 0
+    assert oracle.count_subspaces_by_class(ambient, 2) == _closed_tallies(13, 3, 2, lambda_dot_space)
+    assert oracle._ending_tables.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 def test_field_above_the_class_table_price_matches_closed_form(maker):
-    """q = 167 has 167^3 > 2^22 composite entries: the tail alone classifies."""
-    assert 167**2 <= oracle._MAX_TABLE_ENTRIES < 167**3
-    tallies = oracle.count_subspaces_by_class(maker(make_field(167), 3), 2)
-    assert tallies == _closed_tallies(167, 3, 2, maker)
+    """Large prime fields against the closed forms: q = 157, n = 2, k = 2
+    (one subspace) and q = 167, n = 3, k = 2 (167^3 > 2^22)."""
+    for q, n in [(157, 2), (167, 3)]:
+        tallies = oracle.count_subspaces_by_class(maker(make_field(q), n), 2)
+        assert tallies == _closed_tallies(q, n, 2, maker), (q, n)
 
 
 def test_count_lines_frozen():
@@ -370,12 +373,12 @@ def test_counts_below_break_even_run_without_a_pool(monkeypatch):
 
 
 def test_small_isometry_scans_run_without_a_pool(monkeypatch):
-    """q=3 n=4 is priced at 43 M candidate matrices, yet jobs=2 starts no pool:
+    """q=3 n=4 is priced at 43 M candidate matrices, yet it starts no pool:
     the frame count always runs in-process."""
     ambient = dot_space(make_field(3), 4)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     started = _count_pools(monkeypatch)
-    assert oracle.enumerate_orthogonal_group(ambient, budget=10**8, jobs=2) == 1152
+    assert oracle.enumerate_orthogonal_group(ambient, budget=10**8) == 1152
     assert started == []
 
 
