@@ -314,12 +314,29 @@ def test_only_blocks_of_k_at_least_two_build_the_ending_tables():
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
+def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker):
+    """q = 157, n = 2, k = 2 is one subspace: its block ends on the 3 q^2
+    ending table, and no table of 157^3 entries is built for it."""
+    built = []
+    tables = oracle._ending_tables
+
+    def spy(p, e):
+        result = tables(p, e)
+        built.append(sum(t.size for t in result))
+        return result
+
+    monkeypatch.setattr(oracle, "_ending_tables", spy)
+    tallies = oracle.count_subspaces_by_class(maker(make_field(157), 2), 2)
+    assert tallies == _closed_tallies(157, 2, 2, maker)
+    assert built and max(built) < 157**3
+    assert max(built) == 2 * 157 + 3 * 157**2  # inverse, offsets, classes
+
+
+@pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 def test_field_above_the_class_table_price_matches_closed_form(maker):
-    """Large prime fields against the closed forms: q = 157, n = 2, k = 2
-    (one subspace) and q = 167, n = 3, k = 2 (167^3 > 2^22)."""
-    for q, n in [(157, 2), (167, 3)]:
-        tallies = oracle.count_subspaces_by_class(maker(make_field(q), n), 2)
-        assert tallies == _closed_tallies(q, n, 2, maker), (q, n)
+    """q = 167, n = 3, k = 2 against the closed forms (167^3 > 2^22)."""
+    tallies = oracle.count_subspaces_by_class(maker(make_field(167), 3), 2)
+    assert tallies == _closed_tallies(167, 3, 2, maker)
 
 
 def test_count_lines_frozen():
