@@ -10,7 +10,8 @@ The kernel works on field element indices and lookup tables.  The k x n
 matrices of one row layout are the codes whose base-q digits are the free
 entries of their rows, row by row; a row may also hold a pivot 1.  A code
 is l + q^f0 * h, where l holds row 0's f0 free digits and h the digits of
-rows 1..k-1, and a task is a block of h values x l values.  One Gram plan
+rows 1..k-1, and a task is a block of h values x l values, each side
+drawn from a list of codes (below).  One Gram plan
 per row layout reads every Gram entry off l and h: row j's free columns
 are the last ones of every earlier row i, and row i is 0 at row j's pivot,
 so B(r_i, r_j) pairs row j's digits with the top digits of row i's block
@@ -27,6 +28,22 @@ a (D / a + b_{k-1}^2) where a != 0 and D where a = 0.  A block scales its
 h-side coefficients by 1 / a (by 1 where a = 0), which reaches D / a at no
 extra full-size cost, and ends with one gather from a 3 q^2 table of
 square classes (_ending_tables).
+
+A count classifies one code of each sign pair per row.  The ambient form
+is diagonal, so negating the ambient column of row r's pivot is an
+isometry, d * (-x)^2 = d * x^2 (Taylor, The Geometry of the Classical
+Groups, 1992, on the isometries of a diagonal form); every other row is 0 there, so only row r
+changes, and scaling it by -1 gives back an RREF of the same pattern with
+row r's free entries negated.  So a code's class is unchanged when one
+row's digit block v becomes -v (digit by digit, base p), and for odd q,
+v = -v only for v = 0.  Each row lists 0, of weight 1, and one code of
+each pair {v, -v}, of weight 2: the codes whose top nonzero base-p digit
+is in 1..(p - 1) / 2, the ranges [p^u, (p + 1) / 2 * p^u) for u below the
+e * f base-p digits of a row with f free entries, (q^f + 1) / 2 codes with
+0 (_row_codes).  A code's weight is the product of its rows' weights, so
+the weights of a pivot pattern add up to q^(sum of f), and a count
+evaluates about 2^-k of its codes.  The posets need every node, so their
+blocks list every code, each of weight 1, through the same tasks.
 
 Every full-size (h values x l values) array of a count or poset block is
 written into a workspace that each process keeps and reuses across
@@ -59,6 +76,7 @@ reads the field tables but not the kernel (enumerate_orthogonal_group).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -96,11 +114,14 @@ _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 # q = 2039 is the largest prime in.
 # Every q it admits is below 2^16, so the uint16 element indices fit.
 _MAX_TABLE_ENTRIES = 1 << 22
-# A count of fewer subspaces runs in-process whatever ``jobs`` says: below
-# it, starting a pool costs more than the extra workers save.  On 2 cores,
-# best of 3, jobs=2 took 1.4-2x as long up to 2.6e6 subspaces, 0.84-1.4x at
-# 5.3e6 (q = 13, n = 5, k = 2) and 0.53-0.73x from 6.9e6 to 25e6.
-_POOL_MIN_SUBSPACES = 5_000_000
+# A count that evaluates fewer codes runs in-process whatever ``jobs`` says:
+# below it, starting a pool costs more than the extra workers save.  Codes,
+# not subspaces: a count evaluates about 2^-k of its subspaces, and on 2
+# cores, best of 3, jobs=2 broke even near 2.5e6 codes at k = 1, 2 and 3
+# alike (5e6, 8e6 and 2e7 subspaces).  It took 1.3x as long as jobs=1 at
+# 1.2e6 codes (k = 1), 1.6x at 0.49e6 (k = 2) and 1-2.9x at 0.68e6 (k = 3),
+# and 0.55-0.75x from 6e6 codes.
+_POOL_MIN_CODES = 2_500_000
 # Entries of one poset block: a group of upper nodes is gathered against a
 # lower rank's N_s nodes at most this many entries at a time, and vector
 # sets are made a group of nodes of q^k * n + q^n entries at a time.
@@ -438,23 +459,95 @@ def _determinant(gram, k: int, add, mul, neg, inverse, q: int, det, z, temp):
     return det, a, gram[0, k - 1]
 
 
-def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
-    """Blocks of h values x l values covering every code l + q^f0 * h of a row
-    layout in code order, at most _CHUNK codes each.
+def _list_size(q: int, f: int, paired: bool) -> int:
+    """Codes in the list of a row with f free digits: (q^f + 1) / 2 paired, else q^f."""
+    return (q**f + 1) // 2 if paired else q**f
 
-    A block holds whole rows of l values when they fit, so row 0 is split
-    only when q^f0 > _CHUNK, and then a block holds one h value.
+
+def _row_codes(position, p: int, digits: int, paired: bool):
+    """The codes at ``position`` in the list of a row whose block has
+    ``digits`` base-p digits.
+
+    Unpaired, the list is every code, so position j holds code j.  Paired,
+    it is 0 and then the ranges [p^u, (p + 1) / 2 * p^u) for u = 0, 1, ...:
+    the codes whose top nonzero base-p digit is in 1..(p - 1) / 2, one of
+    each pair {v, -v}.  Range u starts at position (p^u + 1) / 2, so
+    position j >= 1 lies in the range u with p^u <= 2j - 1 < p^(u + 1) and
+    holds code j + (p^u - 1) / 2.
+    """
+    if not paired or digits == 0:
+        return position
+    powers = p ** np.arange(digits)
+    shifts = np.concatenate(([0], (powers - 1) // 2))  # shifts[0] for j = 0
+    codes = np.multiply(position, 2)
+    codes -= 1
+    codes = np.searchsorted(powers, codes, side="right")
+    # every index is in 0..digits, so clipping never acts (see _gather)
+    shifts.take(codes, out=codes, mode="clip")
+    codes += position
+    return codes
+
+
+def _side_codes(lo: int, hi: int, p: int, e: int, fs, paired: bool):
+    """(codes, runs) of positions lo..hi-1 of one side of a block.
+
+    A side's list is the product of its rows' lists in mixed radix, the
+    first row least significant; a row with f free digits moves the code by
+    q^f.  A code stands for 2^m codes, m being its rows whose block is not
+    0, when paired, and for itself otherwise.  The codes come back stably
+    sorted by m, so runs holds (weight, start, stop) for each run of one
+    weight; a single row's list, and every unpaired list, is in that order
+    already.
+    """
+    q = p**e
+    position = np.arange(lo, hi)
+    codes = np.zeros_like(position)
+    nonzero = np.zeros(position.size, dtype=np.int8)
+    place = 1
+    for i, f in enumerate(fs):
+        if i < len(fs) - 1:
+            position, digit = np.divmod(position, _list_size(q, f, paired))
+        else:
+            digit = position  # every position of the last row is in its list
+        if paired:
+            nonzero += digit > 0
+        digit = _row_codes(digit, p, e * f, paired)
+        digit *= place
+        codes += digit
+        place *= q**f
+    if paired and len(fs) > 1:
+        order = np.argsort(nonzero, kind="stable")
+        codes, nonzero = codes.take(order), nonzero.take(order)
+    runs, start = [], 0
+    for m in range(len(fs) + 1):
+        size = int(np.count_nonzero(nonzero == m))
+        if size:
+            runs.append((1 << m, start, start + size))
+            start += size
+    return codes, runs
+
+
+def _chunk_tasks(field, diag_idx: tuple, rows: tuple, paired: bool):
+    """Blocks of h positions x l positions covering a row layout, at most
+    _CHUNK codes each.
+
+    Row 0's list is the l side and the product of the lists of rows
+    1..k-1 the h side (_side_codes); with ``paired`` every row lists one
+    code of each pair {v, -v}, else every code, and the blocks then cover
+    the codes l + q^f0 * h in code order.  A block holds all of row 0's
+    list when it fits, so row 0 is split only when its list is longer than
+    _CHUNK, and then a block holds one h position.
     """
     q = field.q
-    size_l = q ** len(rows[0][1])
-    size_h = q ** sum(len(cols) for _, cols in rows[1:])
+    size_l = _list_size(q, len(rows[0][1]), paired)
+    size_h = math.prod(_list_size(q, len(cols), paired) for _, cols in rows[1:])
     if size_l <= _CHUNK:
         step = _CHUNK // size_l
         blocks = [((h, min(h + step, size_h)), (0, size_l)) for h in range(0, size_h, step)]
     else:
         blocks = [((h, h + 1), (l, min(l + _CHUNK, size_l)))
                   for h in range(size_h) for l in range(0, size_l, _CHUNK)]
-    return [(field.p, field.e, diag_idx, rows, hs, ls) for hs, ls in blocks]
+    return [(field.p, field.e, diag_idx, rows, paired, hs, ls) for hs, ls in blocks]
 
 
 @lru_cache(maxsize=1)
@@ -465,17 +558,20 @@ def _workspace(count: int, size: int):
 
 
 def _chunk_classes(task):
-    """Square-class codes of the Gram determinants of one block, shape (h values, l values).
+    """(classes, h runs, l runs) of one block: the square-class codes of its
+    Gram determinants, shape (h positions, l positions), and the weight runs
+    of its h and l codes (_side_codes).
 
-    The result is a new array: none of the workspace buffers escapes.
+    The classes are a new array: none of the workspace buffers escapes.
     """
-    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
+    p, e, diag_idx, rows, paired, (h_lo, h_hi), (l_lo, l_hi) = task
     add, mul, neg, klass = _flat_tables(p, e)
     q = p**e
     k = len(rows)
     plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
-    h = np.arange(h_lo, h_hi)[:, None]
-    l = np.arange(l_lo, l_hi)[None, :]
+    h, h_runs = _side_codes(h_lo, h_hi, p, e, [len(cols) for _, cols in rows[1:]], paired)
+    l, l_runs = _side_codes(l_lo, l_hi, p, e, [len(rows[0][1])], paired)
+    h, l = h[:, None], l[None, :]
     shape = (h_hi - h_lo, l_hi - l_lo)
     size = shape[0] * shape[1]
     # b_1..b_{k-1}, det, z and a temporary.  Sized by _CHUNK, not by the
@@ -487,7 +583,7 @@ def _chunk_classes(task):
     if k == 1:
         # take copies a read-only index array such as a broadcast view, so
         # the codes of g00 alone are broadcast after the gather
-        return np.broadcast_to(klass.take(gram[0, 0]), shape)
+        return np.broadcast_to(klass.take(gram[0, 0]), shape), h_runs, l_runs
     inverse, offsets, classes = _ending_tables(p, e)
     x, a, b = _determinant(gram, k, add, mul, neg, inverse, q, det, z, temp)
     # the index (s * q + x) * q + b, formed in place; s * q^2 is h-side
@@ -495,20 +591,27 @@ def _chunk_classes(task):
     np.add(x, b, out=x)
     if np.ndim(a):
         np.add(x, offsets.take(a), out=x)
-        return classes.take(x)
-    return classes[offsets[a]:offsets[a] + q * q].take(x)
+        return classes.take(x), h_runs, l_runs
+    return classes[offsets[a]:offsets[a] + q * q].take(x), h_runs, l_runs
 
 
 def _chunk_tallies(task):
-    """(square, non-square, zero) tallies for one block.
+    """Weighted (square, non-square, zero) tallies for one block.
 
-    Counted class by class: bincount would cast the int8 codes to a new
-    full-size intp array.
+    Each sub-block of one h weight run and one l weight run is counted
+    class by class: bincount would cast the int8 codes to a new full-size
+    intp array, and a weighted sum along a short l axis is slow in numpy.
     """
-    classes = _chunk_classes(task)
-    square = int(np.count_nonzero(classes == _CLASS_CODES[SquareClass.SQUARE]))
-    non_square = int(np.count_nonzero(classes == _CLASS_CODES[SquareClass.NON_SQUARE]))
-    return square, non_square, classes.size - square - non_square
+    classes, h_runs, l_runs = _chunk_classes(task)
+    runs = [(wh * wl, slice(h0, h1), slice(l0, l1))
+            for wh, h0, h1 in h_runs for wl, l0, l1 in l_runs]
+    tallies = []
+    for klass in (SquareClass.SQUARE, SquareClass.NON_SQUARE):
+        hits = classes == _CLASS_CODES[klass]
+        tallies.append(sum(w * int(np.count_nonzero(hits[hs, ls])) for w, hs, ls in runs))
+    square, non_square = tallies
+    total = sum(w * (hs.stop - hs.start) * (ls.stop - ls.start) for w, hs, ls in runs)
+    return square, non_square, total - square - non_square
 
 
 def _run_tasks(worker, tasks, jobs: int):
@@ -537,7 +640,12 @@ def _subspace_total(ambient: AmbientForm, k: int, budget: int) -> int:
 def count_subspaces_by_class(
     ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ):
-    """Exhaustive classification tally of all k-subspaces."""
+    """Exhaustive classification tally of all k-subspaces.
+
+    Each row of an RREF code lists one code of each sign pair {v, -v},
+    weighted (see the module docstring), so a count evaluates about 2^-k
+    of its codes; the weights still add up to every code.
+    """
     field = ambient.field
     n = ambient.n
     total = _subspace_total(ambient, k, budget)
@@ -549,14 +657,15 @@ def count_subspaces_by_class(
             SubspaceClass.DEGENERATE: 0,
         }
     _price_tables(field.q)
-    if total < _POOL_MIN_SUBSPACES:
-        jobs = 1
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
     tasks = [
         task
         for pattern in itertools.combinations(range(n), k)
-        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
+        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), paired=True)
     ]
+    codes = sum((h_hi - h_lo) * (l_hi - l_lo) for *_, (h_lo, h_hi), (l_lo, l_hi) in tasks)
+    if codes < _POOL_MIN_CODES:
+        jobs = 1
     square = non_square = zero = 0
     for s, ns, z in _run_tasks(_chunk_tallies, tasks, jobs):
         square += s
@@ -737,10 +846,10 @@ def build_poset(
         rank = []
         for pattern in itertools.combinations(range(n), k):
             slots = _free_positions(pattern, n)
-            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
-            # the blocks cover codes 0, 1, ... in order, and code h * q^f0 + l
-            # is the flat index of (h, l) within them
-            classes = np.concatenate([_chunk_classes(t).ravel() for t in tasks])
+            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), paired=False)
+            # every code, in order: code h * q^f0 + l is the flat index of
+            # (h, l) within the blocks
+            classes = np.concatenate([_chunk_classes(t)[0].ravel() for t in tasks])
             codes = np.flatnonzero(classes == wanted)
             # slot s is code digit s, but itertools.product, and so
             # enumerate_subspaces, makes slot 0 the most significant

@@ -73,17 +73,21 @@ def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 @pytest.mark.parametrize("q,n,ks,chunk", [
-    (3, 5, range(1, 5), 2),  # q^f0 = 3^(5-k) > 2 on the largest pivot pattern of every k
-    (3, 6, [5], 2),  # k = 5: a 4 x 4 Gram block C beside row 0's 3 values
-    (5, 4, range(1, 4), 4),
-    (9, 3, range(1, 3), 8),
+    # row 0 lists (q^f0 + 1) / 2 codes, f0 = n - k on the largest pivot pattern
+    (3, 5, range(1, 4), 2),
+    (3, 6, [1], 2),
+    (5, 4, range(1, 3), 4),
+    (9, 3, [1], 8),
+    (3, 5, [4], 1),
+    (3, 6, [5], 1),  # k = 5: a 4 x 4 Gram block C beside row 0's 2 codes
+    (9, 3, [2], 4),
 ])
 def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk, maker):
-    """Blocks of one h value and part of row 0's l values, at k up to 5."""
+    """Blocks of one h position and part of row 0's list, at k up to 5."""
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     ambient = maker(make_field(*closed.odd_prime_power(q)), n)
     for k in ks:
-        assert chunk < q ** (n - k)
+        assert chunk < oracle._list_size(q, n - k, paired=True)  # row 0's list is split
         slow = Counter(classify(sub) for sub in oracle.enumerate_subspaces(ambient, k))
         fast = oracle.count_subspaces_by_class(ambient, k)
         assert fast == {klass: slow.get(klass, 0) for klass in SubspaceClass}, (q, n, k)
@@ -111,7 +115,7 @@ def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch):
         ambient = maker(space[q], n)
         assert oracle.count_subspaces_by_class(ambient, k) == _slow_tallies(ambient, k), (
             chunk, q, n, k)
-    monkeypatch.setattr(oracle, "_POOL_MIN_SUBSPACES", 0)
+    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", 0)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     started = _count_pools(monkeypatch)
     ambient = dot_space(space[5], 4)
@@ -127,9 +131,10 @@ def _largest_block(q, n, k, maker):
     tasks = [
         task
         for pattern in itertools.combinations(range(n), k)
-        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n))
+        for task in oracle._chunk_tasks(
+            field, diag_idx, oracle._pattern_rows(pattern, n), paired=True)
     ]
-    return max(tasks, key=lambda t: (t[4][1] - t[4][0]) * (t[5][1] - t[5][0]))
+    return max(tasks, key=lambda t: (t[-2][1] - t[-2][0]) * (t[-1][1] - t[-1][0]))
 
 
 @pytest.mark.parametrize("q,n,k,maker", [
@@ -145,18 +150,105 @@ def test_warm_block_allocates_under_two_full_size_arrays(q, n, k, maker):
     arrays on these blocks; the workspace leaves about one at most.
     """
     task = _largest_block(q, n, k, maker)
-    (h_lo, h_hi), (l_lo, l_hi) = task[4:]
+    (h_lo, h_hi), (l_lo, l_hi) = task[-2:]
     full_size = (h_hi - h_lo) * (l_hi - l_lo) * np.dtype(np.intp).itemsize
+    # the same h positions beside one l position: the h-side arrays alone,
+    # such as the memoised minors of C, which hold (k - 1)^2 or more h values
+    thin = task[:-1] + ((l_lo, l_lo + 1),)
+    assert _warm_peak(task) - _warm_peak(thin) < 2 * full_size, full_size
+
+
+def _warm_peak(task):
     for _ in range(2):
         oracle._chunk_tallies(task)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         oracle._chunk_tallies(task)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 2 * full_size, (peak, full_size)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
+@pytest.mark.parametrize("f", [0, 1, 2, 3])
+def test_paired_row_list_holds_one_code_of_each_sign_pair(q, f):
+    """A row's paired list and its digit-wise negations, through the field's
+    neg table, cover every code of f digits, each nonzero code once, and the
+    weights add up to q^f."""
+    p, e = closed.odd_prime_power(q)
+    neg = oracle._field_tables(p, e)[2].astype(np.int64)
+    size = oracle._list_size(q, f, paired=True)
+    codes, runs = oracle._side_codes(0, size, p, e, [f], paired=True)
+    powers = q ** np.arange(f)
+    negated = (neg[codes[:, None] // powers % q] * powers).sum(axis=1)
+    nonzero = codes[codes > 0]
+    assert np.array_equal(np.sort(np.concatenate([nonzero, negated[codes > 0]])),
+                          np.arange(1, q**f))
+    assert size == len(codes) and np.count_nonzero(codes == 0) == 1
+    assert sum(w * (stop - start) for w, start, stop in runs) == q**f
+
+
+def _every_code_tallies(ambient, k):
+    """Tallies of the class arrays of every code, weight 1 each, as build_poset reads them."""
+    field, n = ambient.field, ambient.n
+    diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
+    counts = np.zeros(3, dtype=np.int64)
+    for pattern in itertools.combinations(range(n), k):
+        rows = oracle._pattern_rows(pattern, n)
+        for task in oracle._chunk_tasks(field, diag_idx, rows, paired=False):
+            classes, h_runs, l_runs = oracle._chunk_classes(task)
+            assert [w for w, _, _ in h_runs + l_runs] == [1, 1]
+            counts += np.bincount(classes.ravel(), minlength=3)
+    square, non_square, zero = (oracle._CLASS_CODES[c] for c in (
+        SquareClass.SQUARE, SquareClass.NON_SQUARE, SquareClass.ZERO))
+    return {SubspaceClass.DOT_TYPE: int(counts[square]),
+            SubspaceClass.LAMBDA_DOT_TYPE: int(counts[non_square]),
+            SubspaceClass.DEGENERATE: int(counts[zero])}
+
+
+EVERY_CODE_CELLS = [
+    (q, n, k, maker)
+    for q in (3, 5, 7, 9, 25, 27)
+    for n in range(1, 6)
+    for k in range(1, n + 1)
+    for maker in (dot_space, lambda_dot_space)
+    if closed.gaussian_binom(q, n, k) <= 20_000
+]
+
+
+@pytest.mark.parametrize("chunk,limit", [(None, 20_000), (7, 2_000)])
+def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit):
+    """One code of each sign pair per row, weighted, tallies what every code
+    tallies; at _CHUNK 7 blocks split inside a range and l blocks start above 0."""
+    if chunk:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for q, n, k, maker in EVERY_CODE_CELLS:
+        if closed.gaussian_binom(q, n, k) > limit:
+            continue
+        ambient = maker(make_field(*closed.odd_prime_power(q)), n)
+        assert oracle.count_subspaces_by_class(ambient, k) == _every_code_tallies(ambient, k), (
+            q, n, k, maker)
+
+
+def test_paired_count_allocates_only_block_sized_arrays():
+    """q=3 k=1: row 0 lists (3^(n-1) + 1) / 2 codes, 8 blocks at n = 13 and
+    24 at n = 14, yet both counts peak at the same few block-sized arrays
+    (the k = 1 kernel's own took 8 before the lists were paired): no list
+    is built whole."""
+    block = oracle._CHUNK * np.dtype(np.intp).itemsize
+    oracle.count_subspaces_by_class(dot_space(make_field(3), 2), 1)  # warm the workspace
+    for n in (13, 14):
+        ambient = dot_space(make_field(3), n)
+        tracemalloc.start()
+        try:
+            tallies = oracle.count_subspaces_by_class(ambient, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(tallies.values()) == closed.gaussian_binom(3, n, 1)
+        assert peak < 12 * block, (n, peak / block)
+    assert oracle._list_size(3, 13, paired=True) > 24 * oracle._CHUNK
 
 
 @pytest.mark.parametrize("name", ["add", "mul", "neg"])
@@ -371,7 +463,7 @@ def test_jobs_do_not_change_tallies(monkeypatch):
     field = make_field(7)
     ambient = lambda_dot_space(field, 3)
     serial = [oracle.count_subspaces_by_class(ambient, k, jobs=1) for k in range(4)]
-    monkeypatch.setattr(oracle, "_POOL_MIN_SUBSPACES", 0)
+    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", 0)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     started = _count_pools(monkeypatch)
     for k in range(4):
@@ -380,13 +472,26 @@ def test_jobs_do_not_change_tallies(monkeypatch):
 
 
 def test_counts_below_break_even_run_without_a_pool(monkeypatch):
-    ambient = lambda_dot_space(make_field(7), 4)
-    assert closed.gaussian_binom(7, 4, 2) < oracle._POOL_MIN_SUBSPACES
-    serial = oracle.count_subspaces_by_class(ambient, 2)
+    """The pool is priced by the codes a count evaluates, one of each sign
+    pair per row: q=13 n=5 k=3 has 5.3 M subspaces but evaluates 0.68 M."""
+    q, n, k = 13, 5, 3
+    ambient = lambda_dot_space(make_field(q), n)
+    codes = sum(
+        math.prod(oracle._list_size(q, len(cols), paired=True) for _, cols in rows)
+        for rows in map(oracle._pattern_rows, itertools.combinations(range(n), k),
+                        itertools.repeat(n))
+    )
+    assert codes < oracle._POOL_MIN_CODES < closed.gaussian_binom(q, n, k)
+    serial = oracle.count_subspaces_by_class(ambient, k)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     started = _count_pools(monkeypatch)
-    assert oracle.count_subspaces_by_class(ambient, 2, jobs=2) == serial
+    assert oracle.count_subspaces_by_class(ambient, k, jobs=2) == serial
+    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", codes + 1)
+    assert oracle.count_subspaces_by_class(ambient, k, jobs=2) == serial
     assert started == []
+    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", codes)
+    assert oracle.count_subspaces_by_class(ambient, k, jobs=2) == serial
+    assert started == [2]
 
 
 def test_small_isometry_scans_run_without_a_pool(monkeypatch):
@@ -424,7 +529,7 @@ def test_jobs_beyond_cpu_count_run_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(oracle, "_POOL_MIN_SUBSPACES", 0)
+    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", 0)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
     for k in range(4):

@@ -141,6 +141,28 @@ def test_oracle_group_orders_satisfy_the_quotient_identity(cell):
     )
 
 
+# q = p^e below 140, so that every n >= 2 has q^2 < 20000 vectors
+small_prime_powers = st.builds(pow, st.sampled_from(ODD_PRIMES[:33]), st.integers(1, 3)).filter(
+    lambda q: q < 140)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(q=small_prime_powers, n=st.integers(2, 4), lam=st.booleans())
+@example(q=27, n=3, lam=True)
+def test_weighted_tallies_equal_the_posets_every_code_ranks(q, n, lam):
+    """Counts classify one code of each sign pair per row, weighted; the
+    posets classify every code (weight 1).  Rank k of the Euclidean and the
+    Lorentzian poset holds the dot-type and the lambda-dot-type k-subspaces."""
+    while q**n > 20_000:
+        n -= 1
+    ambient = (lambda_dot_space if lam else dot_space)(_fields(q), n)
+    euclid, lorentz = (oracle.build_poset(ambient, kind, budget=10**7).rank_sizes()
+                       for kind in oracle.PosetKind)
+    for k in range(1, n):
+        tallies = oracle.count_subspaces_by_class(ambient, k)
+        assert (tallies[DOT], tallies[LAMBDA]) == (euclid[k], lorentz[k]), k
+
+
 # the commands that enumerate draw small inputs only, so each finishes at once
 ENUMERATING = {"oracle count", "oracle poset", "flags", "verify"}
 
