@@ -32,18 +32,19 @@ square classes (_ending_tables).
 A count classifies one code of each sign pair per row.  The ambient form
 is diagonal, so negating the ambient column of row r's pivot is an
 isometry, d * (-x)^2 = d * x^2 (Taylor, The Geometry of the Classical
-Groups, 1992, on the isometries of a diagonal form); every other row is 0 there, so only row r
-changes, and scaling it by -1 gives back an RREF of the same pattern with
-row r's free entries negated.  So a code's class is unchanged when one
-row's digit block v becomes -v (digit by digit, base p), and for odd q,
-v = -v only for v = 0.  Each row lists 0, of weight 1, and one code of
-each pair {v, -v}, of weight 2: the codes whose top nonzero base-p digit
-is in 1..(p - 1) / 2, the ranges [p^u, (p + 1) / 2 * p^u) for u below the
-e * f base-p digits of a row with f free entries, (q^f + 1) / 2 codes with
-0 (_row_codes).  A code's weight is the product of its rows' weights, so
-the weights of a pivot pattern add up to q^(sum of f), and a count
-evaluates about 2^-k of its codes.  The posets need every node, so their
-blocks list every code, each of weight 1, through the same tasks.
+Groups, 1992, on the isometries of a diagonal form); every other row is
+0 there, so only row r changes, and scaling it by -1 gives back an RREF
+of the same pattern with row r's free entries negated.  So a code's
+class is unchanged when one row's digit block v becomes -v (digit by
+digit, base p), and for odd q, v = -v only for v = 0.  Each row lists 0,
+of weight 1, and one code of each pair {v, -v}, of weight 2: the codes
+whose top nonzero base-p digit is in 1..(p - 1) / 2, which are the
+ranges [p^u, (p + 1) / 2 * p^u) for u below the e * f base-p digits of
+a row with f free entries, (q^f + 1) / 2 codes with 0 (_row_codes).  A
+code's weight is the product of its rows' weights, so the weights of a
+pivot pattern add up to q^(sum of f), and a count evaluates about 2^-k
+of its codes.  The posets need every node, so their blocks list every
+code, each of weight 1, through the same tasks.
 
 Every full-size (h values x l values) array of a count or poset block is
 written into a workspace that each process keeps and reuses across
@@ -116,11 +117,10 @@ _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 _MAX_TABLE_ENTRIES = 1 << 22
 # A count that evaluates fewer codes runs in-process whatever ``jobs`` says:
 # below it, starting a pool costs more than the extra workers save.  Codes,
-# not subspaces: a count evaluates about 2^-k of its subspaces, and on 2
-# cores, best of 3, jobs=2 broke even near 2.5e6 codes at k = 1, 2 and 3
-# alike (5e6, 8e6 and 2e7 subspaces).  It took 1.3x as long as jobs=1 at
-# 1.2e6 codes (k = 1), 1.6x at 0.49e6 (k = 2) and 1-2.9x at 0.68e6 (k = 3),
-# and 0.55-0.75x from 6e6 codes.
+# not subspaces: a count evaluates about 2^-k of its subspaces.  On 2 cores,
+# best of 3, jobs=2 took 1.1-2.8x as long as jobs=1 up to 2.0e6 codes at
+# k = 1, 2 and 3, and 0.5-1.1x from 2.6e6 codes; in subspaces the
+# break-even was near 5e6 at k = 1 but 13e6 at k = 2.
 _POOL_MIN_CODES = 2_500_000
 # Entries of one poset block: a group of upper nodes is gathered against a
 # lower rank's N_s nodes at most this many entries at a time, and vector
