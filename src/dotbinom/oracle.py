@@ -118,9 +118,11 @@ _MAX_TABLE_ENTRIES = 1 << 22
 # A count that evaluates fewer codes runs in-process whatever ``jobs`` says:
 # below it, starting a pool costs more than the extra workers save.  Codes,
 # not subspaces: a count evaluates about 2^-k of its subspaces.  On 2 cores,
-# best of 3, jobs=2 took 1.1-2.8x as long as jobs=1 up to 2.0e6 codes at
-# k = 1, 2 and 3, and 0.5-1.1x from 2.6e6 codes; in subspaces the
-# break-even was near 5e6 at k = 1 but 13e6 at k = 2.
+# best of 3, jobs=2 took 1.1-2.8x as long as jobs=1 up to 2.0e6 codes and
+# 0.5-1.0x from 3.2e6 codes at each of k = 1, 2 and 3.  Between them, k = 1
+# read 0.52x at 2.61e6 codes and 1.13x at 2.69e6, and k = 3 has no count
+# cell from 0.68e6 to 3.2e6 codes, so there it is only bracketed.  In
+# subspaces the break-even was near 5e6 at k = 1 but 13e6 at k = 2.
 _POOL_MIN_CODES = 2_500_000
 # Entries of one poset block: a group of upper nodes is gathered against a
 # lower rank's N_s nodes at most this many entries at a time, and vector
@@ -393,7 +395,8 @@ def _gram_entries(plan, l, h, add, q: int, out, temp):
 class _Minors(dict):
     """det G[rows, cols] of a Gram dict, made on first lookup by cofactor
     expansion along rows[0] that skips constant 0 entries; each minor is
-    made once.  1 is the field index of 1, the empty determinant.
+    made once.  1 is the field index of 1, the empty determinant, and a
+    1 x 1 minor is its Gram entry itself, not a copy kept in the dict.
 
     A recursive closure would refer to itself, a reference cycle that keeps
     every block's arrays alive until the garbage collector runs.
@@ -405,6 +408,8 @@ class _Minors(dict):
 
     def __missing__(self, key):
         rows, cols = key
+        if len(rows) == 1:
+            return self.gram[rows[0], cols[0]]
         acc = None
         for idx, c in enumerate(cols):
             entry = self.gram[rows[0], c]
@@ -464,18 +469,17 @@ def _list_size(q: int, f: int, paired: bool) -> int:
     return (q**f + 1) // 2 if paired else q**f
 
 
-def _row_codes(position, p: int, digits: int, paired: bool):
-    """The codes at ``position`` in the list of a row whose block has
+def _row_codes(position, p: int, digits: int):
+    """The codes at ``position`` in the paired list of a row whose block has
     ``digits`` base-p digits.
 
-    Unpaired, the list is every code, so position j holds code j.  Paired,
-    it is 0 and then the ranges [p^u, (p + 1) / 2 * p^u) for u = 0, 1, ...:
-    the codes whose top nonzero base-p digit is in 1..(p - 1) / 2, one of
-    each pair {v, -v}.  Range u starts at position (p^u + 1) / 2, so
-    position j >= 1 lies in the range u with p^u <= 2j - 1 < p^(u + 1) and
-    holds code j + (p^u - 1) / 2.
+    The list is 0 and then the ranges [p^u, (p + 1) / 2 * p^u) for
+    u = 0, 1, ...: the codes whose top nonzero base-p digit is in
+    1..(p - 1) / 2, one of each pair {v, -v}.  Range u starts at position
+    (p^u + 1) / 2, so position j >= 1 lies in the range u with
+    p^u <= 2j - 1 < p^(u + 1) and holds code j + (p^u - 1) / 2.
     """
-    if not paired or digits == 0:
+    if digits == 0:
         return position
     powers = p ** np.arange(digits)
     shifts = np.concatenate(([0], (powers - 1) // 2))  # shifts[0] for j = 0
@@ -491,14 +495,16 @@ def _row_codes(position, p: int, digits: int, paired: bool):
 def _side_codes(lo: int, hi: int, p: int, e: int, fs, paired: bool):
     """(codes, runs) of positions lo..hi-1 of one side of a block.
 
-    A side's list is the product of its rows' lists in mixed radix, the
-    first row least significant; a row with f free digits moves the code by
-    q^f.  A code stands for 2^m codes, m being its rows whose block is not
-    0, when paired, and for itself otherwise.  The codes come back stably
-    sorted by m, so runs holds (weight, start, stop) for each run of one
-    weight; a single row's list, and every unpaired list, is in that order
-    already.
+    Unpaired, a side lists every code, so position j holds code j, of
+    weight 1.  Paired, its list is the product of its rows' paired lists
+    in mixed radix, the first row least significant; a row with f free
+    digits moves the code by q^f, and a code stands for 2^m codes, m being
+    its rows whose block is not 0.  The codes come back stably sorted by
+    m, so runs holds (weight, start, stop) for each run of one weight; a
+    single row's list is in that order already.
     """
+    if not paired:
+        return np.arange(lo, hi), [(1, 0, hi - lo)]
     q = p**e
     position = np.arange(lo, hi)
     codes = np.zeros_like(position)
@@ -506,16 +512,15 @@ def _side_codes(lo: int, hi: int, p: int, e: int, fs, paired: bool):
     place = 1
     for i, f in enumerate(fs):
         if i < len(fs) - 1:
-            position, digit = np.divmod(position, _list_size(q, f, paired))
+            position, digit = np.divmod(position, _list_size(q, f, True))
         else:
             digit = position  # every position of the last row is in its list
-        if paired:
-            nonzero += digit > 0
-        digit = _row_codes(digit, p, e * f, paired)
+        nonzero += digit > 0
+        digit = _row_codes(digit, p, e * f)
         digit *= place
         codes += digit
         place *= q**f
-    if paired and len(fs) > 1:
+    if len(fs) > 1:
         order = np.argsort(nonzero, kind="stable")
         codes, nonzero = codes.take(order), nonzero.take(order)
     runs, start = [], 0
