@@ -147,7 +147,8 @@ def test_warm_block_allocates_under_two_full_size_arrays(q, n, k, maker):
     """A warm block writes its full-size intermediates into the workspace.
 
     A kernel that allocated each of them peaked at 6 to 9 full-size intp
-    arrays on these blocks; the workspace leaves about one at most.
+    arrays on these blocks; the workspace leaves under two, most of them
+    h-side arrays, such as the minors of C, where the l side is short.
     """
     task = _largest_block(q, n, k, maker)
     (h_lo, h_hi), (l_lo, l_hi) = task[-2:]
