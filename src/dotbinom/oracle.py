@@ -53,10 +53,11 @@ bordered expansion and one temporary, sized by _CHUNK so that short blocks
 and every row layout share them.  A field op there is x * q + y formed in
 place and a gather with take(out=, mode='clip'); only the h-side and
 l-side arrays, and the class codes a block returns, are new.  Clipping
-never acts: every add, mul, neg, digit-group and diagonal table is checked
-once, where it is built, to hold field indices in [0, q), so every index
-x * q + y and every digit-group index is in range by construction.  The
-final class gather allocates its int8 codes and keeps take's bounds check.
+never acts: add, mul and neg are checked once, in _field_tables, and each
+digit-group, diagonal and inverse table where it is built, to hold field
+indices in [0, q), so every index x * q + y and every digit-group index is
+in range by construction.  The final class gather allocates its int8 codes
+and keeps take's bounds check.
 
 The inclusion posets are stored a rank at a time.  Each rank holds its
 nodes' basis rows as vector codes and their vector sets as one packed bit
@@ -108,21 +109,20 @@ from .symsets import count_symmetric_ksets  # noqa: F401  re-exported; verify ca
 _CHUNK = 1 << 15
 _GROUP_CAP = 1 << 16  # entries of one digit-group Gram table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
-# q^2 entries of each q x q table.  A count on the lambda-dot ambient at
-# q = 1009 and at q = 2003 peaked 35-37 bytes per entry above its start (the
-# uint16 tables, their intp copies, two one-digit group tables and the
-# 3 q^2 int8 ending table), so the limit keeps the tables near 150 MB:
-# q = 2039 is the largest prime in.
-# Every q it admits is below 2^16, so the uint16 element indices fit.
+# q^2 entries of each q x q table.  `oracle count --n 2` on the lambda-dot
+# ambient peaked 42 bytes per entry above its import at q = 1009 and 2003
+# (intp add and mul, two one-digit intp group tables and their temporaries,
+# the 3 q^2 int8 ending table): q = 2039, the largest prime in, near 175 MB.
 _MAX_TABLE_ENTRIES = 1 << 22
 # A count that evaluates fewer codes runs in-process whatever ``jobs`` says:
 # below it, starting a pool costs more than the extra workers save.  Codes,
 # not subspaces: a count evaluates about 2^-k of its subspaces.  On 2 cores,
-# best of 3, jobs=2 took 1.1-2.8x as long as jobs=1 up to 2.0e6 codes and
-# 0.5-1.0x from 3.2e6 codes at each of k = 1, 2 and 3.  Between them, k = 1
-# read 0.52x at 2.61e6 codes and 1.13x at 2.69e6, and k = 3 has no count
-# cell from 0.68e6 to 3.2e6 codes, so there it is only bracketed.  In
-# subspaces the break-even was near 5e6 at k = 1 but 13e6 at k = 2.
+# best of 3, jobs=2 took 1.1-2.8x as long as jobs=1 up to 2.0e6 codes at
+# k = 1, 2 and 3, and 0.5-1.0x from 3.2e6 codes at k = 2 and 3.  At k = 1,
+# best of 5 alternating, it took 0.57-0.70x at 2.62e6 and 2.69e6 codes and
+# 0.57-1.03x at 3.59e6 (q = 3, n = 15, whose median read up to 1.17x).  k = 3
+# has no count cell from 0.68e6 to 3.2e6 codes, so there it is only
+# bracketed.  In subspaces the k = 2 break-even was near 13e6.
 _POOL_MIN_CODES = 2_500_000
 # Entries of one poset block: a group of upper nodes is gathered against a
 # lower rank's N_s nodes at most this many entries at a time, and vector
@@ -147,9 +147,8 @@ def _price_tables(q: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _field_tables(p: int, e: int):
-    """Index-level (add, mul, neg, square-class) lookup tables, cached per process.
+def _arithmetic_tables(field):
+    """Index-level (add, mul, neg) lookup tables of ``field`` as intp, not yet checked.
 
     Element index i has base-p digits i_t = (i // p^t) % p, the polynomial
     coefficients of the element, constant term first.  Addition is digit by
@@ -160,22 +159,18 @@ def _field_tables(p: int, e: int):
     every intermediate there is below 2 e p^2 in magnitude, far below 2^31
     for any q that _price_tables admits.
     """
-    q = p**e
-    _price_tables(q)
-    field = make_field(p, e)
-    dtype = np.uint8 if q <= 0xFF else np.uint16
+    p, e, q = field.p, field.e, field.q
     index = np.arange(q, dtype=np.int32)
     weights = [p**t for t in range(e)]
     digits = [index // w % p for w in weights]  # digits[t][i]
-    neg = sum((-d) % p * w for d, w in zip(digits, weights)).astype(dtype)
+    neg = sum((-d) % p * w for d, w in zip(digits, weights)).astype(np.intp)
     # row i of Z/p's add table is 0..p-1 rotated left by i, a strided view
     digit_add = np.lib.stride_tricks.sliding_window_view(
-        np.tile(np.arange(p, dtype=dtype), 2), p)[:p]
+        np.tile(np.arange(p, dtype=np.intp), 2), p)[:p]
     add = digit_add.copy()
     for w in weights[1:]:
-        # every entry is below q, so the dtype holds it
         add = (digit_add[:, None, :, None] * w + add[None, :, None, :]).reshape(p * w, p * w)
-    mul = np.empty((q, q), dtype=dtype)
+    mul = np.empty((q, q), dtype=np.intp)
     modulus = field.modulus
     rows = max(1, _TABLE_BLOCK // q)
     for lo in range(0, q, rows):
@@ -190,14 +185,24 @@ def _field_tables(p: int, e: int):
             for t in range(e):
                 prod[s - e + t] = prod[s - e + t] - c * modulus[t]
         mul[lo:lo + rows] = sum(prod[t] % p * weights[t] for t in range(e))
-    # Euler's criterion by square-and-multiply on the mul table
-    power = np.ones(q, dtype=np.int64)
-    base = index.copy()
+    return add, mul, neg
+
+
+@lru_cache(maxsize=None)
+def _field_tables(p: int, e: int):
+    """(add, mul, neg, square-class) tables, cached per process: the one
+    checked set (_field_indices) that every layer of the oracle reads.  The
+    square classes are Euler's criterion by square-and-multiply on mul."""
+    q = p**e
+    _price_tables(q)
+    add, mul, neg = (_field_indices(t, q) for t in _arithmetic_tables(make_field(p, e)))
+    power = np.ones(q, dtype=np.intp)
+    base = np.arange(q)
     exponent = (q - 1) // 2
     while exponent:
         if exponent & 1:
-            power = mul[power, base].astype(np.int64)
-        base = mul[base, base].astype(np.int64)
+            power = mul[power, base]
+        base = mul[base, base]
         exponent >>= 1
     minus_one = p - 1  # the index of -1 = (p - 1, 0, ..., 0)
     klass = np.zeros(q, dtype=np.int8)
@@ -215,8 +220,8 @@ def _field_indices(table, q: int):
     The kernel gathers with mode='clip', which clamps an index out of range
     where mode='raise' would refuse it.  Its indices x * q + y and digit
     groups are in range only because every table it gathers from holds
-    field indices, so that is checked here, once per table built, by a
-    check that python -O keeps.
+    field indices, so that is checked here, once per table built (add, mul
+    and neg in _field_tables), by a check that python -O keeps.
     """
     if table.size and not (0 <= table.min() and table.max() < q):
         raise IdentityViolated("field-index-range", q, int(table.min()), int(table.max()))
@@ -241,16 +246,6 @@ def _group_width(q: int) -> int:
     while q ** (2 * w + 2) <= _GROUP_CAP:
         w += 1
     return w
-
-
-@lru_cache(maxsize=None)
-def _flat_tables(p: int, e: int):
-    """The field tables as flat intp arrays: a op b is table[a * q + b]."""
-    add, mul, neg, klass = _field_tables(p, e)
-    q = p**e
-    return (_field_indices(add.ravel().astype(np.intp), q),
-            _field_indices(mul.ravel().astype(np.intp), q),
-            _field_indices(neg.astype(np.intp), q), klass)
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +289,7 @@ def _group_table(p: int, e: int, diag: tuple):
         if d != 1:
             prod = mul[d, prod]
         table = add[table, prod]
-    return _field_indices(table.ravel().astype(np.intp), q)
+    return _field_indices(table.ravel(), q)
 
 
 @lru_cache(maxsize=64)
@@ -336,7 +331,7 @@ def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
         pivot = diag_idx[pc]  # B(r_j, r_j) = d_pivot + the free terms
         if diagonal:
             _, power, w, table = diagonal[0]
-            diagonal[0] = (None, power, w, _field_indices(add[pivot, table].astype(np.intp), q))
+            diagonal[0] = (None, power, w, _field_indices(add[pivot, table], q))
         plan[j, j] = diagonal or pivot
     return plan
 
@@ -570,7 +565,7 @@ def _chunk_classes(task):
     The classes are a new array: none of the workspace buffers escapes.
     """
     p, e, diag_idx, rows, paired, (h_lo, h_hi), (l_lo, l_hi) = task
-    add, mul, neg, klass = _flat_tables(p, e)
+    add, mul, neg, klass = _field_tables(p, e)
     q = p**e
     k = len(rows)
     plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
@@ -777,7 +772,7 @@ def _vector_sets(field, n: int, basis):
     step = max(1, _INCIDENCE_ENTRIES // (q**k * n + q**n))
     for first in range(0, size, step):
         rows = basis[first:first + step]
-        vecs = np.zeros((len(rows), 1, n), dtype=add.dtype)
+        vecs = np.zeros((len(rows), 1, n), dtype=np.intp)
         for i in range(k):
             # multiples[g, s, t] = s * row_i[t]; add each to every vector so far
             multiples = mul[:, rows[:, i]].transpose(1, 0, 2)
@@ -961,7 +956,7 @@ def enumerate_orthogonal_group(ambient: AmbientForm, budget: int = DEFAULT_BUDGE
         )
     add, mul, _, _ = _field_tables(field.p, field.e)
     diag = [field.index(d) for d in ambient.gram_diag]
-    vectors = np.indices((q,) * n, dtype=add.dtype).reshape(n, -1).T  # every vector, a row each
+    vectors = np.indices((q,) * n).reshape(n, -1).T  # every vector, a row each
 
     def form(x, y):
         """B(x, y) = sum_t d_t x_t y_t, broadcast over the leading axes of x and y."""
@@ -1063,6 +1058,10 @@ def full_count_report(
 ) -> CountReport:
     """Tallies for every dimension plus poset summaries when in budget."""
     started = perf_counter()
+    for k in range(ambient.n + 1):  # refuse as the counts would, before any runs
+        _subspace_total(ambient, k, budget)
+        if k:
+            _price_tables(ambient.field.q)
     tallies = []
     for k in range(ambient.n + 1):
         by_class = count_subspaces_by_class(ambient, k, budget=budget, jobs=jobs)

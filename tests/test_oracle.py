@@ -176,7 +176,7 @@ def test_paired_row_list_holds_one_code_of_each_sign_pair(q, f):
     neg table, cover every code of f digits, each nonzero code once, and the
     weights add up to q^f."""
     p, e = closed.odd_prime_power(q)
-    neg = oracle._field_tables(p, e)[2].astype(np.int64)
+    neg = oracle._field_tables(p, e)[2]
     size = oracle._list_size(q, f, paired=True)
     codes, runs = oracle._side_codes(0, size, p, e, [f], paired=True)
     powers = q ** np.arange(f)
@@ -254,16 +254,20 @@ def test_paired_count_allocates_only_block_sized_arrays():
 def test_field_table_entry_beyond_q_is_refused(monkeypatch, name):
     """The kernel's gathers clip, so a table entry >= q is refused where the
     table is built instead of being clamped into a wrong class."""
-    tables = dict(zip(("add", "mul", "neg", "klass"), oracle._field_tables(3, 1)))
-    tables[name] = tables[name].copy()
-    tables[name].flat[-1] = 3
-    monkeypatch.setattr(oracle, "_field_tables", lambda p, e: tuple(tables.values()))
-    oracle._flat_tables.cache_clear()
+    build = oracle._arithmetic_tables
+
+    def bad_tables(field):
+        tables = dict(zip(("add", "mul", "neg"), build(field)))
+        tables[name].flat[-1] = field.q
+        return tuple(tables.values())
+
+    monkeypatch.setattr(oracle, "_arithmetic_tables", bad_tables)
+    oracle._field_tables.cache_clear()
     try:
         with pytest.raises(IdentityViolated, match="field-index-range"):
             oracle.count_subspaces_by_class(dot_space(make_field(3), 2), 1)
     finally:
-        oracle._flat_tables.cache_clear()
+        oracle._field_tables.cache_clear()
 
 
 def test_field_table_range_check_survives_optimize_flag():
@@ -273,10 +277,12 @@ def test_field_table_range_check_survives_optimize_flag():
         "from dotbinom.errors import IdentityViolated",
         "from dotbinom.gf import make_field",
         "from dotbinom.quadspace import dot_space",
-        "add, mul, neg, klass = oracle._field_tables(3, 1)",
-        "add = add.copy()",
-        "add[2, 2] = 3",
-        "oracle._field_tables = lambda p, e: (add, mul, neg, klass)",
+        "build = oracle._arithmetic_tables",
+        "def bad_tables(field):",
+        "    add, mul, neg = build(field)",
+        "    add[2, 2] = 3",
+        "    return add, mul, neg",
+        "oracle._arithmetic_tables = bad_tables",
         "try:",
         "    oracle.count_subspaces_by_class(dot_space(make_field(3), 2), 2)",
         "except IdentityViolated as exc:",
@@ -294,8 +300,7 @@ def test_field_table_range_check_survives_optimize_flag():
 def test_field_tables_match_field_arithmetic(p, e):
     field = make_field(p, e)
     add, mul, neg, klass = oracle._field_tables.__wrapped__(p, e)
-    dtype = np.uint8 if field.q <= 0xFF else np.uint16
-    assert (add.dtype, mul.dtype, neg.dtype, klass.dtype) == (dtype,) * 3 + (np.int8,)
+    assert (add.dtype, mul.dtype, neg.dtype, klass.dtype) == (np.intp,) * 3 + (np.int8,)
     assert add.shape == mul.shape == (field.q, field.q)
     codes = {SquareClass.ZERO: 0, SquareClass.SQUARE: 1, SquareClass.NON_SQUARE: 2}
     elems = list(field.elements())
@@ -317,9 +322,12 @@ def test_field_tables_refuse_orders_beyond_uint16(monkeypatch):
         oracle._field_tables(65537, 1)
 
 
-def test_table_limit_keeps_element_indices_in_uint16():
-    """The entry limit alone refuses every q whose indices overflow uint16."""
-    assert math.isqrt(oracle._MAX_TABLE_ENTRIES) <= 0xFFFF
+def test_table_limit_keeps_the_int32_mul_build_exact():
+    """The entry limit alone refuses every q of 2^16 or more, and keeps every
+    intermediate of the int32 mul table build, below 2 e p^2 <= 2 q^2, in int32."""
+    q = math.isqrt(oracle._MAX_TABLE_ENTRIES)
+    assert q <= 0xFFFF
+    assert 2 * q * q < 2**31
 
 
 def test_field_tables_check_euler_criterion(monkeypatch):
@@ -962,6 +970,27 @@ def test_full_count_report_counts_each_dimension_once(monkeypatch):
     assert dims == [0, 1, 2, 3]
     assert rep.lines == (3, 6, 4)
 
+
+
+@pytest.mark.parametrize("q,n,budget,message", [
+    (3, 15, oracle.DEFAULT_BUDGET, r"at \(q=3, n=15, k=2\) exceed budget"),
+    (3, 4, 30, r"at \(q=3, n=4, k=1\) exceed budget 30"),
+    # k = 1 fits a budget of 10^10 and k = 2 does not, but the k = 1 count
+    # would refuse the tables first
+    (2053, 4, 10**10, "field tables of 4214809 entries at q=2053"),
+], ids=["k2-over-budget", "k1-over-budget", "tables-over-limit"])
+def test_full_count_report_prices_every_dimension_before_counting(
+    monkeypatch, q, n, budget, message
+):
+    """A report with any k over its price counts no k, and is refused with
+    the error that the first refused count would raise."""
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("a dimension was counted")
+
+    monkeypatch.setattr(oracle, "count_subspaces_by_class", no_count)
+    with pytest.raises(BudgetExceeded, match=message):
+        oracle.full_count_report(dot_space(make_field(q), n), budget=budget)
 
 TABLE_PRICED = {
     "count": lambda ambient: oracle.count_subspaces_by_class(ambient, 1, budget=10**12),
