@@ -2,8 +2,8 @@
 
 The commands and their arguments live in ``COMMANDS``: one entry per
 subcommand, holding its name, help, handler and argument specs.  Each
-handler returns ``(columns, rows, payload, plain)`` and ``main`` renders it
-in the chosen format; ``verify`` writes its report through ``report``.
+handler returns ``(columns, rows, payload, plain)``, and an exit status
+after them when it can be nonzero; ``main`` renders it in the chosen format.
 
 The closed-form commands run without numpy: the oracle, ``polyq`` and
 ``verify`` are imported only by the commands that use them.
@@ -27,22 +27,16 @@ from .quadspace import (
     ambient_space,
     dot_space,
 )
-from .report import (
-    render_csv,
-    render_json,
-    verify_csv,
-    verify_json,
-    verify_plain_lines,
-)
+from .report import VERIFY_COLUMNS, render_csv, render_json, verify_plain_lines
 
 # Caps on --rows and --n.  At q just below the --q cap, triangle row 30 and
 # group-order or mobius at n = 22 hold integers beyond the 4300 digits that
 # Python converts to text; inside the caps every command takes under 0.3 s.
 MAX_TRIANGLE_ROWS = 29
 MAX_N = 21
-# Cap on verify --max-n.  verify --q 3 took 1.6 s at --max-n 8 and 17 s at
-# 9, where the 8-million-subspace counts of 7-subspaces in each ambient
-# take most of it; the cost per subspace grows with k.
+# Cap on verify --max-n: its closed-form and polynomial families have no
+# price.  On 2 cores verify --q 3 took 0.9-1.0 s cold at --max-n 8, and
+# run_verify([3], 9) 1.0-1.5 s, nearly all of it in the subspace counts.
 MAX_VERIFY_N = 8
 
 
@@ -184,7 +178,7 @@ def cmd_oracle_count(args):
         "mobius_bottom_to_top": rep.mobius_bottom_to_top,
     }
     rows = [{**space, **cell} for cell in subspaces]
-    return list(rows[0]), rows, payload, rep.to_kv_lines(include_elapsed=False)
+    return list(rows[0]), rows, payload, rep.to_kv_lines()
 
 
 def _dot_poset(args, kind):
@@ -225,18 +219,14 @@ def cmd_flags(args):
     return list(row), [row], row, plain, 0 if status == "pass" else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     verify = _numpy_module("verify")
 
     report = verify.run_verify(args.q, args.max_n, budget=args.budget,
                                jobs=args.jobs, compare_paper=args.compare_paper)
-    if args.format == "csv":
-        sys.stdout.write(verify_csv(report))
-    elif args.format == "json":
-        sys.stdout.write(verify_json(report))
-    else:
-        sys.stdout.write("\n".join(verify_plain_lines(report)) + "\n")
-    return report.exit_status
+    rows = [rec.as_dict() for rec in report.records]
+    payload = {"summary": report.summary(), "checks": rows}
+    return VERIFY_COLUMNS, rows, payload, verify_plain_lines(report), report.exit_status
 
 
 def _int_in(low=None, high=None):
@@ -364,13 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = args.entry.handler(args)
+        columns, rows, payload, plain, *status = args.entry.handler(args)
     except DotAnalogueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(out, int):  # verify has written its report
-        return out
-    columns, rows, payload, plain, *status = out
     if args.format == "csv":
         sys.stdout.write(render_csv(columns, rows))
     elif args.format == "json":

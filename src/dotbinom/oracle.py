@@ -83,7 +83,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from time import perf_counter
 
 import numpy as np
 
@@ -102,7 +101,6 @@ from .quadspace import (
     full_subspace,
     zero_subspace,
 )
-from .symsets import count_symmetric_ksets  # noqa: F401  re-exported; verify calls it here
 # Codes per block.  Each of a block's k + 2 workspace buffers is 256 KB;
 # the six large count cells of the benchmark ran 1.2x slower at 1 << 14
 # and no faster at 1 << 16.
@@ -1031,9 +1029,8 @@ class CountReport:
     lines: tuple  # (spacelike, timelike, lightlike)
     flag_count: object  # int, or None when the poset is out of budget
     mobius_bottom_to_top: object
-    elapsed: float
 
-    def to_kv_lines(self, include_elapsed: bool = True) -> list[str]:
+    def to_kv_lines(self) -> list[str]:
         out = [
             f"ambient {self.ambient_kind.value}",
             f"q {self.q}",
@@ -1047,9 +1044,6 @@ class CountReport:
         mob = "-" if self.mobius_bottom_to_top is None else str(self.mobius_bottom_to_top)
         out.append(f"flag_count {flags}")
         out.append(f"mobius_bottom_to_top {mob}")
-        # wall-clock time is excluded from byte-stable renderings
-        if include_elapsed:
-            out.append(f"elapsed_seconds {self.elapsed:.3f}")
         return out
 
 
@@ -1057,7 +1051,6 @@ def full_count_report(
     ambient: AmbientForm, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> CountReport:
     """Tallies for every dimension plus poset summaries when in budget."""
-    started = perf_counter()
     for k in range(ambient.n + 1):  # refuse as the counts would, before any runs
         _subspace_total(ambient, k, budget)
         if k:
@@ -1092,5 +1085,4 @@ def full_count_report(
         lines=lines,
         flag_count=flag_count,
         mobius_bottom_to_top=mobius,
-        elapsed=perf_counter() - started,
     )

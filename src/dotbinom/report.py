@@ -52,7 +52,6 @@ class CheckRecord:
 @dataclass(frozen=True)
 class VerifyReport:
     records: tuple[CheckRecord, ...]
-    elapsed: float
 
     def count(self, status: Status) -> int:
         return sum(1 for r in self.records if r.status is status)

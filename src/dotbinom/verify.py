@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from time import perf_counter
 
-from . import closed, oracle, polyq
+from . import closed, oracle, polyq, symsets
 from .closed import Variant
 from .errors import (
     BudgetExceeded,
@@ -42,15 +41,18 @@ def _field(q):
     return make_field(*closed.odd_prime_power(q))
 
 
-def _check(add, check, params, expected, actual, failed="", compare=True):
+def _check(add, check, params, expected, actual, failed="", compare=True,
+           mismatch=Status.FAIL, note=""):
     """Add the record of one check; return the actual value, or None on error.
 
     ``actual`` is a value or a callable computing it here.  BudgetExceeded
     or a field the oracle cannot build makes the record SKIPPED; a violated
     identity, a mismatch or an indefinite sign makes it FAIL with ``failed``
     as its actual value.
-    Otherwise it is PASS when ``expected`` equals the actual value, FAIL when
-    not, and with ``compare`` false it is left to the caller.
+    Otherwise it is PASS when ``expected`` equals the actual value and
+    ``mismatch`` when not: FAIL, or PAPER_DISCREPANCY where the actual value
+    is a formula as printed.  That record carries ``note``; with ``compare``
+    false it is left to the caller.
     """
     try:
         value = actual() if callable(actual) else actual
@@ -61,8 +63,8 @@ def _check(add, check, params, expected, actual, failed="", compare=True):
         add(CheckRecord(check, params, str(expected), failed, Status.FAIL, str(exc)))
         return None
     if compare:
-        status = Status.PASS if expected == value else Status.FAIL
-        add(CheckRecord(check, params, str(expected), str(value), status))
+        status = Status.PASS if expected == value else mismatch
+        add(CheckRecord(check, params, str(expected), str(value), status, note))
     return value
 
 
@@ -143,19 +145,15 @@ def _published_family(add, tally, q, n):
         note = ""
         try:
             s, t, _ = _line_counts(tally(q, kind, n, 1))
-        except _SKIPS as exc:
-            # the same reason the oracle/line-count record was skipped for
+        except _SKIPS + _FAILURES as exc:
+            # the same reason the oracle/line-count record was skipped or failed for
             s, t, _ = closed.line_counts(q, n, kind)
             note = f"expected from fitted bracket; {exc}"
         for which, want in (("spacelike", s), ("timelike", t)):
-            verbatim = closed.verbatim_line_count(q, n, kind, which)
-            status = (Status.PASS if verbatim == want
-                      else Status.PAPER_DISCREPANCY)
-            add(CheckRecord(
-                "published/line-count",
-                f"q={q} n={n} ambient={kind.value} which={which}",
-                str(want), str(verbatim), status, note,
-            ))
+            _check(add, "published/line-count",
+                   f"q={q} n={n} ambient={kind.value} which={which}", want,
+                   closed.verbatim_line_count(q, n, kind, which),
+                   mismatch=Status.PAPER_DISCREPANCY, note=note)
     params = f"q={q} n={n}"
     want = closed.group_order(q, n)
     value, note = closed.verbatim_group_order(q, n)
@@ -163,9 +161,8 @@ def _published_family(add, tally, q, n):
         add(CheckRecord("published/group-order", params, str(want),
                         "not evaluable", Status.SKIPPED, note))
     else:
-        status = Status.PASS if value == want else Status.PAPER_DISCREPANCY
-        add(CheckRecord("published/group-order", params,
-                        str(want), str(value), status, note))
+        _check(add, "published/group-order", params, want, value,
+               mismatch=Status.PAPER_DISCREPANCY, note=note)
 
 
 def _poly_cell(add, key, compare_paper):
@@ -185,12 +182,10 @@ def _poly_cell(add, key, compare_paper):
                   failed="neither", compare=False)
     if sign is not None and compare_paper:
         published = polyq.published_functional_sign(key)
-        status = (Status.PASS if published is sign
-                  else Status.PAPER_DISCREPANCY)
-        note = ("" if status is Status.PASS
-                else "printed case list disagrees with coefficient reversal")
-        add(CheckRecord("poly/sign", params, published.value, sign.value,
-                        status, note))
+        _check(add, "poly/sign", params, published.value, sign.value,
+               mismatch=Status.PAPER_DISCREPANCY,
+               note="" if published is sign
+               else "printed case list disagrees with coefficient reversal")
     elif sign is not None:
         add(CheckRecord("poly/sign", params, "definite sign", sign.value,
                         Status.PASS))
@@ -239,18 +234,17 @@ def _poly_family(add, qs, max_n, compare_paper):
 def _kset_family(add):
     for n in range(2, KSET_N_MAX + 1):
         want = tuple(closed.limit_value(n, k) for k in range(1, n))
-        got = tuple(oracle.count_symmetric_ksets(n, k) for k in range(1, n))
+        got = tuple(symsets.count_symmetric_ksets(n, k) for k in range(1, n))
         _check(add, "ksets/limit-equality", f"n={n}", want, got)
 
 
 def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
                compare_paper=True) -> VerifyReport:
     """Run every check family over the given field sizes and dimensions."""
-    started = perf_counter()
     records = []
     add = records.append
     # each (q, ambient kind, n, k) is enumerated once per run: its tallies or
-    # the error that skipped it
+    # the error that skipped or failed it
     found = {}
 
     def tally(q, kind, n, k):
@@ -260,9 +254,9 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
                 found[key] = oracle.count_subspaces_by_class(
                     ambient_space(_field(q), kind, n), k, budget=budget, jobs=jobs
                 )
-            except _SKIPS as exc:
+            except _SKIPS + _FAILURES as exc:
                 found[key] = exc
-        if isinstance(found[key], _SKIPS):
+        if isinstance(found[key], Exception):
             raise found[key]
         return found[key]
 
@@ -278,4 +272,4 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
                 _published_family(add, tally, q, n)
     _poly_family(add, qs, max_n, compare_paper)
     _kset_family(add)
-    return VerifyReport(tuple(records), perf_counter() - started)
+    return VerifyReport(tuple(records))

@@ -292,6 +292,23 @@ def test_verify_golden(fmt, suffix, capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_verify_prints_the_report_rendering(fmt, capsys):
+    """The command's bytes equal report.verify_* of the same run."""
+    from dotbinom import report, verify
+
+    code = cli.main(["verify", "--q", "3,5", "--max-n", "3", "--budget", "20",
+                     "--format", fmt])
+    rep = verify.run_verify([3, 5], 3, budget=20)
+    render = {
+        "plain": lambda r: "\n".join(report.verify_plain_lines(r)) + "\n",
+        "csv": report.verify_csv,
+        "json": report.verify_json,
+    }[fmt]
+    assert capsys.readouterr().out == render(rep)
+    assert code == rep.exit_status
+
+
 def test_verify_multiple_fields():
     res = run_cli("verify", "--q", "3,5", "--max-n", "1", "--format", "csv")
     assert res.returncode == 0

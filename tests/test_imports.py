@@ -60,10 +60,11 @@ for name in dotbinom.__all__:
     getattr(dotbinom, name)
 for name in ('oracle', 'polyq', 'verify'):
     assert getattr(dotbinom, name) is sys.modules['dotbinom.' + name]
-from dotbinom import oracle, quadspace
+from dotbinom import oracle, quadspace, symsets
 assert dotbinom.build_poset is oracle.build_poset
 assert dotbinom.run_verify is dotbinom.verify.run_verify
-assert dotbinom.count_symmetric_ksets is oracle.count_symmetric_ksets
+assert dotbinom.count_symmetric_ksets is symsets.count_symmetric_ksets
+assert not hasattr(oracle, 'count_symmetric_ksets')
 assert oracle.PosetKind is quadspace.PosetKind is dotbinom.PosetKind
 assert oracle.DEFAULT_BUDGET is quadspace.DEFAULT_BUDGET
 assert oracle.DEFAULT_POSET_BUDGET is quadspace.DEFAULT_POSET_BUDGET

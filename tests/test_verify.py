@@ -2,7 +2,10 @@
 
 from collections import Counter
 
+import pytest
+
 from dotbinom import oracle, verify
+from dotbinom.errors import IdentityViolated, Mismatch
 from dotbinom.report import Status
 
 
@@ -21,3 +24,35 @@ def test_each_ambient_and_dimension_is_enumerated_once(monkeypatch):
     assert set(calls.values()) == {1}
     # two fields, two ambient kinds, k = 0..n for n = 1..3
     assert len(calls) == 2 * 2 * (2 + 3 + 4)
+
+
+@pytest.mark.parametrize("error", [Mismatch, IdentityViolated])
+def test_a_failed_count_is_reported_and_counted_once(monkeypatch, error):
+    count = oracle.count_subspaces_by_class
+    calls = Counter()
+
+    def failing(ambient, k, *, budget, jobs):
+        calls[ambient.kind, ambient.n, k] += 1
+        if (ambient.n, k) == (2, 1):
+            raise error("injected")
+        return count(ambient, k, budget=budget, jobs=jobs)
+
+    monkeypatch.setattr(oracle, "count_subspaces_by_class", failing)
+    report = verify.run_verify([3], 2)
+    failed = {(r.check, r.params, r.note)
+              for r in report.records if r.status is Status.FAIL}
+    assert failed == {
+        ("oracle/subspace-count", "q=3 n=2 k=1 ambient=dot", "injected"),
+        ("oracle/subspace-count", "q=3 n=2 k=1 ambient=lambda_dot", "injected"),
+        ("oracle/line-count", "q=3 n=2 ambient=dot", "injected"),
+        ("oracle/line-count", "q=3 n=2 ambient=lambda_dot", "injected"),
+    }
+    assert report.exit_status == 1
+    # the published line counts fall back to the fitted bracket
+    fallback = [r for r in report.records
+                if r.check == "published/line-count" and "n=2 " in r.params]
+    assert len(fallback) == 4
+    assert {r.note for r in fallback} == {"expected from fitted bracket; injected"}
+    assert set(calls.values()) == {1}
+    # two ambient kinds, k = 0..n for n = 1, 2
+    assert len(calls) == 2 * (2 + 3)
