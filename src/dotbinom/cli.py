@@ -27,7 +27,14 @@ from .quadspace import (
     ambient_space,
     dot_space,
 )
-from .report import VERIFY_COLUMNS, render_csv, render_json, verify_plain_lines
+from .report import (
+    VERIFY_COLUMNS,
+    Status,
+    _verify_payload,
+    render_csv,
+    render_json,
+    verify_plain_lines,
+)
 
 # Caps on --rows and --n.  At q just below the --q cap, triangle row 30 and
 # group-order or mobius at n = 22 hold integers beyond the 4300 digits that
@@ -67,7 +74,7 @@ def cmd_bracket(args):
     if args.compare_paper:
         published = closed.verbatim_flavor(args.q, args.n, flavor)
         row["published"] = published
-        row["status"] = "pass" if published == value else "paper_discrepancy"
+        row["status"] = (Status.PASS if published == value else Status.PAPER_DISCREPANCY).value
         plain = _kv(row, "value", "published", "status")
     return list(row), [row], row, plain
 
@@ -131,10 +138,10 @@ def cmd_group_order(args):
         published, note = closed.verbatim_group_order(args.q, args.n)
         if published is None:
             row["published"] = "not evaluable"
-            row["status"] = "skipped"
+            row["status"] = Status.SKIPPED.value
         else:
             row["published"] = str(published)
-            row["status"] = "pass" if published == value else "paper_discrepancy"
+            row["status"] = (Status.PASS if published == value else Status.PAPER_DISCREPANCY).value
         row["note"] = note
         plain = _kv(row, "value", "published", "status")
         if note:
@@ -212,11 +219,11 @@ def cmd_flags(args):
     oracle, snap = _dot_poset(args, PosetKind.EUCLIDEAN)
     flags = oracle.count_flags(snap)
     want = closed.bracket_factorial(args.q, args.n)
-    status = "pass" if flags == want else "fail"
+    status = Status.PASS if flags == want else Status.FAIL
     row = {"q": args.q, "n": args.n, "flags": flags,
-           "bracket_factorial": want, "status": status}
+           "bracket_factorial": want, "status": status.value}
     plain = _kv(row, "flags", "bracket_factorial", "status")
-    return list(row), [row], row, plain, 0 if status == "pass" else 1
+    return list(row), [row], row, plain, 0 if status is Status.PASS else 1
 
 
 def cmd_verify(args):
@@ -224,9 +231,9 @@ def cmd_verify(args):
 
     report = verify.run_verify(args.q, args.max_n, budget=args.budget,
                                jobs=args.jobs, compare_paper=args.compare_paper)
-    rows = [rec.as_dict() for rec in report.records]
-    payload = {"summary": report.summary(), "checks": rows}
-    return VERIFY_COLUMNS, rows, payload, verify_plain_lines(report), report.exit_status
+    payload = _verify_payload(report)
+    return (VERIFY_COLUMNS, payload["checks"], payload, verify_plain_lines(report),
+            report.exit_status)
 
 
 def _int_in(low=None, high=None):

@@ -2,9 +2,11 @@
 
 Brackets count lines of a given type in the two ambient families; everything
 else (factorials, the four binomial variants, Pascal rows, orthogonal group
-orders, Mobius values, limits) is built from them.  The normative bracket
-signs are pinned per congruence cell (q mod 4, n mod 4, flavor) and
-cross-checked against exhaustive enumeration in the test suite; the
+orders, Mobius values, limits) is built from them.  With chi = chi(-1) the
+quadratic character of -1, a bracket is
+(q^(n-1) + sigma * chi^floor(n/2) * q^floor((n-1)/2)) / 2, where the sign
+sigma depends only on the flavor and the parity of n; the brackets are
+cross-checked against exhaustive enumeration in the test suite.  The
 published sign-rule variants are kept verbatim in separate entry points so
 that disagreements can be reported side by side instead of silently patched.
 """
@@ -25,7 +27,7 @@ from .errors import (
     UnsupportedFlavor,
 )
 from .gf import _is_prime
-from .quadspace import AmbientKind
+from .quadspace import AmbientKind, LineType
 
 
 class Flavor(Enum):
@@ -40,6 +42,15 @@ class Variant(Enum):
     LD = "ld"  # dot-type subspaces of the lambda-dot ambient
     DL = "dl"  # lambda-dot-type subspaces of the dot ambient
     LL = "ll"  # lambda-dot-type subspaces of the lambda-dot ambient
+
+
+# what each flavor counts: lines of one type in one ambient family
+_FLAVORS = {
+    Flavor.SPACELIKE_DOT: (AmbientKind.DOT, LineType.SPACELIKE),
+    Flavor.TIMELIKE_DOT: (AmbientKind.DOT, LineType.TIMELIKE),
+    Flavor.SPACELIKE_LAMBDA: (AmbientKind.LAMBDA_DOT, LineType.SPACELIKE),
+    Flavor.TIMELIKE_LAMBDA: (AmbientKind.LAMBDA_DOT, LineType.TIMELIKE),
+}
 
 
 def _integer_root(q: int, e: int) -> int:
@@ -81,10 +92,12 @@ def _chi(q: int) -> int:
 def bracket(q: int, n: int, flavor: Flavor = Flavor.SPACELIKE_DOT) -> int:
     """Number of lines of the given flavor in the n-dimensional ambient.
 
-    [n]_d is the spacelike-in-dot value, with [0]_d = 1 by convention.  The
-    correction sign depends only on (q mod 4, n mod 4, flavor); the table
-    below was fitted against exhaustive enumeration and is locked in by the
-    oracle-equivalence tests.
+    [n]_d is the spacelike-in-dot value, with [0]_d = 1 by convention.  For
+    n >= 1 it is (q^(n-1) + sigma * chi^floor(n/2) * q^floor((n-1)/2)) / 2
+    with chi = chi(-1).  For odd n, sigma is +1 on spacelike-dot and
+    timelike-lambda lines and -1 on the other two; for even n it is -1 in
+    the dot ambient and +1 in the lambda-dot one.  The oracle-equivalence
+    tests lock it in against exhaustive enumeration.
     """
     odd_prime_power(q)
     try:
@@ -97,23 +110,13 @@ def bracket(q: int, n: int, flavor: Flavor = Flavor.SPACELIKE_DOT) -> int:
         if flavor is Flavor.SPACELIKE_DOT:
             return 1
         raise UndefinedForParameters("only the spacelike-dot count is defined at n = 0")
-    chi = _chi(q)
-    if n % 2 == 1:
-        h = (n - 1) // 2
-        s = chi**h
-        plus = (q ** (n - 1) + s * q**h) // 2
-        minus = (q ** (n - 1) - s * q**h) // 2
-        return {
-            Flavor.SPACELIKE_DOT: plus,
-            Flavor.TIMELIKE_DOT: minus,
-            Flavor.SPACELIKE_LAMBDA: minus,
-            Flavor.TIMELIKE_LAMBDA: plus,
-        }[flavor]
-    h = (n - 2) // 2
-    t = chi ** (n // 2)
-    if flavor in (Flavor.SPACELIKE_DOT, Flavor.TIMELIKE_DOT):
-        return (q ** (n - 1) - t * q**h) // 2
-    return (q ** (n - 1) + t * q**h) // 2
+    kind, line = _FLAVORS[flavor]
+    dot = kind is AmbientKind.DOT
+    if n % 2:
+        sigma = 1 if dot == (line is LineType.SPACELIKE) else -1
+    else:
+        sigma = -1 if dot else 1
+    return (q ** (n - 1) + sigma * _chi(q) ** (n // 2) * q ** ((n - 1) // 2)) // 2
 
 
 def total_lines(q: int, n: int) -> int:
@@ -123,12 +126,8 @@ def total_lines(q: int, n: int) -> int:
 
 def line_counts(q: int, n: int, kind: AmbientKind) -> tuple[int, int, int]:
     """(spacelike, timelike, lightlike) in the given ambient family."""
-    if kind is AmbientKind.DOT:
-        s = bracket(q, n, Flavor.SPACELIKE_DOT)
-        t = bracket(q, n, Flavor.TIMELIKE_DOT)
-    else:
-        s = bracket(q, n, Flavor.SPACELIKE_LAMBDA)
-        t = bracket(q, n, Flavor.TIMELIKE_LAMBDA)
+    # _FLAVORS lists each family's spacelike flavor before its timelike one
+    s, t = (bracket(q, n, f) for f, (k, _) in _FLAVORS.items() if k is kind)
     return s, t, total_lines(q, n) - s - t
 
 
@@ -162,14 +161,22 @@ def dot_binom(q: int, n: int, k: int) -> int:
     return value
 
 
+# (top, rest, low) bracket flavors of the product shared by LD, DL and LL
+_VARIANT_FLAVORS = {
+    Variant.LD: (Flavor.SPACELIKE_LAMBDA, Flavor.SPACELIKE_LAMBDA, Flavor.SPACELIKE_DOT),
+    Variant.DL: (Flavor.TIMELIKE_DOT, Flavor.SPACELIKE_LAMBDA, Flavor.TIMELIKE_LAMBDA),
+    Variant.LL: (Flavor.TIMELIKE_LAMBDA, Flavor.SPACELIKE_DOT, Flavor.TIMELIKE_LAMBDA),
+}
+
+
 def dot_binom_variant(q: int, n: int, k: int, variant: Variant) -> int:
     """Count subspaces of one type inside one ambient family.
 
-    LD multiplies spacelike-in-lambda brackets over the top k dimensions and
-    divides by the plain factorial chain; DL and LL trade a timelike-line
-    factor against the k-dimensional one and recurse into an LD / plain
-    binomial of the complementary ambient.  The zero subspace is dot-type by
-    convention, so DL and LL vanish at k = 0 while LD counts it once.
+    DD is dot_binom.  LD, DL and LL are one product of brackets whose
+    flavors (top, rest, low) the variant picks:
+    [n]_top * prod_{i=1..k-1} [n-i]_rest / ([k]_low * [k-1]_d!).  The zero
+    subspace is dot-type by convention, so DL and LL vanish at k = 0 while
+    LD counts it once.
     """
     try:
         variant = Variant(variant)
@@ -183,25 +190,11 @@ def dot_binom_variant(q: int, n: int, k: int, variant: Variant) -> int:
         return dot_binom(q, n, k)
     if k == 0:
         return 1 if variant is Variant.LD else 0
-    if variant is Variant.LD:
-        num = 1
-        for i in range(k):
-            num *= bracket(q, n - i, Flavor.SPACELIKE_LAMBDA)
-        den = 1
-        for i in range(1, k + 1):
-            den *= bracket(q, i)
-        return _exact_div(num, den, "dot_binom_variant/ld")
-    if variant is Variant.DL:
-        num = bracket(q, n, Flavor.TIMELIKE_DOT)
-        for i in range(k - 1):
-            num *= bracket(q, n - 1 - i, Flavor.SPACELIKE_LAMBDA)
-    else:  # LL
-        num = bracket(q, n, Flavor.TIMELIKE_LAMBDA)
-        for i in range(k - 1):
-            num *= bracket(q, n - 1 - i)
-    den = bracket(q, k, Flavor.TIMELIKE_LAMBDA)
+    top, rest, low = _VARIANT_FLAVORS[variant]
+    num = bracket(q, n, top)
     for i in range(1, k):
-        den *= bracket(q, i)
+        num *= bracket(q, n - i, rest)
+    den = bracket(q, k, low) * bracket_factorial(q, k - 1)
     return _exact_div(num, den, f"dot_binom_variant/{variant.value}")
 
 
@@ -221,22 +214,6 @@ def gaussian_binom(q: int, n: int, k: int) -> int:
 # -- published sign-rule variants (kept verbatim for reconciliation) ---------
 
 
-@dataclass(frozen=True)
-class LineCountParams:
-    """The published epsilon/delta/eta parameters for line counts."""
-
-    epsilon: int
-    delta: int
-    eta: int
-
-    @classmethod
-    def for_dimension(cls, q: int, n: int) -> "LineCountParams":
-        epsilon = 1 if (q % 4 == 1 or n % 4 in (1, 2)) else -1
-        delta = 1 if n % 2 == 0 else 0
-        eta = 1 if n % 2 == 0 else -1
-        return cls(epsilon, delta, eta)
-
-
 def verbatim_line_count(q: int, n: int, kind: AmbientKind, which: str) -> int:
     """Published line-count expression, evaluated exactly as printed.
 
@@ -248,27 +225,21 @@ def verbatim_line_count(q: int, n: int, kind: AmbientKind, which: str) -> int:
         raise UndefinedForParameters(f"n = {n} < 1")
     if which not in ("spacelike", "timelike"):
         raise UnsupportedFlavor(f"unknown line kind {which!r}")
-    par = LineCountParams.for_dimension(q, n)
-    term = par.epsilon * (-1) ** par.delta * q ** ((n - par.delta - 1) // 2)
+    # the published epsilon, delta and eta
+    epsilon = 1 if (q % 4 == 1 or n % 4 in (1, 2)) else -1
+    delta = 1 if n % 2 == 0 else 0
+    eta = 1 if n % 2 == 0 else -1
+    term = epsilon * (-1) ** delta * q ** ((n - delta - 1) // 2)
     if which == "timelike":
-        term *= par.eta
+        term *= eta
     if kind is AmbientKind.LAMBDA_DOT:
         term = -term
     return (q ** (n - 1) + term) // 2
 
 
 def verbatim_flavor(q: int, n: int, flavor: Flavor) -> int:
-    kind = (
-        AmbientKind.DOT
-        if flavor in (Flavor.SPACELIKE_DOT, Flavor.TIMELIKE_DOT)
-        else AmbientKind.LAMBDA_DOT
-    )
-    which = (
-        "spacelike"
-        if flavor in (Flavor.SPACELIKE_DOT, Flavor.SPACELIKE_LAMBDA)
-        else "timelike"
-    )
-    return verbatim_line_count(q, n, kind, which)
+    kind, line = _FLAVORS[flavor]
+    return verbatim_line_count(q, n, kind, line.value)
 
 
 # -- Pascal rows and identities ----------------------------------------------

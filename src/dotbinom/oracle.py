@@ -539,12 +539,10 @@ def _chunk_tasks(field, diag_idx: tuple, rows: tuple, paired: bool):
     q = field.q
     size_l = _list_size(q, len(rows[0][1]), paired)
     size_h = math.prod(_list_size(q, len(cols), paired) for _, cols in rows[1:])
-    if size_l <= _CHUNK:
-        step = _CHUNK // size_l
-        blocks = [((h, min(h + step, size_h)), (0, size_l)) for h in range(0, size_h, step)]
-    else:
-        blocks = [((h, h + 1), (l, min(l + _CHUNK, size_l)))
-                  for h in range(size_h) for l in range(0, size_l, _CHUNK)]
+    h_step = max(1, _CHUNK // size_l)
+    l_step = min(size_l, _CHUNK)
+    blocks = [((h, min(h + h_step, size_h)), (l, min(l + l_step, size_l)))
+              for h in range(0, size_h, h_step) for l in range(0, size_l, l_step)]
     return [(field.p, field.e, diag_idx, rows, paired, hs, ls) for hs, ls in blocks]
 
 

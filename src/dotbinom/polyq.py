@@ -1,12 +1,20 @@
 """Dot-binomial coefficients as exact polynomials in the indeterminate q.
 
 Every p_(n,k)(q) is 1/2 * q^m times a polynomial with integer coefficients,
-m = floor(k(n-k)/2), and that polynomial is built on integer coefficient
-lists only: Gaussian binomials by the q-Pascal rule, row by row, products
-with q^e +- 1 by convolution, and the two even-n, even-k cells by an exact
-integer division by q^(n/2) +- 1.  The factor 1/2 * q^m is applied last,
-when the cell's ``RatPoly`` is made; ``RatPoly`` is a read-only value with
-``Fraction`` coefficients.
+m = floor(k(n-k)/2).  With chi = chi(-1) (+1 in class 1, -1 in class 3),
+h = floor(n/2), i = floor(k/2) and G the Gaussian binomial in q^2, that
+polynomial is
+
+    n odd,  k odd:   (q^(h-i) + chi^(h-i)) * G(h, i)
+    n even, k odd:   (q^h - chi^h) * G(h-1, i)
+    n odd,  k even:  (q^i + chi^i) * G(h, i)
+    n even, k even:  (q^(h-i) + chi^(h-i)) * (q^i + chi^i) * G(h, i) / (q^h + chi^h)
+
+It is built on integer coefficient lists only: Gaussian binomials by the
+q-Pascal rule, row by row, products with q^e +- 1 by convolution, and the
+even-n, even-k quotient by exact integer division.  The factor 1/2 * q^m is
+applied last, when the cell's ``RatPoly`` is made; ``RatPoly`` is a
+read-only value with ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .closed import dot_binom, limit_value, odd_prime_power
+from .closed import _chi, dot_binom, limit_value, odd_prime_power
 from .errors import (
     ExactDivisionFailed,
     Mismatch,
@@ -205,42 +213,16 @@ def _dot_binom_poly(q_class: int, n: int, k: int) -> RatPoly:
     # each case is 1/2 * q^m * cs; the printed exponent (k(n-k)-1)/2 of the
     # odd k(n-k) cases is this floor too
     m = k * (n - k) // 2
-    nm, km = n % 4, k % 4
-    if q_class == 1:
-        if n % 2 == 1:
-            if k % 2 == 1:
-                cs = _times(_qpm((n - k) // 2, +1), _gaussian((n - 1) // 2, (k - 1) // 2))
-            else:
-                cs = _times(_qpm(k // 2, +1), _gaussian((n - 1) // 2, k // 2))
-        elif k % 2 == 1:
-            cs = _times(_qpm(n // 2, -1), _gaussian((n - 2) // 2, (k - 1) // 2))
-        else:
-            num = _times(_qpm((n - k) // 2, +1),
-                         _times(_qpm(k // 2, +1), _gaussian(n // 2, k // 2)))
-            cs = _divexact(num, _qpm(n // 2, +1))
-    elif k % 2 == 1 and n % 2 == 1:
-        if nm == 1:
-            sign = +1 if km == 1 else -1
-        else:
-            sign = -1 if km == 1 else +1
-        cs = _times(_qpm((n - k) // 2, sign), _gaussian((n - 1) // 2, (k - 1) // 2))
-    elif k % 2 == 1:
-        sign = +1 if nm == 2 else -1
-        cs = _times(_qpm(n // 2, sign), _gaussian((n - 2) // 2, (k - 1) // 2))
-    elif n % 2 == 1:
-        sign = -1 if km == 2 else +1
-        cs = _times(_qpm(k // 2, sign), _gaussian((n - 1) // 2, k // 2))
+    chi, h, i = _chi(q_class), n // 2, k // 2
+    if n % 2 and k % 2:
+        cs = _times(_qpm(h - i, chi ** (h - i)), _gaussian(h, i))
+    elif k % 2:
+        cs = _times(_qpm(h, -chi**h), _gaussian(h - 1, i))
+    elif n % 2:
+        cs = _times(_qpm(i, chi**i), _gaussian(h, i))
     else:
-        s_k = -1 if km == 2 else +1
-        if nm == 2:
-            s_nk = +1 if km == 2 else -1
-            denom = _qpm(n // 2, -1)
-        else:
-            s_nk = -1 if km == 2 else +1
-            denom = _qpm(n // 2, +1)
-        num = _times(_qpm((n - k) // 2, s_nk),
-                     _times(_qpm(k // 2, s_k), _gaussian(n // 2, k // 2)))
-        cs = _divexact(num, denom)
+        num = _times(_qpm(h - i, chi ** (h - i)), _times(_qpm(i, chi**i), _gaussian(h, i)))
+        cs = _divexact(num, _qpm(h, chi**h))
     return RatPoly.from_coeffs([0] * m + [Fraction(c, 2) for c in cs])
 
 

@@ -111,15 +111,15 @@ def verify_plain_lines(report: VerifyReport) -> list[str]:
     return lines
 
 
+def _verify_payload(report: VerifyReport) -> dict:
+    """The json payload of a verify run, without its command; its "checks"
+    are the csv rows."""
+    return {"summary": report.summary(), "checks": [rec.as_dict() for rec in report.records]}
+
+
 def verify_csv(report: VerifyReport) -> str:
-    rows = [rec.as_dict() for rec in report.records]
-    return render_csv(VERIFY_COLUMNS, rows)
+    return render_csv(VERIFY_COLUMNS, _verify_payload(report)["checks"])
 
 
 def verify_json(report: VerifyReport) -> str:
-    payload = {
-        "command": "verify",
-        "summary": report.summary(),
-        "checks": [rec.as_dict() for rec in report.records],
-    }
-    return render_json(payload)
+    return render_json({"command": "verify", **_verify_payload(report)})

@@ -4,6 +4,7 @@ Each check starts a fresh interpreter, because this test process has
 usually imported the oracle, and so numpy, already.
 """
 
+import pathlib
 import subprocess
 import sys
 
@@ -14,6 +15,11 @@ from dotbinom import cli
 # numpy is made unimportable before the package is imported
 WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
                  "from dotbinom import cli; sys.exit(cli.main(sys.argv[1:]))")
+
+# the closed-form lines of the CLI goldens, replayed with numpy unimportable
+GOLDENS = ("import runpy, sys; sys.modules['numpy'] = None; "
+           "runpy.run_path(sys.argv[1], run_name='__main__')")
+GOLDENS_SCRIPT = pathlib.Path(__file__).with_name("closed_form_goldens.py")
 
 CLOSED_FORM_ARGV = {
     "bracket": ["bracket", "--q", "7", "--n", "5", "--flavor", "timelike_lambda",
@@ -41,6 +47,12 @@ def test_closed_form_command_runs_without_numpy(command, fmt, capsys):
     res = run_python("-c", WITHOUT_NUMPY, *argv)
     assert res.returncode == 0, res.stderr
     assert res.stdout == want
+
+
+def test_closed_form_goldens_replay_without_numpy():
+    res = run_python("-c", GOLDENS, str(GOLDENS_SCRIPT))
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout == "replayed 175 lines, 0 differed, numpy loaded: False\n"
 
 
 def test_cli_import_loads_no_numpy():

@@ -15,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from dotbinom import cli, closed, oracle, polyq  # noqa: E402
+from dotbinom.closed import Variant  # noqa: E402
 from dotbinom.gf import make_field  # noqa: E402
 from dotbinom.quadspace import SubspaceClass, dot_space, lambda_dot_space  # noqa: E402
 
@@ -87,6 +88,19 @@ def test_polynomials_evaluate_to_the_integer_counts(q, n, k):
     key = polyq.PolyFamilyKey(q % 4, n, k % (n + 1))
     assert polyq.eval_consistency(key, q)
     assert polyq.dot_binom_poly(key).evaluate(q) == closed.dot_binom(q, n, key.k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q=prime_powers, n=st.integers(1, 14))
+def test_closed_forms_are_dual_under_orthogonal_complement(q, n):
+    """W -> W-perp keeps the class on the dot ambient and swaps dot and
+    lambda-dot on the lambda-dot one: DD and DL are symmetric in k <-> n-k,
+    and LD(n, k) = LL(n, n-k)."""
+    dd, ld, dl, ll = ([closed.dot_binom_variant(q, n, k, v) for k in range(n + 1)]
+                      for v in (Variant.DD, Variant.LD, Variant.DL, Variant.LL))
+    assert dd == dd[::-1]
+    assert dl == dl[::-1]
+    assert ld == ll[::-1]
 
 
 def _oracle_brackets(field, n):
