@@ -153,6 +153,7 @@ def _exact_div(num: int, den: int, context: str) -> int:
 
 def dot_binom(q: int, n: int, k: int) -> int:
     """C(n,k)_d = [n]_d! / ([k]_d! [n-k]_d!), via telescoped exact division."""
+    odd_prime_power(q)  # k = 0 reads no bracket, which would check q
     if not 0 <= k <= n:
         raise UndefinedForParameters(f"k = {k} outside 0..{n}")
     value = 1
@@ -178,6 +179,7 @@ def dot_binom_variant(q: int, n: int, k: int, variant: Variant) -> int:
     subspace is dot-type by convention, so DL and LL vanish at k = 0 while
     LD counts it once.
     """
+    odd_prime_power(q)
     try:
         variant = Variant(variant)
     except ValueError:
@@ -388,6 +390,7 @@ class MobiusSequence:
 
 def mobius_sequence(q: int, n: int) -> MobiusSequence:
     """b_0 = 1 and sum_k (-1)^k b_k C(m,k)_d = 0 for each m; mu_m = (-1)^m b_m."""
+    odd_prime_power(q)
     if n < 0:
         raise UndefinedForParameters(f"n = {n} < 0")
     b = [1]

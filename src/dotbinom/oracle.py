@@ -6,6 +6,29 @@ determinant square classes, and tallied.  The closed-form module must agree
 with these counts; no formula beyond the Gaussian binomial (used for budget
 estimates) is consulted.
 
+A count takes the Gram transfer or the kernel below, whichever is priced
+lower in one unit, gathered shift-index entries (_transfer_price and
+_kernel_price); the budget prices subspaces either way.  The transfer lists
+no subspace.  An RREF row holds 1 at its pivot and 0 at every other pivot,
+so a k-subspace's Gram matrix is diag(d_p) over its pivots plus
+d_c * x_c * x_c^T over its free columns c, x_c being column c on the rows
+whose pivot lies left of c.  Walking the columns left to right, a state is
+j pivots so far and their j x j partial Gram matrix S, and the walk keeps
+a count per state: a pivot column of d maps S to S + [d] on the diagonal,
+and a free column maps S to S + d * x * x^T for each x in F_q^j, one of
+each pair {x, -x} at weight 2 and x = 0 at weight 1.  The level-k states
+then hold every subspace's Gram matrix with its multiplicity, and each
+state's determinant is classified once by the kernel's cofactor expansion
+(_Minors).  States number q^(k (k + 1) / 2), so for k > n / 2 the walk
+runs at level n - k instead: Sylvester's identity (Horn and Johnson,
+0.8.5) gives det(D_P + X D_F X^T) = det D_P det D_F det(D_F^-1 +
+X^T D_P^-1 X) over the pivot and free columns P and F, and the last factor
+is a state of the walk over the reversed columns with every d inverted;
+the product of every d decides whether square and non-square swap.  So the
+transfer costs a polynomial in n times an exponential in min(k, n - k),
+where the kernel's cost grows with the subspaces.  Its counts are int64
+under an a priori bound and Python ints beyond.
+
 The kernel works on field element indices and lookup tables.  The k x n
 matrices of one row layout are the codes whose base-q digits are the free
 entries of their rows, row by row; a row may also hold a pivot 1.  A code
@@ -112,9 +135,10 @@ _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 # (intp add and mul, two one-digit intp group tables and their temporaries,
 # the 3 q^2 int8 ending table): q = 2039, the largest prime in, near 175 MB.
 _MAX_TABLE_ENTRIES = 1 << 22
-# A count that evaluates fewer codes runs in-process whatever ``jobs`` says:
-# below it, starting a pool costs more than the extra workers save.  Codes,
-# not subspaces: a count evaluates about 2^-k of its subspaces.  On 2 cores,
+# A kernel count that evaluates fewer codes runs in-process whatever ``jobs``
+# says, as a transfer always does: below it, starting a pool costs more than
+# the extra workers save.  Codes, not subspaces: a kernel count evaluates
+# about 2^-k of its subspaces.  On 2 cores,
 # best of 3, jobs=2 took 1.1-2.8x as long as jobs=1 up to 2.0e6 codes at
 # k = 1, 2 and 3, and 0.5-1.0x from 3.2e6 codes at k = 2 and 3.  At k = 1,
 # best of 5 alternating, it took 0.57-0.70x at 2.62e6 and 2.69e6 codes and
@@ -128,6 +152,23 @@ _POOL_MIN_CODES = 2_500_000
 _INCIDENCE_ENTRIES = 1 << 20
 # mobius_bottom sums in int64 while this bounds every partial sum
 _MU_LIMIT = 1 << 63
+# the Gram transfer counts in int64 while this bounds every state count
+_TRANSFER_LIMIT = 1 << 63
+# A count runs the Gram transfer or the kernel, whichever is priced lower,
+# both in gathered shift-index entries, each about 1.7 ns.  Fitted to cold
+# calls (caches cleared, field tables built) on 141 cells, 138 of them on
+# the transfer too, q from 3 to 343, n <= 8, k = 1..n-1, on 2 cores, best of
+# 3, least relative squares: a transfer took 1.7 ns per
+# gathered entry, 4.4 ns per index entry built and 15 us per column and
+# level; the kernel about 28 ns plus 3 ns * k^2 per code and 240 us per row
+# layout.  A built entry is priced at 16, not 2.6, because its index stays
+# cached for the process (4 bytes an entry): at q=5 n=6 k=3 the transfer
+# ran 12-17 ms cold against the kernel's 21 ms, but would keep a 3.9 MB
+# index where the kernel keeps a 1.3 MB workspace.
+_TRANSFER_BUILD_PRICE = 16
+_TRANSFER_STEP_PRICE = 8600
+_KERNEL_CODE_OPS = 8  # priced at 2 * (k^2 + this) per code
+_KERNEL_LAYOUT_PRICE = 140_000
 
 _CLASS_CODES = {
     SquareClass.ZERO: 0,
@@ -620,6 +661,138 @@ def _run_tasks(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks, chunksize=chunksize))
 
 
+def _triangle(j: int) -> int:
+    """Upper-triangle entries of a j x j matrix: the digits of a level-j state."""
+    return j * (j + 1) // 2
+
+
+def _state_gram(codes, j: int, q: int):
+    """The partial Gram matrix of level-j state codes as a dict of digit arrays.
+
+    Entry (a, b), a <= b, is digit T(b) + a, T being _triangle: the upper
+    triangle column by column, so a level-j code is the low T(j) digits of
+    every level-(j + 1) code that extends it.
+    """
+    gram = {}
+    for b in range(j):
+        for a in range(b + 1):
+            gram[a, b] = gram[b, a] = codes // q ** (_triangle(b) + a) % q
+    return gram
+
+
+@lru_cache(maxsize=8)
+def _shift_index(p: int, e: int, j: int, d: int):
+    """(shifts, q^T(j)) int32 array: row s holds every level-j state code
+    minus the s-th shift d * x * x^T, x running over one vector of each
+    pair {x, -x} of F_q^j \\ {0} (_row_codes on j base-q digits).
+
+    So counts.take(index) gathers, for each state, the count of the state
+    that the s-th shift moves onto it.  x and -x add the same shift, so a
+    free column's new counts are the old ones (x = 0) plus twice the sum of
+    the gathered rows.  Digit t of a code minus a shift is a field sum of
+    digit t alone, so the index is built a digit at a time, each digit's q
+    values scaled by q^t and added to every code of the digits below it.
+    """
+    add, mul, neg, _ = _field_tables(p, e)
+    q = p**e
+    x = _row_codes(np.arange(1, (q**j + 1) // 2), p, e * j)
+    x = x // q ** np.arange(j)[:, None] % q  # x[a] is coordinate a of each vector
+    index = np.zeros((x.shape[1], 1), dtype=np.int32)
+    for b in range(j):
+        for a in range(b + 1):  # digit t = T(b) + a, in _state_gram's order
+            minus_shift = mul[neg[d], mul[x[a], x[b]]]
+            digit = add[minus_shift[:, None], np.arange(q)].astype(np.int32)
+            index = (digit[:, :, None] * index.shape[1] + index[:, None, :]).reshape(
+                x.shape[1], -1)
+    return index
+
+
+@lru_cache(maxsize=8)
+def _state_classes(p: int, e: int, m: int):
+    """Square-class codes of det S for every level-m state S, by the
+    cofactor expansion of _Minors over the state digits."""
+    add, mul, neg, klass = _field_tables(p, e)
+    q = p**e
+    gram = _state_gram(np.arange(q ** _triangle(m)), m, q)
+    minors = _Minors(gram, lambda x, y: _gather(mul, x, y, q),
+                     lambda x, y: _gather(add, x, y, q), neg)
+    rows = tuple(range(m))
+    return klass.take(np.asarray(minors[rows, rows]))
+
+
+def _transfer_counts(p: int, e: int, diag, m: int):
+    """Counts of the level-m states after a walk over the columns of ``diag``.
+
+    A state (j, S) is j pivots so far and their j x j partial Gram matrix S,
+    stored as its upper triangle's digits (_state_gram).  A pivot column of
+    d maps S to S + [d] on the diagonal: level j - 1's counts are added to
+    one slice of level j, at d * q^(T(j) - 1).  A free column of d maps S
+    to S + d * x * x^T for each x in F_q^j, one gather of _shift_index.
+    Counts are int64 while every state count, at most the Gaussian binomial
+    of its prefix (c columns, j pivots), is below _TRANSFER_LIMIT, and
+    Python ints beyond.
+    """
+    q, n = p**e, len(diag)
+    # (c, j) runs over every live state: m - j pivots still fit in n - c columns
+    bound = max(gaussian_binom(q, c, j)
+                for c in range(n + 1) for j in range(max(0, m - n + c), min(c, m) + 1))
+    dtype = np.int64 if bound < _TRANSFER_LIMIT else object
+    levels = [np.ones(1, dtype=dtype)] + [None] * m
+    for c, d in enumerate(diag):
+        lo, hi = max(0, m - n + c + 1), min(c + 1, m)
+        for j in range(hi, lo - 1, -1):  # level j - 1 is read before it moves
+            old = levels[j]
+            if old is None:
+                new = np.zeros(q ** _triangle(j), dtype=dtype)
+            elif j:
+                index = _shift_index(p, e, j, d)
+                shifted = np.zeros_like(old)
+                rows = max(1, _CHUNK // old.size)
+                for first in range(0, len(index), rows):
+                    shifted += old.take(index[first:first + rows]).sum(axis=0)
+                new = old + 2 * shifted
+            else:
+                new = old
+            if j and levels[j - 1] is not None:
+                start = d * q ** (_triangle(j) - 1)
+                new[start:start + levels[j - 1].size] += levels[j - 1]
+            levels[j] = new
+        levels[:lo] = [None] * lo
+    return levels[m]
+
+
+def _transfer_tallies(field, diag_idx: tuple, k: int):
+    """(square, non-square, zero) tallies of the k-subspaces by the Gram transfer.
+
+    For k <= n / 2 the walk runs over the columns with the ambient
+    diagonal.  For k > n / 2 it runs at level n - k over the reversed
+    columns with every d inverted: a subspace's Gram matrix is
+    D_P + X D_F X^T (pivot and free columns), and Sylvester's identity
+    makes its determinant det D_P det D_F det(D_F^-1 + X^T D_P^-1 X), the
+    last factor being a state of that walk.  det D_P det D_F is the product
+    of every d, so a non-square product swaps the two nonzero classes.
+    """
+    p, e, n = field.p, field.e, len(diag_idx)
+    _, mul, _, klass = _field_tables(p, e)
+    if 2 * k <= n:
+        m, diag, twist = k, diag_idx, False
+    else:
+        m, diag = n - k, tuple(int(np.flatnonzero(mul[d] == 1)[0]) for d in reversed(diag_idx))
+        product = 1
+        for d in diag_idx:
+            product = mul[product, d]
+        twist = klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
+    counts = _transfer_counts(p, e, diag, m)
+    classes = np.broadcast_to(_state_classes(p, e, m), counts.shape)
+    square, non_square = (
+        int(counts[classes == _CLASS_CODES[c]].sum())
+        for c in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
+    )
+    if twist:
+        square, non_square = non_square, square
+    return square, non_square, int(counts.sum()) - square - non_square
+
+
 def _subspace_total(ambient: AmbientForm, k: int, budget: int) -> int:
     """Number of k-subspaces, refused when k is out of range or over budget."""
     q, n = ambient.field.q, ambient.n
@@ -633,14 +806,72 @@ def _subspace_total(ambient: AmbientForm, k: int, budget: int) -> int:
     return total
 
 
+def _kernel_codes(q: int, n: int, k: int) -> int:
+    """Codes the kernel evaluates over every row layout, one of each sign
+    pair per row: sum over pivot patterns of the product of the rows'
+    (q^f + 1) / 2, walked over the columns from the right, where a pivot
+    with i pivots and ``seen`` columns to its right has seen - i free
+    columns."""
+    ways = [1] + [0] * k  # ways[i]: i pivots among the columns seen so far
+    for seen in range(n):
+        for i in range(min(seen, k - 1), -1, -1):
+            ways[i + 1] += ways[i] * _list_size(q, seen - i, True)
+    return ways[k]
+
+
+def _kernel_price(codes: int, n: int, k: int) -> int:
+    """The kernel's work in gathered shift-index entries (_transfer_price):
+    its ``codes`` (_kernel_codes) times the full-size field ops per code,
+    and a cost per row layout for its plan, side codes and h-side minors."""
+    return 2 * (k * k + _KERNEL_CODE_OPS) * codes + math.comb(n, k) * _KERNEL_LAYOUT_PRICE
+
+
+def _transfer_price(q: int, diag_idx: tuple, k: int):
+    """The transfer's work in gathered shift-index entries, or None where it
+    cannot run: one level's index would pass _MAX_TABLE_ENTRIES, or the row
+    side would invert a zero d.
+
+    Each level j = 1..m has n - m free columns, each one gather of its
+    index, and one index is built per distinct d of the ambient; the walk
+    pays _TRANSFER_STEP_PRICE per column and level.
+    """
+    n = len(diag_idx)
+    m = min(k, n - k)
+    sizes = [(q**j - 1) // 2 * q ** _triangle(j) for j in range(1, m + 1)]
+    if any(size > _MAX_TABLE_ENTRIES for size in sizes) or (2 * k > n and 0 in diag_idx):
+        return None
+    builds = len(set(diag_idx)) * _TRANSFER_BUILD_PRICE
+    return (n - m + builds) * sum(sizes) + n * (m + 1) * _TRANSFER_STEP_PRICE
+
+
+def _kernel_tallies(field, diag_idx: tuple, k: int, codes: int, jobs: int):
+    """(square, non-square, zero) tallies of the kernel's blocks over every row layout."""
+    n = len(diag_idx)
+    tasks = [
+        task
+        for pattern in itertools.combinations(range(n), k)
+        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), paired=True)
+    ]
+    if codes < _POOL_MIN_CODES:
+        jobs = 1
+    square = non_square = zero = 0
+    for s, ns, z in _run_tasks(_chunk_tallies, tasks, jobs):
+        square += s
+        non_square += ns
+        zero += z
+    return square, non_square, zero
+
+
 def count_subspaces_by_class(
     ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ):
     """Exhaustive classification tally of all k-subspaces.
 
-    Each row of an RREF code lists one code of each sign pair {v, -v},
-    weighted (see the module docstring), so a count evaluates about 2^-k
-    of its codes; the weights still add up to every code.
+    The count runs the Gram transfer or the kernel (see the module
+    docstring), whichever is priced lower; ``jobs`` acts on the kernel
+    only.  Each row of a kernel code lists one code of each sign pair
+    {v, -v}, weighted, so it evaluates about 2^-k of its codes; the
+    weights still add up to every code.
     """
     field = ambient.field
     n = ambient.n
@@ -654,19 +885,12 @@ def count_subspaces_by_class(
         }
     _price_tables(field.q)
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    tasks = [
-        task
-        for pattern in itertools.combinations(range(n), k)
-        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), paired=True)
-    ]
-    codes = sum((h_hi - h_lo) * (l_hi - l_lo) for *_, (h_lo, h_hi), (l_lo, l_hi) in tasks)
-    if codes < _POOL_MIN_CODES:
-        jobs = 1
-    square = non_square = zero = 0
-    for s, ns, z in _run_tasks(_chunk_tallies, tasks, jobs):
-        square += s
-        non_square += ns
-        zero += z
+    codes = _kernel_codes(field.q, n, k)
+    transfer = _transfer_price(field.q, diag_idx, k)
+    if transfer is not None and transfer <= _kernel_price(codes, n, k):
+        square, non_square, zero = _transfer_tallies(field, diag_idx, k)
+    else:
+        square, non_square, zero = _kernel_tallies(field, diag_idx, k, codes, jobs)
     if square + non_square + zero != total:
         raise Mismatch(
             f"{square + non_square + zero} subspaces tallied at "

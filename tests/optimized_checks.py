@@ -1,7 +1,8 @@
 """Cells whose range checks must survive ``python -O``.
 
-The kernel's clipped gathers and ``mobius_bottom``'s int64 sums are safe only
-because of checks written as statements, not asserts.  This script runs the
+The kernel's clipped gathers, the int64 sums of ``mobius_bottom`` and of the
+Gram transfer, and the transfer's total check are safe only because of checks
+written as statements, not asserts.  This script runs the
 cells that reach them and compares each result with its closed form (or, for
 ``verify``, with the frozen benchmark reference).  It prints one line per
 cell and exits 1 if any disagrees:
@@ -13,6 +14,7 @@ cell and exits 1 if any disagrees:
 
 import contextlib
 import io
+import math
 import pathlib
 import sys
 
@@ -27,7 +29,7 @@ VERIFY_ARGV = ["verify", "--q", "3,5,7,9", "--max-n", "5", "--format", "json"]
 
 _DOT = (dot_space, Variant.DD, Variant.DL)
 _LAMBDA = (lambda_dot_space, Variant.LD, Variant.LL)
-# (q, n, k, ambient) counts, each against its two closed forms
+# (q, n, k, ambient) counts on the kernel, each against its two closed forms
 COUNT_CELLS = [
     # k >= 2 blocks end on the 3 q^2 table; at k=3 its a is an h-side array
     (13, 4, 2, _DOT),
@@ -44,6 +46,16 @@ COUNT_CELLS = [
     (27, 4, 3, _DOT),
     (3, 9, 7, _DOT),
 ]
+# (q, n, k, ambient) counts on the Gram transfer: the row side at k = n - 1,
+# the column side on a prime power, and q=3 n=21 k=3 (1.0e26 subspaces),
+# whose walk counts on Python ints beyond 2^63
+TRANSFER_CELLS = [
+    (3, 15, 14, _DOT),
+    (3, 15, 14, _LAMBDA),
+    (27, 3, 1, _LAMBDA),
+    (3, 21, 3, _LAMBDA),
+]
+TRANSFER_BUDGET = 10**30
 # isometry frame counts beyond verify's default budget: q=5 n=4 recurses on
 # column 0, n=3 is the three-column base alone
 GROUP_CELLS = [(5, 4), (9, 3)]
@@ -69,12 +81,28 @@ def poset_q9_n4():
     return ok, f"q=9 n=4 poset: mobius {mu}, flags {flags}"
 
 
-def count_cell(q, n, k, ambient):
+@contextlib.contextmanager
+def _on(path):
+    """Counts run on ``path``, the other one priced out."""
+    if path == "kernel":
+        name, price = "_transfer_price", lambda q, diag_idx, k: None
+    else:
+        name, price = "_kernel_price", lambda codes, n, k: math.inf
+    saved = getattr(oracle, name)
+    setattr(oracle, name, price)
+    try:
+        yield
+    finally:
+        setattr(oracle, name, saved)
+
+
+def count_cell(q, n, k, ambient, path="kernel", budget=oracle.DEFAULT_BUDGET):
     maker, dot, lam = ambient
-    tallies = oracle.count_subspaces_by_class(maker(_field(q), n), k)
+    with _on(path):
+        tallies = oracle.count_subspaces_by_class(maker(_field(q), n), k, budget=budget)
     got = (tallies[SubspaceClass.DOT_TYPE], tallies[SubspaceClass.LAMBDA_DOT_TYPE])
     want = (closed.dot_binom_variant(q, n, k, dot), closed.dot_binom_variant(q, n, k, lam))
-    return got == want, f"q={q} n={n} k={k} {maker.__name__}: {got}, closed form {want}"
+    return got == want, f"q={q} n={n} k={k} {maker.__name__} {path}: {got}, closed form {want}"
 
 
 def group_cell(q, n):
@@ -96,6 +124,8 @@ def results():
     yield poset_q9_n4()
     for cell in COUNT_CELLS:
         yield count_cell(*cell)
+    for cell in TRANSFER_CELLS:
+        yield count_cell(*cell, path="transfer", budget=TRANSFER_BUDGET)
     for q, n in GROUP_CELLS:
         yield group_cell(q, n)
     yield group_q9_n3_lambda()

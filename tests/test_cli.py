@@ -382,6 +382,20 @@ def test_domain_errors_exit_one():
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    # k = 0 and n = 0 read no bracket, yet q is checked first
+    (["binom", "--q", "4", "--n", "2", "--k", "0", "--variant", "ld"], "not an odd prime power"),
+    (["binom", "--q", "4", "--n", "2", "--k", "0", "--variant", "dl"], "not an odd prime power"),
+    (["triangle", "--q", "15", "--rows", "0"], "not a prime power"),
+    (["mobius", "--q", "4", "--n", "0"], "not an odd prime power"),
+])
+def test_q_is_refused_where_no_bracket_is_read(argv, message):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"error: q = {argv[2]} is {message}"]
+
+
 def test_poset_budget_guard_survives_optimize_flag():
     res = subprocess.run([sys.executable, "-O", "-m", "dotbinom", "flags",
                           "--q", "211", "--n", "2"],

@@ -12,5 +12,6 @@ def test_optimized_checks_pass_under_python_O():
                          text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "FAIL" not in res.stdout
-    # the verify reference, the poset, 10 count cells and 3 group checks
-    assert len(res.stdout.splitlines()) == 15
+    # the verify reference, the poset, 10 kernel and 4 transfer count cells
+    # and 3 group checks
+    assert len(res.stdout.splitlines()) == 19

@@ -46,6 +46,20 @@ DIFFERENTIAL_CELLS = [
 ]
 
 
+def _price_out(monkeypatch, path):
+    """Make every count run ``path``: the other one is priced out."""
+    if path == "kernel":
+        monkeypatch.setattr(oracle, "_transfer_price", lambda q, diag_idx, k: None)
+    else:
+        monkeypatch.setattr(oracle, "_kernel_price", lambda codes, n, k: math.inf)
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Counts run on the kernel, as the tests of its blocks, workspace and pool need."""
+    _price_out(monkeypatch, "kernel")
+
+
 def _assert_fast_matches_slow(p, e, n, maker):
     field = make_field(p, e)
     ambient = maker(field, n)
@@ -62,7 +76,7 @@ def test_fast_tallies_match_object_level_classification(p, e, n, maker):
     _assert_fast_matches_slow(p, e, n, maker)
 
 
-def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
+def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch, kernel):
     """Chunks that end mid-digit and rows split into several digit groups."""
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
@@ -82,7 +96,7 @@ def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
     (3, 6, [5], 1),  # k = 5: a 4 x 4 Gram block C beside row 0's 2 codes
     (9, 3, [2], 4),
 ])
-def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk, maker):
+def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk, maker, kernel):
     """Blocks of one h position and part of row 0's list, at k up to 5."""
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     ambient = maker(make_field(*closed.odd_prime_power(q)), n)
@@ -98,7 +112,7 @@ def _slow_tallies(ambient, k):
     return {klass: slow.get(klass, 0) for klass in SubspaceClass}
 
 
-def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch):
+def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch, kernel):
     """One process, one workspace: block shapes, q and k change from call to
     call, a pool inherits the workspace, and a poset follows a count."""
     space = {q: make_field(*closed.odd_prime_power(q)) for q in (3, 5, 7, 9)}
@@ -217,7 +231,7 @@ EVERY_CODE_CELLS = [
 
 
 @pytest.mark.parametrize("chunk,limit", [(None, 20_000), (7, 2_000)])
-def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit):
+def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit, kernel):
     """One code of each sign pair per row, weighted, tallies what every code
     tallies; at _CHUNK 7 blocks split inside a range and l blocks start above 0."""
     if chunk:
@@ -230,7 +244,7 @@ def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit):
             q, n, k, maker)
 
 
-def test_paired_count_allocates_only_block_sized_arrays():
+def test_paired_count_allocates_only_block_sized_arrays(kernel):
     """q=3 k=1: row 0 lists (3^(n-1) + 1) / 2 codes, 8 blocks at n = 13 and
     24 at n = 14, yet both counts peak at the same few block-sized arrays
     (the k = 1 kernel's own took 8 before the lists were paired): no list
@@ -381,7 +395,7 @@ def _closed_tallies(q, n, k, maker):
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
-def test_blocks_above_the_class_table_price_match_object_level(q):
+def test_blocks_above_the_class_table_price_match_object_level(q, kernel):
     """Counts at k = 2, 3, 4 and poset nodes, whose blocks end on every part
     of the ending table: a = -1 at k = 2 is a non-square at q = 3 and a
     square at q = 5 and 9, and at k = 3, 4 the h-side a takes every class.
@@ -401,7 +415,7 @@ def test_blocks_above_the_class_table_price_match_object_level(q):
         _assert_poset_nodes_match_objects(q, {3: 5, 5: 4, 9: 3}[q], maker)
 
 
-def test_only_blocks_of_k_at_least_two_build_the_ending_tables():
+def test_only_blocks_of_k_at_least_two_build_the_ending_tables(kernel):
     """k = 1 blocks end on klass alone; the 3 q^2 ending table is built on
     the first k >= 2 block of a field (about 60 ms at q = 2039)."""
     oracle._ending_tables.cache_clear()
@@ -413,7 +427,7 @@ def test_only_blocks_of_k_at_least_two_build_the_ending_tables():
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker):
+def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker, kernel):
     """q = 157, n = 2, k = 2 is one subspace: its block ends on the 3 q^2
     ending table, and no table of 157^3 entries is built for it."""
     built = []
@@ -432,7 +446,7 @@ def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_field_above_the_class_table_price_matches_closed_form(maker):
+def test_field_above_the_class_table_price_matches_closed_form(maker, kernel):
     """q = 167, n = 3, k = 2 against the closed forms (167^3 > 2^22)."""
     tallies = oracle.count_subspaces_by_class(maker(make_field(167), 3), 2)
     assert tallies == _closed_tallies(167, 3, 2, maker)
@@ -466,7 +480,7 @@ def _count_pools(monkeypatch):
     return started
 
 
-def test_jobs_do_not_change_tallies(monkeypatch):
+def test_jobs_do_not_change_tallies(monkeypatch, kernel):
     field = make_field(7)
     ambient = lambda_dot_space(field, 3)
     serial = [oracle.count_subspaces_by_class(ambient, k, jobs=1) for k in range(4)]
@@ -478,7 +492,7 @@ def test_jobs_do_not_change_tallies(monkeypatch):
     assert started == [3, 3]  # k = 1, 2: k = 0 and k = 3 have at most one task
 
 
-def test_counts_below_break_even_run_without_a_pool(monkeypatch):
+def test_counts_below_break_even_run_without_a_pool(monkeypatch, kernel):
     """The pool is priced by the codes a count evaluates, one of each sign
     pair per row: q=13 n=5 k=3 has 5.3 M subspaces but evaluates 0.68 M."""
     q, n, k = 13, 5, 3
@@ -522,14 +536,14 @@ def test_budget_is_enforced():
         oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=1000)
 
 
-def test_short_tally_raises_mismatch(monkeypatch):
+def test_short_tally_raises_mismatch(monkeypatch, kernel):
     ambient = dot_space(make_field(3), 2)
     monkeypatch.setattr(oracle, "_run_tasks", lambda worker, tasks, jobs: [(1, 0, 0)])
     with pytest.raises(Mismatch):
         oracle.count_subspaces_by_class(ambient, 1)
 
 
-def test_jobs_beyond_cpu_count_run_without_a_pool(monkeypatch):
+def test_jobs_beyond_cpu_count_run_without_a_pool(monkeypatch, kernel):
     ambient = lambda_dot_space(make_field(7), 3)
     serial = [oracle.count_subspaces_by_class(ambient, k) for k in range(4)]
 
@@ -541,6 +555,127 @@ def test_jobs_beyond_cpu_count_run_without_a_pool(monkeypatch):
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
     for k in range(4):
         assert oracle.count_subspaces_by_class(ambient, k, jobs=3) == serial[k]
+
+
+def _diag(q, n, maker):
+    field = make_field(*closed.odd_prime_power(q))
+    return tuple(field.index(d) for d in maker(field, n).gram_diag)
+
+
+# every cell of both paths' overlap up to n = 6: column side for k <= n / 2,
+# row side above
+OVERLAP_CELLS = [
+    (q, n, k, maker)
+    for q in (3, 5, 7, 9, 11, 13, 25, 27)
+    for n in range(1, 7)
+    for k in range(1, n + 1)
+    for maker in (dot_space, lambda_dot_space)
+    if closed.gaussian_binom(q, n, k) <= 200_000
+    and oracle._transfer_price(q, _diag(q, n, maker), k) is not None
+]
+
+
+def test_transfer_matches_kernel_on_both_sides(monkeypatch):
+    """The two paths, each forced through the price, agree on every cell of
+    the overlap, both ambients and both sides of the transfer."""
+    assert {2 * k <= n for _, n, k, _ in OVERLAP_CELLS} == {True, False}
+    assert {q for q, *_ in OVERLAP_CELLS} == {3, 5, 7, 9, 11, 13, 25, 27}
+    tallies = {}
+    for path in ("kernel", "transfer"):
+        with monkeypatch.context() as m:
+            _price_out(m, path)
+            for q, n, k, maker in OVERLAP_CELLS:
+                ambient = maker(make_field(*closed.odd_prime_power(q)), n)
+                tallies[path, q, n, k, maker] = oracle.count_subspaces_by_class(ambient, k)
+    for q, n, k, maker in OVERLAP_CELLS:
+        assert tallies["transfer", q, n, k, maker] == tallies["kernel", q, n, k, maker], (
+            q, n, k, maker)
+
+
+def _paths_taken(monkeypatch):
+    taken = []
+    for path in ("transfer", "kernel"):
+        run = getattr(oracle, f"_{path}_tallies")
+
+        def spy(*args, run=run, path=path):
+            taken.append(path)
+            return run(*args)
+
+        monkeypatch.setattr(oracle, f"_{path}_tallies", spy)
+    return taken
+
+
+@pytest.mark.parametrize("q,n,k,maker,path", [
+    # the kernel stays where the transfer's index would be large
+    (27, 4, 2, lambda_dot_space, "kernel"),  # 7.2 M index entries, over the limit
+    (5, 6, 3, dot_space, "kernel"),  # a 0.97 M-entry index for 2.6 M subspaces
+    (343, 2, 1, dot_space, "kernel"),
+    (13, 5, 2, dot_space, "transfer"),
+    (3, 7, 4, lambda_dot_space, "transfer"),
+    (3, 5, 4, dot_space, "transfer"),
+    (3, 15, 14, lambda_dot_space, "transfer"),
+])
+def test_price_picks_the_cheaper_path(monkeypatch, q, n, k, maker, path):
+    taken = _paths_taken(monkeypatch)
+    ambient = maker(make_field(*closed.odd_prime_power(q)), n)
+    assert oracle.count_subspaces_by_class(ambient, k) == _closed_tallies(q, n, k, maker)
+    assert taken == [path]
+
+
+def test_transfer_price_refuses_an_index_beyond_the_table_limit():
+    """One level's shift index holds (q^j - 1) / 2 * q^(j (j + 1) / 2)
+    entries: q=3 n=10 k=5 would need 1.7e9 of them at level 5."""
+    assert oracle._transfer_price(3, _diag(3, 10, dot_space), 5) is None
+    assert oracle._transfer_price(27, _diag(27, 4, dot_space), 2) is None
+    assert oracle._transfer_price(27, _diag(27, 4, dot_space), 1) is not None
+    assert oracle._transfer_price(3, _diag(3, 10, dot_space), 4) is not None
+
+
+def test_transfer_counts_on_python_ints_beyond_the_limit(monkeypatch):
+    """At limit 0 every walk counts on object arrays, with the same tallies;
+    q=3 n=21 k=3 (1.0e26 subspaces) is past 2^63 at the default limit."""
+    dtypes = []
+    walk = oracle._transfer_counts
+
+    def spy(*args):
+        counts = walk(*args)
+        dtypes.append(counts.dtype)
+        return counts
+
+    monkeypatch.setattr(oracle, "_transfer_counts", spy)
+    _price_out(monkeypatch, "transfer")
+    ambient = lambda_dot_space(make_field(3), 21)
+    assert oracle.count_subspaces_by_class(ambient, 3, budget=10**30) == (
+        _closed_tallies(3, 21, 3, lambda_dot_space))
+    assert dtypes == [object]
+    cells = [(3, 6, 2), (5, 5, 3), (9, 4, 1), (3, 7, 5), (7, 3, 3)]
+    fields = {q: make_field(*closed.odd_prime_power(q)) for q, _, _ in cells}
+    int64 = [oracle.count_subspaces_by_class(dot_space(fields[q], n), k) for q, n, k in cells]
+    monkeypatch.setattr(oracle, "_TRANSFER_LIMIT", 0)
+    dtypes.clear()
+    for (q, n, k), want in zip(cells, int64):
+        for maker in (dot_space, lambda_dot_space):
+            tallies = oracle.count_subspaces_by_class(maker(fields[q], n), k)
+            assert tallies == _closed_tallies(q, n, k, maker), (q, n, k, maker)
+        assert oracle.count_subspaces_by_class(dot_space(fields[q], n), k) == want
+    assert dtypes == [object] * 3 * len(cells)
+
+
+@pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
+def test_k_near_n_counts_on_the_row_side_in_little_memory(maker):
+    """q=3 n=15 k=14 has 7.2 M subspaces, inside the default budget; the
+    row side walks one level, 3 states, where the kernel's minors at k = 14
+    would take some 3 GB."""
+    ambient = maker(make_field(3), 15)
+    oracle.count_subspaces_by_class(maker(make_field(3), 3), 2)  # build the field tables
+    tracemalloc.start()
+    try:
+        tallies = oracle.count_subspaces_by_class(ambient, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tallies == _closed_tallies(3, 15, 14, maker)
+    assert peak < 64 * 1024, peak
 
 
 def test_enumerate_subspaces_is_canonical_and_complete():

@@ -177,6 +177,26 @@ def test_weighted_tallies_equal_the_posets_every_code_ranks(q, n, lam):
         assert (tallies[DOT], tallies[LAMBDA]) == (euclid[k], lorentz[k]), k
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(q=prime_powers.filter(lambda q: q * q <= oracle._MAX_TABLE_ENTRIES),
+       n=st.integers(1, 10), k=st.integers(1, 10), lam=st.booleans())
+@example(q=2039, n=3, k=2, lam=True)  # row side at the largest field the tables admit
+@example(q=27, n=6, k=2, lam=False)
+def test_transfer_matches_the_closed_forms_over_random_prime_powers(q, n, k, lam):
+    """The Gram transfer against the variant closed forms on both sides,
+    moved towards k = 1 or n - 1 until its shift index fits."""
+    k = k % n + 1
+    field = _fields(q)
+    ambient = (lambda_dot_space if lam else dot_space)(field, n)
+    diag = tuple(field.index(d) for d in ambient.gram_diag)
+    while oracle._transfer_price(q, diag, k) is None:
+        k += 1 if 2 * k > n else -1
+    square, non_square, zero = oracle._transfer_tallies(field, diag, k)
+    variants = (Variant.LD, Variant.LL) if lam else (Variant.DD, Variant.DL)
+    assert (square, non_square) == tuple(closed.dot_binom_variant(q, n, k, v) for v in variants)
+    assert square + non_square + zero == closed.gaussian_binom(q, n, k)
+
+
 # the commands that enumerate draw small inputs only, so each finishes at once
 ENUMERATING = {"oracle count", "oracle poset", "flags", "verify"}
 
