@@ -172,7 +172,7 @@ def cmd_oracle_count(args):
     oracle = _numpy_module("oracle")
 
     ambient = ambient_space(_field_for(args.q), args.ambient, args.n)
-    rep = oracle.full_count_report(ambient, budget=args.budget, jobs=args.jobs)
+    rep = oracle.full_count_report(ambient, budget=args.budget)
     space = {"ambient": rep.ambient_kind.value, "q": rep.q, "n": rep.n}
     subspaces = [{"k": k, "dot": d, "lambda_dot": l, "degenerate": z}
                  for k, d, l, z in rep.tallies]
@@ -230,7 +230,7 @@ def cmd_verify(args):
     verify = _numpy_module("verify")
 
     report = verify.run_verify(args.q, args.max_n, budget=args.budget,
-                               jobs=args.jobs, compare_paper=args.compare_paper)
+                               compare_paper=args.compare_paper)
     payload = _verify_payload(report)
     return (VERIFY_COLUMNS, payload["checks"], payload, verify_plain_lines(report),
             report.exit_status)
@@ -279,7 +279,6 @@ _BUDGET = _arg("--budget", type=_natural, default=DEFAULT_BUDGET)
 _POSET_BUDGET = _arg("--budget", type=_natural, default=DEFAULT_POSET_BUDGET,
                      help="cap on the subspaces scanned and on the 64-bit words "
                           "of the nodes' vector masks (default: %(default)s)")
-_JOBS = _arg("--jobs", type=_int_in(1), default=1)
 
 
 class _Command(NamedTuple):
@@ -317,7 +316,7 @@ COMMANDS = (
     _Command("oracle", "brute-force enumeration", None),
     _Command("oracle count", "enumerate and classify all subspaces", cmd_oracle_count, (
         _Q, _N, _arg("--ambient", choices=("dot", "lambda_dot"), default="dot"),
-        _BUDGET, _JOBS)),
+        _BUDGET)),
     _Command("oracle poset", "build a rank poset over the dot ambient", cmd_oracle_poset, (
         _Q, _N,
         _arg("--kind", choices=[k.value for k in PosetKind],
@@ -332,7 +331,7 @@ COMMANDS = (
              help="comma-separated field sizes, e.g. 3,5,9"),
         _arg("--max-n", type=_int_in(0, MAX_VERIFY_N), required=True,
              help=f"largest dimension checked, at most {MAX_VERIFY_N}"),
-        _BUDGET, _JOBS,
+        _BUDGET,
         _arg("--compare-paper", action=argparse.BooleanOptionalAction, default=True,
              help="include checks of formulas exactly as published"))),
 )

@@ -6,43 +6,48 @@ determinant square classes, and tallied.  The closed-form module must agree
 with these counts; no formula beyond the Gaussian binomial (used for budget
 estimates) is consulted.
 
-A count takes the Gram transfer or the kernel below, whichever is priced
-lower in one unit, gathered shift-index entries (_transfer_price and
-_kernel_price); the budget prices subspaces either way.  The transfer lists
-no subspace.  An RREF row holds 1 at its pivot and 0 at every other pivot,
-so a k-subspace's Gram matrix is diag(d_p) over its pivots plus
+A count of k-subspaces is a Gram transfer, which lists no subspace.  An
+RREF row holds 1 at its pivot and 0 at every other pivot, so a
+k-subspace's Gram matrix is diag(d_p) over its pivots plus
 d_c * x_c * x_c^T over its free columns c, x_c being column c on the rows
 whose pivot lies left of c.  Walking the columns left to right, a state is
 j pivots so far and their j x j partial Gram matrix S, and the walk keeps
 a count per state: a pivot column of d maps S to S + [d] on the diagonal,
 and a free column maps S to S + d * x * x^T for each x in F_q^j, one of
-each pair {x, -x} at weight 2 and x = 0 at weight 1.  The level-k states
-then hold every subspace's Gram matrix with its multiplicity, and each
-state's determinant is classified once by the kernel's cofactor expansion
-(_Minors).  States number q^(k (k + 1) / 2), so for k > n / 2 the walk
-runs at level n - k instead: Sylvester's identity (Horn and Johnson,
-0.8.5) gives det(D_P + X D_F X^T) = det D_P det D_F det(D_F^-1 +
-X^T D_P^-1 X) over the pivot and free columns P and F, and the last factor
-is a state of the walk over the reversed columns with every d inverted;
-the product of every d decides whether square and non-square swap.  So the
-transfer costs a polynomial in n times an exponential in min(k, n - k),
-where the kernel's cost grows with the subspaces.  Its counts are int64
-under an a priori bound and Python ints beyond.
+each pair {x, -x} at weight 2 and x = 0 at weight 1.  A free column
+scatters only the live states, those of nonzero count: each target code
+is a sum of gathers from small digit-group tables, and the counts are
+added exactly, on int64 or Python ints (np.add.at), never through a
+float64 sum.  The level-k states then hold every subspace's Gram matrix
+with its multiplicity, and each state's determinant is classified once by
+the cofactor expansion of _Minors.  States number q^(k (k + 1) / 2), so
+for k > n / 2 the walk runs at level n - k instead: Sylvester's identity
+(Horn and Johnson, 0.8.5) gives det(D_P + X D_F X^T) = det D_P det D_F
+det(D_F^-1 + X^T D_P^-1 X) over the pivot and free columns P and F, and
+the last factor is a state of the walk over the reversed columns with
+every d inverted; the product of every d decides whether square and
+non-square swap.  An ambient with a zero diagonal entry, which only a
+hand-built AmbientForm has, walks the column side.  So the transfer costs
+a polynomial in n times an exponential in min(k, n - k).  Its counts are
+int64 under an a priori bound and Python ints beyond, and a count whose
+level-m state array would pass the table limit is refused before it
+starts.  The budget prices the subspaces.
 
-The kernel works on field element indices and lookup tables.  The k x n
-matrices of one row layout are the codes whose base-q digits are the free
-entries of their rows, row by row; a row may also hold a pivot 1.  A code
-is l + q^f0 * h, where l holds row 0's f0 free digits and h the digits of
-rows 1..k-1, and a task is a block of h values x l values, each side
-drawn from a list of codes (below).  One Gram plan
+The posets need every node, so the block kernel lists and classifies
+every RREF matrix, one row layout at a time, on field element indices and
+lookup tables.  The k x n matrices of one row layout are the codes whose
+base-q digits are the free entries of their rows, row by row; a row may
+also hold a pivot 1.  A code is l + q^f0 * h, where l holds row 0's f0
+free digits and h the digits of rows 1..k-1, and a task is a block of h
+values x l values.  One Gram plan
 per row layout reads every Gram entry off l and h: row j's free columns
 are the last ones of every earlier row i, and row i is 0 at row j's pivot,
 so B(r_i, r_j) pairs row j's digits with the top digits of row i's block
 only, and small per-digit-group tables of sum d_c * x_c * y_c turn it
 into one gather per group of digits.  So the Gram block C of rows 1..k-1
 is made once per h value, g00 = B(r_0, r_0) once per l value, and only
-b_j = B(r_0, r_j) for j = 1..k-1 at full block size.  Subspace counts and
-the poset's nodes take the determinant as the bordered expansion
+b_j = B(r_0, r_j) for j = 1..k-1 at full block size.  The determinant is
+the bordered expansion
 det G = g00 det C - b^T adj(C) b (Horn and Johnson, Matrix Analysis,
 0.8.5), which holds over any commutative ring: no division and no case
 for a singular C.  For k >= 2 its last term is a * b_{k-1}^2, with
@@ -52,28 +57,11 @@ h-side coefficients by 1 / a (by 1 where a = 0), which reaches D / a at no
 extra full-size cost, and ends with one gather from a 3 q^2 table of
 square classes (_ending_tables).
 
-A count classifies one code of each sign pair per row.  The ambient form
-is diagonal, so negating the ambient column of row r's pivot is an
-isometry, d * (-x)^2 = d * x^2 (Taylor, The Geometry of the Classical
-Groups, 1992, on the isometries of a diagonal form); every other row is
-0 there, so only row r changes, and scaling it by -1 gives back an RREF
-of the same pattern with row r's free entries negated.  So a code's
-class is unchanged when one row's digit block v becomes -v (digit by
-digit, base p), and for odd q, v = -v only for v = 0.  Each row lists 0,
-of weight 1, and one code of each pair {v, -v}, of weight 2: the codes
-whose top nonzero base-p digit is in 1..(p - 1) / 2, which are the
-ranges [p^u, (p + 1) / 2 * p^u) for u below the e * f base-p digits of
-a row with f free entries, (q^f + 1) / 2 codes with 0 (_row_codes).  A
-code's weight is the product of its rows' weights, so the weights of a
-pivot pattern add up to q^(sum of f), and a count evaluates about 2^-k
-of its codes.  The posets need every node, so their blocks list every
-code, each of weight 1, through the same tasks.
-
-Every full-size (h values x l values) array of a count or poset block is
-written into a workspace that each process keeps and reuses across
-blocks: the k-1 entries b_j, the determinant and z accumulators of the
-bordered expansion and one temporary, sized by _CHUNK so that short blocks
-and every row layout share them.  A field op there is x * q + y formed in
+Every full-size (h values x l values) array of a block is written into a
+workspace that the process keeps and reuses across blocks: the k-1
+entries b_j, the determinant and z accumulators of the bordered expansion
+and one temporary, sized by _CHUNK so that short blocks and every row
+layout share them.  A field op there is x * q + y formed in
 place and a gather with take(out=, mode='clip'); only the h-side and
 l-side arrays, and the class codes a block returns, are new.  Clipping
 never acts: add, mul and neg are checked once, in _field_tables, and each
@@ -102,8 +90,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -128,24 +114,14 @@ from .quadspace import (
 # the six large count cells of the benchmark ran 1.2x slower at 1 << 14
 # and no faster at 1 << 16.
 _CHUNK = 1 << 15
-_GROUP_CAP = 1 << 16  # entries of one digit-group Gram table
+_GROUP_CAP = 1 << 16  # entries of one digit-group Gram or shift table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 # q^2 entries of each q x q table.  `oracle count --n 2` on the lambda-dot
-# ambient peaked 42 bytes per entry above its import at q = 1009 and 2003
-# (intp add and mul, two one-digit intp group tables and their temporaries,
-# the 3 q^2 int8 ending table): q = 2039, the largest prime in, near 175 MB.
+# ambient peaked 25 to 36 bytes per entry above importing the CLI at
+# q = 2003 and 1009 (numpy, intp add and mul, an int32 shift table and the
+# temporaries of their builds): q = 2039, the largest prime in, near 100 MB.
+# A transfer's level-m state array is held to the same number of entries.
 _MAX_TABLE_ENTRIES = 1 << 22
-# A kernel count that evaluates fewer codes runs in-process whatever ``jobs``
-# says, as a transfer always does: below it, starting a pool costs more than
-# the extra workers save.  Codes, not subspaces: a kernel count evaluates
-# about 2^-k of its subspaces.  On 2 cores,
-# best of 3, jobs=2 took 1.1-2.8x as long as jobs=1 up to 2.0e6 codes at
-# k = 1, 2 and 3, and 0.5-1.0x from 3.2e6 codes at k = 2 and 3.  At k = 1,
-# best of 5 alternating, it took 0.57-0.70x at 2.62e6 and 2.69e6 codes and
-# 0.57-1.03x at 3.59e6 (q = 3, n = 15, whose median read up to 1.17x).  k = 3
-# has no count cell from 0.68e6 to 3.2e6 codes, so there it is only
-# bracketed.  In subspaces the k = 2 break-even was near 13e6.
-_POOL_MIN_CODES = 2_500_000
 # Entries of one poset block: a group of upper nodes is gathered against a
 # lower rank's N_s nodes at most this many entries at a time, and vector
 # sets are made a group of nodes of q^k * n + q^n entries at a time.
@@ -154,21 +130,6 @@ _INCIDENCE_ENTRIES = 1 << 20
 _MU_LIMIT = 1 << 63
 # the Gram transfer counts in int64 while this bounds every state count
 _TRANSFER_LIMIT = 1 << 63
-# A count runs the Gram transfer or the kernel, whichever is priced lower,
-# both in gathered shift-index entries, each about 1.7 ns.  Fitted to cold
-# calls (caches cleared, field tables built) on 141 cells, 138 of them on
-# the transfer too, q from 3 to 343, n <= 8, k = 1..n-1, on 2 cores, best of
-# 3, least relative squares: a transfer took 1.7 ns per
-# gathered entry, 4.4 ns per index entry built and 15 us per column and
-# level; the kernel about 28 ns plus 3 ns * k^2 per code and 240 us per row
-# layout.  A built entry is priced at 16, not 2.6, because its index stays
-# cached for the process (4 bytes an entry): at q=5 n=6 k=3 the transfer
-# ran 12-17 ms cold against the kernel's 21 ms, but would keep a 3.9 MB
-# index where the kernel keeps a 1.3 MB workspace.
-_TRANSFER_BUILD_PRICE = 16
-_TRANSFER_STEP_PRICE = 8600
-_KERNEL_CODE_OPS = 8  # priced at 2 * (k^2 + this) per code
-_KERNEL_LAYOUT_PRICE = 140_000
 
 _CLASS_CODES = {
     SquareClass.ZERO: 0,
@@ -498,14 +459,9 @@ def _determinant(gram, k: int, add, mul, neg, inverse, q: int, det, z, temp):
     return det, a, gram[0, k - 1]
 
 
-def _list_size(q: int, f: int, paired: bool) -> int:
-    """Codes in the list of a row with f free digits: (q^f + 1) / 2 paired, else q^f."""
-    return (q**f + 1) // 2 if paired else q**f
-
-
 def _row_codes(position, p: int, digits: int):
-    """The codes at ``position`` in the paired list of a row whose block has
-    ``digits`` base-p digits.
+    """The codes at ``position`` in the list of one code of each pair
+    {v, -v} of ``digits`` base-p digits, v negated digit by digit.
 
     The list is 0 and then the ranges [p^u, (p + 1) / 2 * p^u) for
     u = 0, 1, ...: the codes whose top nonzero base-p digit is in
@@ -526,65 +482,21 @@ def _row_codes(position, p: int, digits: int):
     return codes
 
 
-def _side_codes(lo: int, hi: int, p: int, e: int, fs, paired: bool):
-    """(codes, runs) of positions lo..hi-1 of one side of a block.
+def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
+    """Blocks of h values x l values covering the codes l + q^f0 * h of a
+    row layout in code order, at most _CHUNK codes each.
 
-    Unpaired, a side lists every code, so position j holds code j, of
-    weight 1.  Paired, its list is the product of its rows' paired lists
-    in mixed radix, the first row least significant; a row with f free
-    digits moves the code by q^f, and a code stands for 2^m codes, m being
-    its rows whose block is not 0.  The codes come back stably sorted by
-    m, so runs holds (weight, start, stop) for each run of one weight; a
-    single row's list is in that order already.
-    """
-    if not paired:
-        return np.arange(lo, hi), [(1, 0, hi - lo)]
-    q = p**e
-    position = np.arange(lo, hi)
-    codes = np.zeros_like(position)
-    nonzero = np.zeros(position.size, dtype=np.int8)
-    place = 1
-    for i, f in enumerate(fs):
-        if i < len(fs) - 1:
-            position, digit = np.divmod(position, _list_size(q, f, True))
-        else:
-            digit = position  # every position of the last row is in its list
-        nonzero += digit > 0
-        digit = _row_codes(digit, p, e * f)
-        digit *= place
-        codes += digit
-        place *= q**f
-    if len(fs) > 1:
-        order = np.argsort(nonzero, kind="stable")
-        codes, nonzero = codes.take(order), nonzero.take(order)
-    runs, start = [], 0
-    for m in range(len(fs) + 1):
-        size = int(np.count_nonzero(nonzero == m))
-        if size:
-            runs.append((1 << m, start, start + size))
-            start += size
-    return codes, runs
-
-
-def _chunk_tasks(field, diag_idx: tuple, rows: tuple, paired: bool):
-    """Blocks of h positions x l positions covering a row layout, at most
-    _CHUNK codes each.
-
-    Row 0's list is the l side and the product of the lists of rows
-    1..k-1 the h side (_side_codes); with ``paired`` every row lists one
-    code of each pair {v, -v}, else every code, and the blocks then cover
-    the codes l + q^f0 * h in code order.  A block holds all of row 0's
-    list when it fits, so row 0 is split only when its list is longer than
-    _CHUNK, and then a block holds one h position.
+    A block holds all of row 0's q^f0 codes when they fit, so row 0 is
+    split only when q^f0 is over _CHUNK, and then a block holds one h value.
     """
     q = field.q
-    size_l = _list_size(q, len(rows[0][1]), paired)
-    size_h = math.prod(_list_size(q, len(cols), paired) for _, cols in rows[1:])
+    size_l = q ** len(rows[0][1])
+    size_h = q ** sum(len(cols) for _, cols in rows[1:])
     h_step = max(1, _CHUNK // size_l)
     l_step = min(size_l, _CHUNK)
     blocks = [((h, min(h + h_step, size_h)), (l, min(l + l_step, size_l)))
               for h in range(0, size_h, h_step) for l in range(0, size_l, l_step)]
-    return [(field.p, field.e, diag_idx, rows, paired, hs, ls) for hs, ls in blocks]
+    return [(field.p, field.e, diag_idx, rows, hs, ls) for hs, ls in blocks]
 
 
 @lru_cache(maxsize=1)
@@ -595,20 +507,17 @@ def _workspace(count: int, size: int):
 
 
 def _chunk_classes(task):
-    """(classes, h runs, l runs) of one block: the square-class codes of its
-    Gram determinants, shape (h positions, l positions), and the weight runs
-    of its h and l codes (_side_codes).
+    """The square-class codes of one block's Gram determinants, shape
+    (h values, l values).
 
     The classes are a new array: none of the workspace buffers escapes.
     """
-    p, e, diag_idx, rows, paired, (h_lo, h_hi), (l_lo, l_hi) = task
+    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
     add, mul, neg, klass = _field_tables(p, e)
     q = p**e
     k = len(rows)
     plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
-    h, h_runs = _side_codes(h_lo, h_hi, p, e, [len(cols) for _, cols in rows[1:]], paired)
-    l, l_runs = _side_codes(l_lo, l_hi, p, e, [len(rows[0][1])], paired)
-    h, l = h[:, None], l[None, :]
+    h, l = np.arange(h_lo, h_hi)[:, None], np.arange(l_lo, l_hi)[None, :]
     shape = (h_hi - h_lo, l_hi - l_lo)
     size = shape[0] * shape[1]
     # b_1..b_{k-1}, det, z and a temporary.  Sized by _CHUNK, not by the
@@ -620,7 +529,7 @@ def _chunk_classes(task):
     if k == 1:
         # take copies a read-only index array such as a broadcast view, so
         # the codes of g00 alone are broadcast after the gather
-        return np.broadcast_to(klass.take(gram[0, 0]), shape), h_runs, l_runs
+        return np.broadcast_to(klass.take(gram[0, 0]), shape)
     inverse, offsets, classes = _ending_tables(p, e)
     x, a, b = _determinant(gram, k, add, mul, neg, inverse, q, det, z, temp)
     # the index (s * q + x) * q + b, formed in place; s * q^2 is h-side
@@ -628,37 +537,8 @@ def _chunk_classes(task):
     np.add(x, b, out=x)
     if np.ndim(a):
         np.add(x, offsets.take(a), out=x)
-        return classes.take(x), h_runs, l_runs
-    return classes[offsets[a]:offsets[a] + q * q].take(x), h_runs, l_runs
-
-
-def _chunk_tallies(task):
-    """Weighted (square, non-square, zero) tallies for one block.
-
-    Each sub-block of one h weight run and one l weight run is counted
-    class by class: bincount would cast the int8 codes to a new full-size
-    intp array, and a weighted sum along a short l axis is slow in numpy.
-    """
-    classes, h_runs, l_runs = _chunk_classes(task)
-    runs = [(wh * wl, slice(h0, h1), slice(l0, l1))
-            for wh, h0, h1 in h_runs for wl, l0, l1 in l_runs]
-    tallies = []
-    for klass in (SquareClass.SQUARE, SquareClass.NON_SQUARE):
-        hits = classes == _CLASS_CODES[klass]
-        tallies.append(sum(w * int(np.count_nonzero(hits[hs, ls])) for w, hs, ls in runs))
-    square, non_square = tallies
-    total = sum(w * (hs.stop - hs.start) * (ls.stop - ls.start) for w, hs, ls in runs)
-    return square, non_square, total - square - non_square
-
-
-def _run_tasks(worker, tasks, jobs: int):
-    # more workers than cores only adds process start-up
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunksize = max(1, len(tasks) // (jobs * 4))
-        return list(pool.map(worker, tasks, chunksize=chunksize))
+        return classes.take(x)
+    return classes[offsets[a]:offsets[a] + q * q].take(x)
 
 
 def _triangle(j: int) -> int:
@@ -681,43 +561,56 @@ def _state_gram(codes, j: int, q: int):
 
 
 @lru_cache(maxsize=8)
-def _shift_index(p: int, e: int, j: int, d: int):
-    """(shifts, q^T(j)) int32 array: row s holds every level-j state code
-    minus the s-th shift d * x * x^T, x running over one vector of each
-    pair {x, -x} of F_q^j \\ {0} (_row_codes on j base-q digits).
+def _shift_tables(p: int, e: int, j: int, d: int):
+    """(q^lo, q^w, table) for each digit group lo..lo + w - 1 of a level-j
+    state code, for the shifts d * x * x^T, x running over one vector of
+    each pair {x, -x} of F_q^j \\ {0} (_row_codes on j base-q digits).
 
-    So counts.take(index) gathers, for each state, the count of the state
-    that the s-th shift moves onto it.  x and -x add the same shift, so a
-    free column's new counts are the old ones (x = 0) plus twice the sum of
-    the gathered rows.  Digit t of a code minus a shift is a field sum of
-    digit t alone, so the index is built a digit at a time, each digit's q
-    values scaled by q^t and added to every code of the digits below it.
+    table[g, s] is the group's digits g plus shift s's digits there, field
+    sums digit by digit, times q^lo; so the code of a state plus shift s is
+    the sum over groups of table[code // q^lo % q^w, s].  A group is as wide
+    as fits _GROUP_CAP entries, and at least one digit wide.
     """
-    add, mul, neg, _ = _field_tables(p, e)
+    add, mul, _, _ = _field_tables(p, e)
     q = p**e
     x = _row_codes(np.arange(1, (q**j + 1) // 2), p, e * j)
     x = x // q ** np.arange(j)[:, None] % q  # x[a] is coordinate a of each vector
-    index = np.zeros((x.shape[1], 1), dtype=np.int32)
-    for b in range(j):
-        for a in range(b + 1):  # digit t = T(b) + a, in _state_gram's order
-            minus_shift = mul[neg[d], mul[x[a], x[b]]]
-            digit = add[minus_shift[:, None], np.arange(q)].astype(np.int32)
-            index = (digit[:, :, None] * index.shape[1] + index[:, None, :]).reshape(
-                x.shape[1], -1)
-    return index
+    # digit T(b) + a of every shift, in _state_gram's order
+    digits = [mul[d, mul[x[a], x[b]]] for b in range(j) for a in range(b + 1)]
+    shifts = x.shape[1]
+    width = 1
+    while width < len(digits) and q ** (width + 1) * shifts <= _GROUP_CAP:
+        width += 1
+    groups = []
+    for lo in range(0, len(digits), width):
+        table = None
+        for t in range(lo, min(lo + width, len(digits))):
+            # [g_t, s]: digit t of g plus shift s's.  Field indices, so clip
+            # never acts, and int32 holds every code below q^T(j) <= 2^22.
+            term = np.empty((q, shifts), dtype=np.int32)
+            add.take(digits[t], axis=1, out=term, mode="clip")
+            term *= q**t
+            table = term if table is None else (term[:, None, :] + table).reshape(-1, shifts)
+        groups.append((q**lo, len(table), table))
+    return groups
 
 
 @lru_cache(maxsize=8)
 def _state_classes(p: int, e: int, m: int):
     """Square-class codes of det S for every level-m state S, by the
-    cofactor expansion of _Minors over the state digits."""
+    cofactor expansion of _Minors over the state digits, _TABLE_BLOCK
+    states at a time."""
     add, mul, neg, klass = _field_tables(p, e)
     q = p**e
-    gram = _state_gram(np.arange(q ** _triangle(m)), m, q)
-    minors = _Minors(gram, lambda x, y: _gather(mul, x, y, q),
-                     lambda x, y: _gather(add, x, y, q), neg)
+    size = q ** _triangle(m)
+    classes = np.empty(size, dtype=np.int8)
     rows = tuple(range(m))
-    return klass.take(np.asarray(minors[rows, rows]))
+    for lo in range(0, size, _TABLE_BLOCK):
+        gram = _state_gram(np.arange(lo, min(lo + _TABLE_BLOCK, size)), m, q)
+        minors = _Minors(gram, lambda x, y: _gather(mul, x, y, q),
+                         lambda x, y: _gather(add, x, y, q), neg)
+        classes[lo:lo + _TABLE_BLOCK] = klass.take(minors[rows, rows])
+    return classes
 
 
 def _transfer_counts(p: int, e: int, diag, m: int):
@@ -726,11 +619,12 @@ def _transfer_counts(p: int, e: int, diag, m: int):
     A state (j, S) is j pivots so far and their j x j partial Gram matrix S,
     stored as its upper triangle's digits (_state_gram).  A pivot column of
     d maps S to S + [d] on the diagonal: level j - 1's counts are added to
-    one slice of level j, at d * q^(T(j) - 1).  A free column of d maps S
-    to S + d * x * x^T for each x in F_q^j, one gather of _shift_index.
+    one slice of level j, at d * q^(T(j) - 1).  A free column of d keeps
+    every count (x = 0) and adds twice each live state's count onto the
+    state plus each shift of _shift_tables, _CHUNK targets at a time.
     Counts are int64 while every state count, at most the Gaussian binomial
     of its prefix (c columns, j pivots), is below _TRANSFER_LIMIT, and
-    Python ints beyond.
+    Python ints beyond; np.add.at adds either exactly.
     """
     q, n = p**e, len(diag)
     # (c, j) runs over every live state: m - j pivots still fit in n - c columns
@@ -745,12 +639,18 @@ def _transfer_counts(p: int, e: int, diag, m: int):
             if old is None:
                 new = np.zeros(q ** _triangle(j), dtype=dtype)
             elif j:
-                index = _shift_index(p, e, j, d)
-                shifted = np.zeros_like(old)
-                rows = max(1, _CHUNK // old.size)
-                for first in range(0, len(index), rows):
-                    shifted += old.take(index[first:first + rows]).sum(axis=0)
-                new = old + 2 * shifted
+                groups = _shift_tables(p, e, j, d)
+                new = old.copy()
+                shifts = groups[0][2].shape[1]
+                step = max(1, _CHUNK // shifts)
+                for block in range(0, old.size, _CHUNK):
+                    live = np.flatnonzero(old[block:block + _CHUNK]) + block
+                    for first in range(0, live.size, step):
+                        codes = live[first:first + step]
+                        targets = sum(table.take(codes // power % size, axis=0)
+                                      for power, size, table in groups)
+                        # flat: np.add.at takes a slow path for broadcast values
+                        np.add.at(new, targets.ravel(), np.repeat(2 * old[codes], shifts))
             else:
                 new = old
             if j and levels[j - 1] is not None:
@@ -761,29 +661,45 @@ def _transfer_counts(p: int, e: int, diag, m: int):
     return levels[m]
 
 
+def _walk_level(q: int, diag_idx: tuple, k: int) -> int:
+    """The level m of a k-subspace count's walk: min(k, n - k), or k where
+    the row side would invert a zero d; refused where the level-m state
+    array would pass _MAX_TABLE_ENTRIES."""
+    n = len(diag_idx)
+    m = k if 0 in diag_idx else min(k, n - k)
+    states = q ** _triangle(m)
+    if states > _MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"Gram transfer states of {states} entries at (q={q}, n={n}, k={k}) "
+            f"exceed the limit of {_MAX_TABLE_ENTRIES} entries"
+        )
+    return m
+
+
 def _transfer_tallies(field, diag_idx: tuple, k: int):
     """(square, non-square, zero) tallies of the k-subspaces by the Gram transfer.
 
-    For k <= n / 2 the walk runs over the columns with the ambient
-    diagonal.  For k > n / 2 it runs at level n - k over the reversed
-    columns with every d inverted: a subspace's Gram matrix is
-    D_P + X D_F X^T (pivot and free columns), and Sylvester's identity
-    makes its determinant det D_P det D_F det(D_F^-1 + X^T D_P^-1 X), the
-    last factor being a state of that walk.  det D_P det D_F is the product
-    of every d, so a non-square product swaps the two nonzero classes.
+    At m = k (_walk_level) the walk runs over the columns with the ambient
+    diagonal.  At m = n - k it runs over the reversed columns with every d
+    inverted: a subspace's Gram matrix is D_P + X D_F X^T (pivot and free
+    columns), and Sylvester's identity makes its determinant
+    det D_P det D_F det(D_F^-1 + X^T D_P^-1 X), the last factor being a
+    state of that walk.  det D_P det D_F is the product of every d, so a
+    non-square product swaps the two nonzero classes.
     """
     p, e, n = field.p, field.e, len(diag_idx)
+    m = _walk_level(field.q, diag_idx, k)
     _, mul, _, klass = _field_tables(p, e)
-    if 2 * k <= n:
-        m, diag, twist = k, diag_idx, False
+    if m == k:
+        diag, twist = diag_idx, False
     else:
-        m, diag = n - k, tuple(int(np.flatnonzero(mul[d] == 1)[0]) for d in reversed(diag_idx))
+        diag = tuple(int(np.flatnonzero(mul[d] == 1)[0]) for d in reversed(diag_idx))
         product = 1
         for d in diag_idx:
             product = mul[product, d]
         twist = klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
     counts = _transfer_counts(p, e, diag, m)
-    classes = np.broadcast_to(_state_classes(p, e, m), counts.shape)
+    classes = _state_classes(p, e, m)
     square, non_square = (
         int(counts[classes == _CLASS_CODES[c]].sum())
         for c in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
@@ -806,72 +722,15 @@ def _subspace_total(ambient: AmbientForm, k: int, budget: int) -> int:
     return total
 
 
-def _kernel_codes(q: int, n: int, k: int) -> int:
-    """Codes the kernel evaluates over every row layout, one of each sign
-    pair per row: sum over pivot patterns of the product of the rows'
-    (q^f + 1) / 2, walked over the columns from the right, where a pivot
-    with i pivots and ``seen`` columns to its right has seen - i free
-    columns."""
-    ways = [1] + [0] * k  # ways[i]: i pivots among the columns seen so far
-    for seen in range(n):
-        for i in range(min(seen, k - 1), -1, -1):
-            ways[i + 1] += ways[i] * _list_size(q, seen - i, True)
-    return ways[k]
-
-
-def _kernel_price(codes: int, n: int, k: int) -> int:
-    """The kernel's work in gathered shift-index entries (_transfer_price):
-    its ``codes`` (_kernel_codes) times the full-size field ops per code,
-    and a cost per row layout for its plan, side codes and h-side minors."""
-    return 2 * (k * k + _KERNEL_CODE_OPS) * codes + math.comb(n, k) * _KERNEL_LAYOUT_PRICE
-
-
-def _transfer_price(q: int, diag_idx: tuple, k: int):
-    """The transfer's work in gathered shift-index entries, or None where it
-    cannot run: one level's index would pass _MAX_TABLE_ENTRIES, or the row
-    side would invert a zero d.
-
-    Each level j = 1..m has n - m free columns, each one gather of its
-    index, and one index is built per distinct d of the ambient; the walk
-    pays _TRANSFER_STEP_PRICE per column and level.
-    """
-    n = len(diag_idx)
-    m = min(k, n - k)
-    sizes = [(q**j - 1) // 2 * q ** _triangle(j) for j in range(1, m + 1)]
-    if any(size > _MAX_TABLE_ENTRIES for size in sizes) or (2 * k > n and 0 in diag_idx):
-        return None
-    builds = len(set(diag_idx)) * _TRANSFER_BUILD_PRICE
-    return (n - m + builds) * sum(sizes) + n * (m + 1) * _TRANSFER_STEP_PRICE
-
-
-def _kernel_tallies(field, diag_idx: tuple, k: int, codes: int, jobs: int):
-    """(square, non-square, zero) tallies of the kernel's blocks over every row layout."""
-    n = len(diag_idx)
-    tasks = [
-        task
-        for pattern in itertools.combinations(range(n), k)
-        for task in _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), paired=True)
-    ]
-    if codes < _POOL_MIN_CODES:
-        jobs = 1
-    square = non_square = zero = 0
-    for s, ns, z in _run_tasks(_chunk_tallies, tasks, jobs):
-        square += s
-        non_square += ns
-        zero += z
-    return square, non_square, zero
-
-
 def count_subspaces_by_class(
     ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ):
-    """Exhaustive classification tally of all k-subspaces.
+    """Exhaustive classification tally of all k-subspaces, by the Gram
+    transfer (see the module docstring).
 
-    The count runs the Gram transfer or the kernel (see the module
-    docstring), whichever is priced lower; ``jobs`` acts on the kernel
-    only.  Each row of a kernel code lists one code of each sign pair
-    {v, -v}, weighted, so it evaluates about 2^-k of its codes; the
-    weights still add up to every code.
+    ``jobs`` is accepted and ignored: every count runs in this process.  It
+    stays because the benchmark's workloads pass it (bench/workloads.py)
+    and its tracer reads it (bench/tracing.py).
     """
     field = ambient.field
     n = ambient.n
@@ -885,12 +744,7 @@ def count_subspaces_by_class(
         }
     _price_tables(field.q)
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    codes = _kernel_codes(field.q, n, k)
-    transfer = _transfer_price(field.q, diag_idx, k)
-    if transfer is not None and transfer <= _kernel_price(codes, n, k):
-        square, non_square, zero = _transfer_tallies(field, diag_idx, k)
-    else:
-        square, non_square, zero = _kernel_tallies(field, diag_idx, k, codes, jobs)
+    square, non_square, zero = _transfer_tallies(field, diag_idx, k)
     if square + non_square + zero != total:
         raise Mismatch(
             f"{square + non_square + zero} subspaces tallied at "
@@ -903,9 +757,9 @@ def count_subspaces_by_class(
     }
 
 
-def count_lines(ambient: AmbientForm, budget: int = DEFAULT_BUDGET, jobs: int = 1):
+def count_lines(ambient: AmbientForm, budget: int = DEFAULT_BUDGET):
     """(spacelike, timelike, lightlike) tallies over all lines through 0."""
-    tallies = count_subspaces_by_class(ambient, 1, budget=budget, jobs=jobs)
+    tallies = count_subspaces_by_class(ambient, 1, budget=budget)
     return (
         tallies[SubspaceClass.DOT_TYPE],
         tallies[SubspaceClass.LAMBDA_DOT_TYPE],
@@ -1066,10 +920,10 @@ def build_poset(
         rank = []
         for pattern in itertools.combinations(range(n), k):
             slots = _free_positions(pattern, n)
-            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n), paired=False)
+            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
             # every code, in order: code h * q^f0 + l is the flat index of
             # (h, l) within the blocks
-            classes = np.concatenate([_chunk_classes(t)[0].ravel() for t in tasks])
+            classes = np.concatenate([_chunk_classes(t).ravel() for t in tasks])
             codes = np.flatnonzero(classes == wanted)
             # slot s is code digit s, but itertools.product, and so
             # enumerate_subspaces, makes slot 0 the most significant
@@ -1269,17 +1123,18 @@ class CountReport:
         return out
 
 
-def full_count_report(
-    ambient: AmbientForm, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> CountReport:
+def full_count_report(ambient: AmbientForm, budget: int = DEFAULT_BUDGET) -> CountReport:
     """Tallies for every dimension plus poset summaries when in budget."""
+    field = ambient.field
+    diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
     for k in range(ambient.n + 1):  # refuse as the counts would, before any runs
         _subspace_total(ambient, k, budget)
         if k:
-            _price_tables(ambient.field.q)
+            _price_tables(field.q)
+            _walk_level(field.q, diag_idx, k)
     tallies = []
     for k in range(ambient.n + 1):
-        by_class = count_subspaces_by_class(ambient, k, budget=budget, jobs=jobs)
+        by_class = count_subspaces_by_class(ambient, k, budget=budget)
         tallies.append(
             (
                 k,

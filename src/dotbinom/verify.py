@@ -240,7 +240,12 @@ def _kset_family(add):
 
 def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
                compare_paper=True) -> VerifyReport:
-    """Run every check family over the given field sizes and dimensions."""
+    """Run every check family over the given field sizes and dimensions.
+
+    ``jobs`` is accepted and ignored: every count runs in this process.  It
+    stays because the benchmark's verify workload passes it
+    (bench/workloads.py).
+    """
     records = []
     add = records.append
     # each (q, ambient kind, n, k) is enumerated once per run: its tallies or
@@ -252,7 +257,7 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
         if key not in found:
             try:
                 found[key] = oracle.count_subspaces_by_class(
-                    ambient_space(_field(q), kind, n), k, budget=budget, jobs=jobs
+                    ambient_space(_field(q), kind, n), k, budget=budget
                 )
             except _SKIPS + _FAILURES as exc:
                 found[key] = exc

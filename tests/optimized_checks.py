@@ -1,8 +1,9 @@
 """Cells whose range checks must survive ``python -O``.
 
-The kernel's clipped gathers, the int64 sums of ``mobius_bottom`` and of the
-Gram transfer, and the transfer's total check are safe only because of checks
-written as statements, not asserts.  This script runs the
+The block kernel's clipped gathers (poset nodes), the transfer's clipped
+table builds and int32 shift tables, the int64 sums of ``mobius_bottom`` and
+of the Gram transfer, and the transfer's total check are safe only because of
+checks written as statements, not asserts.  This script runs the
 cells that reach them and compares each result with its closed form (or, for
 ``verify``, with the frozen benchmark reference).  It prints one line per
 cell and exits 1 if any disagrees:
@@ -14,7 +15,6 @@ cell and exits 1 if any disagrees:
 
 import contextlib
 import io
-import math
 import pathlib
 import sys
 
@@ -29,9 +29,9 @@ VERIFY_ARGV = ["verify", "--q", "3,5,7,9", "--max-n", "5", "--format", "json"]
 
 _DOT = (dot_space, Variant.DD, Variant.DL)
 _LAMBDA = (lambda_dot_space, Variant.LD, Variant.LL)
-# (q, n, k, ambient) counts on the kernel, each against its two closed forms
+# (q, n, k, ambient) counts at the default budget, each against its two
+# closed forms
 COUNT_CELLS = [
-    # k >= 2 blocks end on the 3 q^2 table; at k=3 its a is an h-side array
     (13, 4, 2, _DOT),
     (167, 3, 2, _LAMBDA),
     (167, 4, 3, _LAMBDA),
@@ -40,22 +40,24 @@ COUNT_CELLS = [
     (2039, 2, 2, _DOT),
     (2039, 2, 1, _LAMBDA),
     (2039, 2, 2, _LAMBDA),
-    # one code of each sign pair per row: q=27's ranges run over the base-3
-    # digits inside each field index; q=3 n=9 k=7 has seven weighted rows
+    (2039, 3, 2, _DOT),
+    # q=27's shifts, one of each pair {x, -x}, run over the base-3 digits
+    # inside each field index; q=27 n=4 k=2 walks 27^3 states in two groups
     (27, 4, 3, _LAMBDA),
     (27, 4, 3, _DOT),
+    (27, 4, 2, _LAMBDA),
     (3, 9, 7, _DOT),
 ]
-# (q, n, k, ambient) counts on the Gram transfer: the row side at k = n - 1,
-# the column side on a prime power, and q=3 n=21 k=3 (1.0e26 subspaces),
-# whose walk counts on Python ints beyond 2^63
-TRANSFER_CELLS = [
+# counts beyond the default budget: the row side at k = n - 1, the column
+# side on a prime power, and q=3 n=21 k=3 (1.0e26 subspaces), whose walk
+# counts on Python ints beyond 2^63
+BEYOND_BUDGET_CELLS = [
     (3, 15, 14, _DOT),
     (3, 15, 14, _LAMBDA),
     (27, 3, 1, _LAMBDA),
     (3, 21, 3, _LAMBDA),
 ]
-TRANSFER_BUDGET = 10**30
+BEYOND_BUDGET = 10**30
 # isometry frame counts beyond verify's default budget: q=5 n=4 recurses on
 # column 0, n=3 is the three-column base alone
 GROUP_CELLS = [(5, 4), (9, 3)]
@@ -81,28 +83,25 @@ def poset_q9_n4():
     return ok, f"q=9 n=4 poset: mobius {mu}, flags {flags}"
 
 
-@contextlib.contextmanager
-def _on(path):
-    """Counts run on ``path``, the other one priced out."""
-    if path == "kernel":
-        name, price = "_transfer_price", lambda q, diag_idx, k: None
-    else:
-        name, price = "_kernel_price", lambda codes, n, k: math.inf
-    saved = getattr(oracle, name)
-    setattr(oracle, name, price)
+def poset_small_chunks():
+    """q=3 n=4 poset nodes in blocks of 7 codes: blocks that end mid-digit
+    and row 0's codes split over several blocks."""
+    saved = oracle._CHUNK
+    oracle._CHUNK = 7
     try:
-        yield
+        ranks = oracle.build_poset(dot_space(_field(3), 4), PosetKind.EUCLIDEAN).rank_sizes()
     finally:
-        setattr(oracle, name, saved)
+        oracle._CHUNK = saved
+    want = (1, *(closed.dot_binom_variant(3, 4, k, Variant.DD) for k in range(1, 4)), 1)
+    return ranks == want, f"q=3 n=4 poset at _CHUNK 7: ranks {ranks}, closed forms {want}"
 
 
-def count_cell(q, n, k, ambient, path="kernel", budget=oracle.DEFAULT_BUDGET):
+def count_cell(q, n, k, ambient, budget=oracle.DEFAULT_BUDGET):
     maker, dot, lam = ambient
-    with _on(path):
-        tallies = oracle.count_subspaces_by_class(maker(_field(q), n), k, budget=budget)
+    tallies = oracle.count_subspaces_by_class(maker(_field(q), n), k, budget=budget)
     got = (tallies[SubspaceClass.DOT_TYPE], tallies[SubspaceClass.LAMBDA_DOT_TYPE])
     want = (closed.dot_binom_variant(q, n, k, dot), closed.dot_binom_variant(q, n, k, lam))
-    return got == want, f"q={q} n={n} k={k} {maker.__name__} {path}: {got}, closed form {want}"
+    return got == want, f"q={q} n={n} k={k} {maker.__name__}: {got}, closed form {want}"
 
 
 def group_cell(q, n):
@@ -122,10 +121,11 @@ def results():
     """(agrees, line) of each check, computed as it is reached."""
     yield verify_reference()
     yield poset_q9_n4()
+    yield poset_small_chunks()
     for cell in COUNT_CELLS:
         yield count_cell(*cell)
-    for cell in TRANSFER_CELLS:
-        yield count_cell(*cell, path="transfer", budget=TRANSFER_BUDGET)
+    for cell in BEYOND_BUDGET_CELLS:
+        yield count_cell(*cell, budget=BEYOND_BUDGET)
     for q, n in GROUP_CELLS:
         yield group_cell(q, n)
     yield group_q9_n3_lambda()

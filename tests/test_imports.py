@@ -61,6 +61,15 @@ def test_cli_import_loads_no_numpy():
     assert res.stdout == "False\n"
 
 
+def test_oracle_import_loads_no_process_pool():
+    """Every count runs in-process, so the oracle imports no pool machinery."""
+    res = run_python("-c", "import sys, dotbinom.oracle; "
+                           "print('multiprocessing' in sys.modules, "
+                           "'concurrent.futures' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False False\n"
+
+
 def test_lazy_exports_resolve_after_bare_import():
     script = """
 import sys

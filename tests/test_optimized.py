@@ -1,4 +1,4 @@
-"""The range checks the kernel relies on hold under ``python -O``."""
+"""The range checks the oracle relies on hold under ``python -O``."""
 
 import pathlib
 import subprocess
@@ -12,6 +12,6 @@ def test_optimized_checks_pass_under_python_O():
                          text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "FAIL" not in res.stdout
-    # the verify reference, the poset, 10 kernel and 4 transfer count cells
-    # and 3 group checks
-    assert len(res.stdout.splitlines()) == 19
+    # the verify reference, 2 posets, 12 count cells at the default budget,
+    # 4 beyond it and 3 group checks
+    assert len(res.stdout.splitlines()) == 22

@@ -22,6 +22,7 @@ from dotbinom.errors import (
 from dotbinom.gf import SquareClass, make_field
 from dotbinom.oracle import PosetKind
 from dotbinom.quadspace import (
+    AmbientForm,
     AmbientKind,
     SubspaceClass,
     bilinear,
@@ -46,28 +47,18 @@ DIFFERENTIAL_CELLS = [
 ]
 
 
-def _price_out(monkeypatch, path):
-    """Make every count run ``path``: the other one is priced out."""
-    if path == "kernel":
-        monkeypatch.setattr(oracle, "_transfer_price", lambda q, diag_idx, k: None)
-    else:
-        monkeypatch.setattr(oracle, "_kernel_price", lambda codes, n, k: math.inf)
-
-
-@pytest.fixture
-def kernel(monkeypatch):
-    """Counts run on the kernel, as the tests of its blocks, workspace and pool need."""
-    _price_out(monkeypatch, "kernel")
-
-
 def _assert_fast_matches_slow(p, e, n, maker):
+    """Counts, and for k >= 1 the posets' every-code blocks, against classify()."""
     field = make_field(p, e)
     ambient = maker(field, n)
     for k in range(n + 1):
         slow = Counter(classify(sub) for sub in oracle.enumerate_subspaces(ambient, k))
-        fast = oracle.count_subspaces_by_class(ambient, k)
-        for klass in SubspaceClass:
-            assert fast[klass] == slow.get(klass, 0), (p, e, n, k, klass)
+        fast = [oracle.count_subspaces_by_class(ambient, k)]
+        if k:
+            fast.append(_every_code_tallies(ambient, k))
+        for tallies in fast:
+            for klass in SubspaceClass:
+                assert tallies[klass] == slow.get(klass, 0), (p, e, n, k, klass)
 
 
 @pytest.mark.parametrize("p,e,n,maker", DIFFERENTIAL_CELLS)
@@ -76,8 +67,9 @@ def test_fast_tallies_match_object_level_classification(p, e, n, maker):
     _assert_fast_matches_slow(p, e, n, maker)
 
 
-def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch, kernel):
-    """Chunks that end mid-digit and rows split into several digit groups."""
+def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
+    """Chunks that end mid-digit and rows split into several digit groups,
+    in the transfer's scatter and in the posets' blocks."""
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
     assert oracle._group_width(3) == 2 and oracle._group_width(9) == 1
@@ -87,7 +79,7 @@ def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch, kern
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 @pytest.mark.parametrize("q,n,ks,chunk", [
-    # row 0 lists (q^f0 + 1) / 2 codes, f0 = n - k on the largest pivot pattern
+    # row 0 holds q^f0 codes, f0 = n - k on the largest pivot pattern
     (3, 5, range(1, 4), 2),
     (3, 6, [1], 2),
     (5, 4, range(1, 3), 4),
@@ -96,15 +88,16 @@ def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch, kern
     (3, 6, [5], 1),  # k = 5: a 4 x 4 Gram block C beside row 0's 2 codes
     (9, 3, [2], 4),
 ])
-def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk, maker, kernel):
-    """Blocks of one h position and part of row 0's list, at k up to 5."""
+def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk, maker):
+    """Poset blocks of one h value and part of row 0's codes, at k up to 5;
+    the count at the same _CHUNK beside them."""
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     ambient = maker(make_field(*closed.odd_prime_power(q)), n)
     for k in ks:
-        assert chunk < oracle._list_size(q, n - k, paired=True)  # row 0's list is split
-        slow = Counter(classify(sub) for sub in oracle.enumerate_subspaces(ambient, k))
-        fast = oracle.count_subspaces_by_class(ambient, k)
-        assert fast == {klass: slow.get(klass, 0) for klass in SubspaceClass}, (q, n, k)
+        assert chunk < q ** (n - k)  # row 0's codes are split
+        slow = _slow_tallies(ambient, k)
+        assert _every_code_tallies(ambient, k) == slow, (q, n, k)
+        assert oracle.count_subspaces_by_class(ambient, k) == slow, (q, n, k)
 
 
 def _slow_tallies(ambient, k):
@@ -112,9 +105,9 @@ def _slow_tallies(ambient, k):
     return {klass: slow.get(klass, 0) for klass in SubspaceClass}
 
 
-def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch, kernel):
+def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch):
     """One process, one workspace: block shapes, q and k change from call to
-    call, a pool inherits the workspace, and a poset follows a count."""
+    call, counts run between the blocks, and a poset follows."""
     space = {q: make_field(*closed.odd_prime_power(q)) for q in (3, 5, 7, 9)}
     steps = [
         (2, 3, 5, 3, lambda_dot_space),  # row 0 split: one h value per block
@@ -127,14 +120,9 @@ def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch, kernel):
     for chunk, q, n, k, maker in steps:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         ambient = maker(space[q], n)
-        assert oracle.count_subspaces_by_class(ambient, k) == _slow_tallies(ambient, k), (
-            chunk, q, n, k)
-    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", 0)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-    started = _count_pools(monkeypatch)
-    ambient = dot_space(space[5], 4)
-    assert oracle.count_subspaces_by_class(ambient, 2, jobs=2) == _slow_tallies(ambient, 2)
-    assert started == [2]
+        slow = _slow_tallies(ambient, k)
+        assert _every_code_tallies(ambient, k) == slow, (chunk, q, n, k)
+        assert oracle.count_subspaces_by_class(ambient, k) == slow, (chunk, q, n, k)
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     _assert_poset_nodes_match_objects(3, 4, dot_space)
 
@@ -145,8 +133,7 @@ def _largest_block(q, n, k, maker):
     tasks = [
         task
         for pattern in itertools.combinations(range(n), k)
-        for task in oracle._chunk_tasks(
-            field, diag_idx, oracle._pattern_rows(pattern, n), paired=True)
+        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n))
     ]
     return max(tasks, key=lambda t: (t[-2][1] - t[-2][0]) * (t[-1][1] - t[-1][0]))
 
@@ -173,11 +160,11 @@ def test_warm_block_allocates_under_two_full_size_arrays(q, n, k, maker):
 
 def _warm_peak(task):
     for _ in range(2):
-        oracle._chunk_tallies(task)
+        oracle._chunk_classes(task)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        oracle._chunk_tallies(task)
+        oracle._chunk_classes(task)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -186,20 +173,21 @@ def _warm_peak(task):
 @pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
 @pytest.mark.parametrize("f", [0, 1, 2, 3])
 def test_paired_row_list_holds_one_code_of_each_sign_pair(q, f):
-    """A row's paired list and its digit-wise negations, through the field's
-    neg table, cover every code of f digits, each nonzero code once, and the
-    weights add up to q^f."""
+    """The list of f digits that the transfer's shifts are drawn from and its
+    digit-wise negations, through the field's neg table, cover every code of
+    f digits, each nonzero code once; at weight 2 for each nonzero code and
+    1 for 0, the weights add up to q^f."""
     p, e = closed.odd_prime_power(q)
     neg = oracle._field_tables(p, e)[2]
-    size = oracle._list_size(q, f, paired=True)
-    codes, runs = oracle._side_codes(0, size, p, e, [f], paired=True)
+    size = (q**f + 1) // 2
+    codes = oracle._row_codes(np.arange(size), p, e * f)
     powers = q ** np.arange(f)
     negated = (neg[codes[:, None] // powers % q] * powers).sum(axis=1)
     nonzero = codes[codes > 0]
     assert np.array_equal(np.sort(np.concatenate([nonzero, negated[codes > 0]])),
                           np.arange(1, q**f))
     assert size == len(codes) and np.count_nonzero(codes == 0) == 1
-    assert sum(w * (stop - start) for w, start, stop in runs) == q**f
+    assert 1 + 2 * len(nonzero) == q**f
 
 
 def _every_code_tallies(ambient, k):
@@ -209,10 +197,8 @@ def _every_code_tallies(ambient, k):
     counts = np.zeros(3, dtype=np.int64)
     for pattern in itertools.combinations(range(n), k):
         rows = oracle._pattern_rows(pattern, n)
-        for task in oracle._chunk_tasks(field, diag_idx, rows, paired=False):
-            classes, h_runs, l_runs = oracle._chunk_classes(task)
-            assert [w for w, _, _ in h_runs + l_runs] == [1, 1]
-            counts += np.bincount(classes.ravel(), minlength=3)
+        for task in oracle._chunk_tasks(field, diag_idx, rows):
+            counts += np.bincount(oracle._chunk_classes(task).ravel(), minlength=3)
     square, non_square, zero = (oracle._CLASS_CODES[c] for c in (
         SquareClass.SQUARE, SquareClass.NON_SQUARE, SquareClass.ZERO))
     return {SubspaceClass.DOT_TYPE: int(counts[square]),
@@ -231,9 +217,10 @@ EVERY_CODE_CELLS = [
 
 
 @pytest.mark.parametrize("chunk,limit", [(None, 20_000), (7, 2_000)])
-def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit, kernel):
-    """One code of each sign pair per row, weighted, tallies what every code
-    tallies; at _CHUNK 7 blocks split inside a range and l blocks start above 0."""
+def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit):
+    """The transfer, one shift of each pair {x, -x} at weight 2, tallies what
+    the posets' blocks of every code tally; at _CHUNK 7 the transfer scatters
+    a few live states at a time and l blocks start above 0."""
     if chunk:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
     for q, n, k, maker in EVERY_CODE_CELLS:
@@ -242,26 +229,6 @@ def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit, ke
         ambient = maker(make_field(*closed.odd_prime_power(q)), n)
         assert oracle.count_subspaces_by_class(ambient, k) == _every_code_tallies(ambient, k), (
             q, n, k, maker)
-
-
-def test_paired_count_allocates_only_block_sized_arrays(kernel):
-    """q=3 k=1: row 0 lists (3^(n-1) + 1) / 2 codes, 8 blocks at n = 13 and
-    24 at n = 14, yet both counts peak at the same few block-sized arrays
-    (the k = 1 kernel's own took 8 before the lists were paired): no list
-    is built whole."""
-    block = oracle._CHUNK * np.dtype(np.intp).itemsize
-    oracle.count_subspaces_by_class(dot_space(make_field(3), 2), 1)  # warm the workspace
-    for n in (13, 14):
-        ambient = dot_space(make_field(3), n)
-        tracemalloc.start()
-        try:
-            tallies = oracle.count_subspaces_by_class(ambient, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sum(tallies.values()) == closed.gaussian_binom(3, n, 1)
-        assert peak < 12 * block, (n, peak / block)
-    assert oracle._list_size(3, 13, paired=True) > 24 * oracle._CHUNK
 
 
 @pytest.mark.parametrize("name", ["add", "mul", "neg"])
@@ -395,12 +362,13 @@ def _closed_tallies(q, n, k, maker):
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
-def test_blocks_above_the_class_table_price_match_object_level(q, kernel):
-    """Counts at k = 2, 3, 4 and poset nodes, whose blocks end on every part
-    of the ending table: a = -1 at k = 2 is a non-square at q = 3 and a
-    square at q = 5 and 9, and at k = 3, 4 the h-side a takes every class.
+def test_blocks_above_the_class_table_price_match_object_level(q):
+    """Every-code block tallies at k = 2, 3, 4 and poset nodes, whose blocks
+    end on every part of the ending table: a = -1 at k = 2 is a non-square
+    at q = 3 and a square at q = 5 and 9, and at k = 3, 4 the h-side a
+    takes every class.  Counts run beside them.
 
-    Counts are checked against classify() up to 2000 subspaces and against
+    Tallies are checked against classify() up to 2000 subspaces and against
     the closed form beyond (q = 9: n = 4, k = 2 and n = 5, k = 4).
     """
     field = make_field(*closed.odd_prime_power(q))
@@ -411,23 +379,26 @@ def test_blocks_above_the_class_table_price_match_object_level(q, kernel):
                 expected = _slow_tallies(ambient, k)
             else:
                 expected = _closed_tallies(q, n, k, maker)
+            assert _every_code_tallies(ambient, k) == expected, (q, n, k)
             assert oracle.count_subspaces_by_class(ambient, k) == expected, (q, n, k)
         _assert_poset_nodes_match_objects(q, {3: 5, 5: 4, 9: 3}[q], maker)
 
 
-def test_only_blocks_of_k_at_least_two_build_the_ending_tables(kernel):
+def test_only_blocks_of_k_at_least_two_build_the_ending_tables():
     """k = 1 blocks end on klass alone; the 3 q^2 ending table is built on
-    the first k >= 2 block of a field (about 60 ms at q = 2039)."""
+    the first k >= 2 block of a field (about 60 ms at q = 2039), and never
+    by a count."""
     oracle._ending_tables.cache_clear()
     ambient = lambda_dot_space(make_field(13), 3)
-    oracle.count_subspaces_by_class(ambient, 1)
-    assert oracle._ending_tables.cache_info().currsize == 0
+    _every_code_tallies(ambient, 1)
     assert oracle.count_subspaces_by_class(ambient, 2) == _closed_tallies(13, 3, 2, lambda_dot_space)
+    assert oracle._ending_tables.cache_info().currsize == 0
+    assert _every_code_tallies(ambient, 2) == _closed_tallies(13, 3, 2, lambda_dot_space)
     assert oracle._ending_tables.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker, kernel):
+def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker):
     """q = 157, n = 2, k = 2 is one subspace: its block ends on the 3 q^2
     ending table, and no table of 157^3 entries is built for it."""
     built = []
@@ -439,17 +410,19 @@ def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch
         return result
 
     monkeypatch.setattr(oracle, "_ending_tables", spy)
-    tallies = oracle.count_subspaces_by_class(maker(make_field(157), 2), 2)
+    tallies = _every_code_tallies(maker(make_field(157), 2), 2)
     assert tallies == _closed_tallies(157, 2, 2, maker)
     assert built and max(built) < 157**3
     assert max(built) == 2 * 157 + 3 * 157**2  # inverse, offsets, classes
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_field_above_the_class_table_price_matches_closed_form(maker, kernel):
-    """q = 167, n = 3, k = 2 against the closed forms (167^3 > 2^22)."""
-    tallies = oracle.count_subspaces_by_class(maker(make_field(167), 3), 2)
-    assert tallies == _closed_tallies(167, 3, 2, maker)
+def test_field_above_the_class_table_price_matches_closed_form(maker):
+    """q = 167, n = 3, k = 2 against the closed forms (167^3 > 2^22), in
+    blocks and counted."""
+    ambient = maker(make_field(167), 3)
+    assert _every_code_tallies(ambient, 2) == _closed_tallies(167, 3, 2, maker)
+    assert oracle.count_subspaces_by_class(ambient, 2) == _closed_tallies(167, 3, 2, maker)
 
 
 def test_count_lines_frozen():
@@ -468,61 +441,29 @@ def test_tallies_sum_to_gaussian_binomial():
         assert sum(tallies.values()) == closed.gaussian_binom(5, 4, k)
 
 
-def _count_pools(monkeypatch):
-    started = []
-    executor = oracle.ProcessPoolExecutor
-
-    def counting(*args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        return executor(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", counting)
-    return started
-
-
-def test_jobs_do_not_change_tallies(monkeypatch, kernel):
-    field = make_field(7)
-    ambient = lambda_dot_space(field, 3)
+def test_jobs_do_not_change_tallies():
+    """``jobs`` is accepted and ignored: the benchmark still passes it."""
+    ambient = lambda_dot_space(make_field(7), 3)
     serial = [oracle.count_subspaces_by_class(ambient, k, jobs=1) for k in range(4)]
-    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", 0)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-    started = _count_pools(monkeypatch)
     for k in range(4):
         assert oracle.count_subspaces_by_class(ambient, k, jobs=3) == serial[k]
-    assert started == [3, 3]  # k = 1, 2: k = 0 and k = 3 have at most one task
 
 
-def test_counts_below_break_even_run_without_a_pool(monkeypatch, kernel):
-    """The pool is priced by the codes a count evaluates, one of each sign
-    pair per row: q=13 n=5 k=3 has 5.3 M subspaces but evaluates 0.68 M."""
-    q, n, k = 13, 5, 3
-    ambient = lambda_dot_space(make_field(q), n)
-    codes = sum(
-        math.prod(oracle._list_size(q, len(cols), paired=True) for _, cols in rows)
-        for rows in map(oracle._pattern_rows, itertools.combinations(range(n), k),
-                        itertools.repeat(n))
-    )
-    assert codes < oracle._POOL_MIN_CODES < closed.gaussian_binom(q, n, k)
-    serial = oracle.count_subspaces_by_class(ambient, k)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-    started = _count_pools(monkeypatch)
-    assert oracle.count_subspaces_by_class(ambient, k, jobs=2) == serial
-    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", codes + 1)
-    assert oracle.count_subspaces_by_class(ambient, k, jobs=2) == serial
-    assert started == []
-    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", codes)
-    assert oracle.count_subspaces_by_class(ambient, k, jobs=2) == serial
-    assert started == [2]
-
-
-def test_small_isometry_scans_run_without_a_pool(monkeypatch):
-    """q=3 n=4 is priced at 43 M candidate matrices, yet it starts no pool:
-    the frame count always runs in-process."""
-    ambient = dot_space(make_field(3), 4)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-    started = _count_pools(monkeypatch)
-    assert oracle.enumerate_orthogonal_group(ambient, budget=10**8) == 1152
-    assert started == []
+def test_small_isometry_scans_run_without_a_pool():
+    """q=3 n=4 is priced at 43 M candidate matrices, yet the frame count,
+    like every count, runs in-process: nothing loads a process pool."""
+    script = "\n".join([
+        "import sys",
+        "from dotbinom import oracle",
+        "from dotbinom.gf import make_field",
+        "from dotbinom.quadspace import dot_space",
+        "order = oracle.enumerate_orthogonal_group(dot_space(make_field(3), 4), budget=10**8)",
+        "print(order, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)",
+    ])
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1152", "False", "False"]
 
 
 def test_budget_is_enforced():
@@ -536,33 +477,14 @@ def test_budget_is_enforced():
         oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=1000)
 
 
-def test_short_tally_raises_mismatch(monkeypatch, kernel):
+def test_short_tally_raises_mismatch(monkeypatch):
     ambient = dot_space(make_field(3), 2)
-    monkeypatch.setattr(oracle, "_run_tasks", lambda worker, tasks, jobs: [(1, 0, 0)])
+    monkeypatch.setattr(oracle, "_transfer_tallies", lambda field, diag_idx, k: (1, 0, 0))
     with pytest.raises(Mismatch):
         oracle.count_subspaces_by_class(ambient, 1)
 
 
-def test_jobs_beyond_cpu_count_run_without_a_pool(monkeypatch, kernel):
-    ambient = lambda_dot_space(make_field(7), 3)
-    serial = [oracle.count_subspaces_by_class(ambient, k) for k in range(4)]
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(oracle, "_POOL_MIN_CODES", 0)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
-    for k in range(4):
-        assert oracle.count_subspaces_by_class(ambient, k, jobs=3) == serial[k]
-
-
-def _diag(q, n, maker):
-    field = make_field(*closed.odd_prime_power(q))
-    return tuple(field.index(d) for d in maker(field, n).gram_diag)
-
-
-# every cell of both paths' overlap up to n = 6: column side for k <= n / 2,
+# every cell up to n = 6 and 200 000 subspaces: column side for k <= n / 2,
 # row side above
 OVERLAP_CELLS = [
     (q, n, k, maker)
@@ -571,64 +493,49 @@ OVERLAP_CELLS = [
     for k in range(1, n + 1)
     for maker in (dot_space, lambda_dot_space)
     if closed.gaussian_binom(q, n, k) <= 200_000
-    and oracle._transfer_price(q, _diag(q, n, maker), k) is not None
 ]
 
 
-def test_transfer_matches_kernel_on_both_sides(monkeypatch):
-    """The two paths, each forced through the price, agree on every cell of
-    the overlap, both ambients and both sides of the transfer."""
+def test_transfer_matches_kernel_on_both_sides():
+    """The transfer and the posets' every-code block classification agree on
+    every cell, both ambients and both sides of the transfer."""
     assert {2 * k <= n for _, n, k, _ in OVERLAP_CELLS} == {True, False}
     assert {q for q, *_ in OVERLAP_CELLS} == {3, 5, 7, 9, 11, 13, 25, 27}
-    tallies = {}
-    for path in ("kernel", "transfer"):
-        with monkeypatch.context() as m:
-            _price_out(m, path)
-            for q, n, k, maker in OVERLAP_CELLS:
-                ambient = maker(make_field(*closed.odd_prime_power(q)), n)
-                tallies[path, q, n, k, maker] = oracle.count_subspaces_by_class(ambient, k)
     for q, n, k, maker in OVERLAP_CELLS:
-        assert tallies["transfer", q, n, k, maker] == tallies["kernel", q, n, k, maker], (
+        ambient = maker(make_field(*closed.odd_prime_power(q)), n)
+        assert oracle.count_subspaces_by_class(ambient, k) == _every_code_tallies(ambient, k), (
             q, n, k, maker)
 
 
-def _paths_taken(monkeypatch):
-    taken = []
-    for path in ("transfer", "kernel"):
-        run = getattr(oracle, f"_{path}_tallies")
+def test_count_refuses_a_state_array_beyond_the_table_limit(monkeypatch):
+    """q=163 n=4 k=2 walks q^3 = 4330747 states at level 2, past 2^22: it is
+    refused before any table is built, whatever the budget; q=157 fits."""
 
-        def spy(*args, run=run, path=path):
-            taken.append(path)
-            return run(*args)
+    def no_tables(p, e):
+        raise AssertionError("field tables were built")
 
-        monkeypatch.setattr(oracle, f"_{path}_tallies", spy)
-    return taken
-
-
-@pytest.mark.parametrize("q,n,k,maker,path", [
-    # the kernel stays where the transfer's index would be large
-    (27, 4, 2, lambda_dot_space, "kernel"),  # 7.2 M index entries, over the limit
-    (5, 6, 3, dot_space, "kernel"),  # a 0.97 M-entry index for 2.6 M subspaces
-    (343, 2, 1, dot_space, "kernel"),
-    (13, 5, 2, dot_space, "transfer"),
-    (3, 7, 4, lambda_dot_space, "transfer"),
-    (3, 5, 4, dot_space, "transfer"),
-    (3, 15, 14, lambda_dot_space, "transfer"),
-])
-def test_price_picks_the_cheaper_path(monkeypatch, q, n, k, maker, path):
-    taken = _paths_taken(monkeypatch)
-    ambient = maker(make_field(*closed.odd_prime_power(q)), n)
-    assert oracle.count_subspaces_by_class(ambient, k) == _closed_tallies(q, n, k, maker)
-    assert taken == [path]
+    monkeypatch.setattr(oracle, "_field_tables", no_tables)
+    ambient = dot_space(make_field(163), 4)
+    with pytest.raises(BudgetExceeded, match=(
+            r"Gram transfer states of 4330747 entries at \(q=163, n=4, k=2\) "
+            r"exceed the limit of 4194304 entries")):
+        oracle.count_subspaces_by_class(ambient, 2, budget=10**9)
+    field = make_field(157)
+    assert oracle._walk_level(157, tuple(field.index(d) for d in
+                                         dot_space(field, 4).gram_diag), 2) == 2
 
 
-def test_transfer_price_refuses_an_index_beyond_the_table_limit():
-    """One level's shift index holds (q^j - 1) / 2 * q^(j (j + 1) / 2)
-    entries: q=3 n=10 k=5 would need 1.7e9 of them at level 5."""
-    assert oracle._transfer_price(3, _diag(3, 10, dot_space), 5) is None
-    assert oracle._transfer_price(27, _diag(27, 4, dot_space), 2) is None
-    assert oracle._transfer_price(27, _diag(27, 4, dot_space), 1) is not None
-    assert oracle._transfer_price(3, _diag(3, 10, dot_space), 4) is not None
+@pytest.mark.parametrize("n", [3, 4])
+def test_zero_diagonal_entry_walks_the_column_side(n):
+    """A hand-built ambient with a zero diagonal entry: the row side would
+    invert it, so every k walks the column side, and agrees with classify()."""
+    field = make_field(3)
+    diag = (field.one, field.zero) + (field.one,) * (n - 2)
+    ambient = AmbientForm(field, n, AmbientKind.DOT, diag)
+    diag_idx = tuple(field.index(d) for d in diag)
+    for k in range(n + 1):
+        assert oracle._walk_level(3, diag_idx, k) == k
+        assert oracle.count_subspaces_by_class(ambient, k) == _slow_tallies(ambient, k), k
 
 
 def test_transfer_counts_on_python_ints_beyond_the_limit(monkeypatch):
@@ -643,7 +550,6 @@ def test_transfer_counts_on_python_ints_beyond_the_limit(monkeypatch):
         return counts
 
     monkeypatch.setattr(oracle, "_transfer_counts", spy)
-    _price_out(monkeypatch, "transfer")
     ambient = lambda_dot_space(make_field(3), 21)
     assert oracle.count_subspaces_by_class(ambient, 3, budget=10**30) == (
         _closed_tallies(3, 21, 3, lambda_dot_space))
@@ -659,6 +565,28 @@ def test_transfer_counts_on_python_ints_beyond_the_limit(monkeypatch):
             assert tallies == _closed_tallies(q, n, k, maker), (q, n, k, maker)
         assert oracle.count_subspaces_by_class(dot_space(fields[q], n), k) == want
     assert dtypes == [object] * 3 * len(cells)
+
+
+@pytest.mark.parametrize("n,k", [(36, 1), (37, 36)])
+def test_transfer_counts_past_float64_precision_exactly(monkeypatch, n, k):
+    """q=3 k=1 or n - 1 walks 3 states, each of count near 3^n / 6, past
+    2^53 yet on int64: the scatter adds them exactly, as a float64 sum such
+    as np.bincount's would not."""
+    dtypes = []
+    walk = oracle._transfer_counts
+
+    def spy(*args):
+        counts = walk(*args)
+        dtypes.append(counts.dtype)
+        assert counts.max() > 2**53
+        return counts
+
+    monkeypatch.setattr(oracle, "_transfer_counts", spy)
+    for maker in (dot_space, lambda_dot_space):
+        ambient = maker(make_field(3), n)
+        tallies = oracle.count_subspaces_by_class(ambient, k, budget=10**30)
+        assert tallies == _closed_tallies(3, n, k, maker), maker
+    assert dtypes == [np.int64] * 2
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
@@ -1113,7 +1041,9 @@ def test_full_count_report_counts_each_dimension_once(monkeypatch):
     # k = 1 fits a budget of 10^10 and k = 2 does not, but the k = 1 count
     # would refuse the tables first
     (2053, 4, 10**10, "field tables of 4214809 entries at q=2053"),
-], ids=["k2-over-budget", "k1-over-budget", "tables-over-limit"])
+    # every k fits a budget of 10^9, but k = 2 walks 163^3 states
+    (163, 4, 10**9, r"Gram transfer states of 4330747 entries at \(q=163, n=4, k=2\)"),
+], ids=["k2-over-budget", "k1-over-budget", "tables-over-limit", "states-over-limit"])
 def test_full_count_report_prices_every_dimension_before_counting(
     monkeypatch, q, n, budget, message
 ):

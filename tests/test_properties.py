@@ -184,12 +184,12 @@ def test_weighted_tallies_equal_the_posets_every_code_ranks(q, n, lam):
 @example(q=27, n=6, k=2, lam=False)
 def test_transfer_matches_the_closed_forms_over_random_prime_powers(q, n, k, lam):
     """The Gram transfer against the variant closed forms on both sides,
-    moved towards k = 1 or n - 1 until its shift index fits."""
+    moved towards k = 1 or n - 1 until its state array fits the table limit."""
     k = k % n + 1
     field = _fields(q)
     ambient = (lambda_dot_space if lam else dot_space)(field, n)
     diag = tuple(field.index(d) for d in ambient.gram_diag)
-    while oracle._transfer_price(q, diag, k) is None:
+    while q ** oracle._triangle(min(k, n - k)) > oracle._MAX_TABLE_ENTRIES:
         k += 1 if 2 * k > n else -1
     square, non_square, zero = oracle._transfer_tallies(field, diag, k)
     variants = (Variant.LD, Variant.LL) if lam else (Variant.DD, Variant.DL)
@@ -227,7 +227,6 @@ def _value(command, flag, spec):
         "--rows": _in_or_out(0, cli.MAX_TRIANGLE_ROWS, -1, cli.MAX_TRIANGLE_ROWS + 1),
         "--max-n": _in_or_out(0, 1, -1, cli.MAX_VERIFY_N + 1),
         "--budget": _in_or_out(0, 10**6, -1),
-        "--jobs": _in_or_out(1, 2, -1, 0),
     }
     return ints[flag].map(str)
 
