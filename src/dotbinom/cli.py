@@ -206,7 +206,7 @@ def cmd_oracle_poset(args):
             raise DotAnalogueError(f"cannot write {graph_file}: {exc.strerror}") from None
     rows = [{"rank": i, "size": size} for i, size in enumerate(ranks)]
     payload = {"q": args.q, "n": args.n, "kind": args.kind,
-               "ranks": list(ranks), "nodes": len(snap.nodes),
+               "ranks": list(ranks), "nodes": sum(ranks),
                "edges": len(snap.hasse_edges), "graph_file": graph_file}
     plain = ["ranks " + " ".join(str(size) for size in ranks),
              *_kv(payload, "nodes", "edges")]

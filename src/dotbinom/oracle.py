@@ -33,42 +33,16 @@ int64 under an a priori bound and Python ints beyond, and a count whose
 level-m state array would pass the table limit is refused before it
 starts.  The budget prices the subspaces.
 
-The posets need every node, so the block kernel lists and classifies
-every RREF matrix, one row layout at a time, on field element indices and
-lookup tables.  The k x n matrices of one row layout are the codes whose
-base-q digits are the free entries of their rows, row by row; a row may
-also hold a pivot 1.  A code is l + q^f0 * h, where l holds row 0's f0
-free digits and h the digits of rows 1..k-1, and a task is a block of h
-values x l values.  One Gram plan
-per row layout reads every Gram entry off l and h: row j's free columns
-are the last ones of every earlier row i, and row i is 0 at row j's pivot,
-so B(r_i, r_j) pairs row j's digits with the top digits of row i's block
-only, and small per-digit-group tables of sum d_c * x_c * y_c turn it
-into one gather per group of digits.  So the Gram block C of rows 1..k-1
-is made once per h value, g00 = B(r_0, r_0) once per l value, and only
-b_j = B(r_0, r_j) for j = 1..k-1 at full block size.  The determinant is
-the bordered expansion
-det G = g00 det C - b^T adj(C) b (Horn and Johnson, Matrix Analysis,
-0.8.5), which holds over any commutative ring: no division and no case
-for a singular C.  For k >= 2 its last term is a * b_{k-1}^2, with
-a = -adj(C)[k-1, k-1] an h-side value, so det G = D + a * b_{k-1}^2 is
-a (D / a + b_{k-1}^2) where a != 0 and D where a = 0.  A block scales its
-h-side coefficients by 1 / a (by 1 where a = 0), which reaches D / a at no
-extra full-size cost, and ends with one gather from a 3 q^2 table of
-square classes (_ending_tables).
-
-Every full-size (h values x l values) array of a block is written into a
-workspace that the process keeps and reuses across blocks: the k-1
-entries b_j, the determinant and z accumulators of the bordered expansion
-and one temporary, sized by _CHUNK so that short blocks and every row
-layout share them.  A field op there is x * q + y formed in
-place and a gather with take(out=, mode='clip'); only the h-side and
-l-side arrays, and the class codes a block returns, are new.  Clipping
-never acts: add, mul and neg are checked once, in _field_tables, and each
-digit-group, diagonal and inverse table where it is built, to hold field
-indices in [0, q), so every index x * q + y and every digit-group index is
-in range by construction.  The final class gather allocates its int8 codes
-and keeps take's bounds check.
+The posets need every node, so build_poset classifies every RREF matrix
+of each rank, in enumerate_subspaces order, _CHUNK matrices at a time.  A
+block of codes, which may run across pivot patterns, is decoded into an
+(N, k, n) array of field indices (_rank_layout); each Gram entry is the
+field sum over columns t of d_t * B[a, t] * B[b, t], formed by gathers
+from the add and mul tables, and det G is classified by the cofactor
+expansion of _Minors, as the transfer's states are.  Only the rows of the
+wanted class are kept.  The Subspace objects of the nodes are made from
+their row codes when a snapshot's nodes are first read; rank sizes, flag
+counts and Mobius values read the rank arrays alone.
 
 The inclusion posets are stored a rank at a time.  Each rank holds its
 nodes' basis rows as vector codes and their vector sets as one packed bit
@@ -83,7 +57,7 @@ int64 while an a priori bound on its sums holds and on Python ints beyond.
 
 The isometry group is counted as frames of columns, one column at a time
 among the vectors of the wanted norm orthogonal to those chosen so far; it
-reads the field tables but not the kernel (enumerate_orthogonal_group).
+reads the field tables alone (enumerate_orthogonal_group).
 """
 
 from __future__ import annotations
@@ -91,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,11 +84,11 @@ from .quadspace import (
     full_subspace,
     zero_subspace,
 )
-# Codes per block.  Each of a block's k + 2 workspace buffers is 256 KB;
-# the six large count cells of the benchmark ran 1.2x slower at 1 << 14
-# and no faster at 1 << 16.
+# Codes per block: a poset block's basis is _CHUNK x k x n intp entries
+# (7.9 MB at k = 5, n = 6), and a transfer scatters from about _CHUNK
+# targets at a time.
 _CHUNK = 1 << 15
-_GROUP_CAP = 1 << 16  # entries of one digit-group Gram or shift table
+_GROUP_CAP = 1 << 16  # entries of one digit-group shift table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 # q^2 entries of each q x q table.  `oracle count --n 2` on the lambda-dot
 # ambient peaked 25 to 36 bytes per entry above importing the CLI at
@@ -217,174 +191,27 @@ def _field_tables(p: int, e: int):
 def _field_indices(table, q: int):
     """``table`` itself, refused unless every entry is a field index in [0, q).
 
-    The kernel gathers with mode='clip', which clamps an index out of range
-    where mode='raise' would refuse it.  Its indices x * q + y and digit
-    groups are in range only because every table it gathers from holds
-    field indices, so that is checked here, once per table built (add, mul
-    and neg in _field_tables), by a check that python -O keeps.
+    _gather and the shift tables gather with mode='clip', which clamps an
+    index out of range where mode='raise' would refuse it.  Their indices
+    x * q + y and digit groups are in range only because every table they
+    gather from holds field indices, so that is checked here, once per
+    table built (add, mul and neg in _field_tables), by a check that
+    python -O keeps.
     """
     if table.size and not (0 <= table.min() and table.max() < q):
         raise IdentityViolated("field-index-range", q, int(table.min()), int(table.max()))
     return table
 
 
-def _pattern_rows(pattern, n: int):
-    """(pivot column, free columns) of each RREF row for a pivot-column pattern."""
-    return tuple(
-        (pc, tuple(c for c in range(pc + 1, n) if c not in pattern)) for pc in pattern
-    )
-
-
 def _free_positions(pattern, n: int):
-    """RREF free-entry slots for a pivot-column pattern, in digit order."""
-    return [(r, c) for r, (_, cols) in enumerate(_pattern_rows(pattern, n)) for c in cols]
+    """RREF free-entry slots (row, column) for a pivot-column pattern, in digit order."""
+    return [(r, c) for r, pc in enumerate(pattern) for c in range(pc + 1, n) if c not in pattern]
 
 
-def _group_width(q: int) -> int:
-    """Free digits per group: the most whose q^w x q^w table fits _GROUP_CAP, at least 1."""
-    w = 1
-    while q ** (2 * w + 2) <= _GROUP_CAP:
-        w += 1
-    return w
-
-
-@lru_cache(maxsize=None)
-def _ending_tables(p: int, e: int):
-    """(inverse, offsets, classes) that end a block with k >= 2, cached per process.
-
-    inverse[a] is 1 / a, and 1 at a = 0.  offsets[a] is s * q^2, s being 0,
-    1 or 2 for a square, a non-square or zero a.  classes is flat int8 with
-    the square class of a * (x + b * b) at (s * q + x) * q + b for a != 0,
-    and of x for a = 0.  Only square classes multiply here (Euler's
-    criterion): klass(x + b * b), the same with square and non-square
-    swapped, and klass(x).
-    """
-    add, mul, _, klass = _field_tables(p, e)
-    q = p**e
-    index = np.arange(q)
-    # every row a != 0 holds a 1, since _field_tables checked a^(q-1) = 1
-    inverse = (mul == 1).argmax(axis=1)
-    inverse[0] = 1  # where a = 0, D is left as it is
-    offsets = (klass.astype(np.intp) - _CLASS_CODES[SquareClass.SQUARE]) % 3 * q * q
-    classes = np.empty((3, q, q), dtype=np.int8)
-    classes[0] = klass.take(add[:, mul[index, index]])  # [x, b] = klass(x + b * b)
-    classes[1] = np.array([0, 2, 1], dtype=np.int8).take(classes[0])  # codes 1 and 2 swapped
-    classes[2] = klass[:, None]
-    return _field_indices(inverse, q), offsets, classes.ravel()
-
-
-@lru_cache(maxsize=None)
-def _group_table(p: int, e: int, diag: tuple):
-    """Flat table of sum_t diag[t] * a_t * b_t over a digit group, at a * q^w + b.
-
-    a_t, b_t are the base-q digits of a and b, digit t paired with diag[t].
-    """
-    add, mul, _, _ = _field_tables(p, e)
-    q = p**e
-    values = np.arange(q ** len(diag), dtype=np.intp)
-    table = np.zeros((values.size, values.size), dtype=np.intp)
-    for t, d in enumerate(diag):
-        digit = values // q**t % q
-        prod = mul[digit[:, None], digit[None, :]]
-        if d != 1:
-            prod = mul[d, prod]
-        table = add[table, prod]
-    return _field_indices(table.ravel(), q)
-
-
-@lru_cache(maxsize=64)
-def _gram_plan(p: int, e: int, diag_idx: tuple, rows: tuple, width: int):
-    """How to read each upper Gram entry of a row layout off a block of codes.
-
-    ``rows`` holds (pivot column, free columns) per row.  A code is
-    l + q^f0 * h: l holds row 0's f0 free digits and h the digits of rows
-    1..k-1, row r's at h digits start[r] .. start[r] + f[r] - 1, each row in
-    increasing column order.  For rows i < j, row j's free columns must be
-    the last f[j] of row i's and row i must be 0 at row j's pivot, so
-    B(r_i, r_j) pairs row j's digits with the top f[j] digits of row i's
-    block only.  Each row's digits are split into groups of at most
-    ``width`` from the top.  plan[i, j] is the entry as a field index when
-    it does not depend on the code, else a list of terms
-    (a_power, b_power, w, table) whose field sum is the entry; a term is
-    table[digit(x_i, a_power, w) * q^w + digit(x_j, b_power, w)] off the
-    diagonal and table[digit(x_j, b_power, w)] on it (a_power None), where
-    digit(x, s, w) = x // q^s % q^w and x_r is l for row 0 and h for every
-    other row.  So the Gram block C of rows 1..k-1 reads h alone, g00 =
-    plan[0, 0] reads l alone, and only b_j = plan[0, j] reads both.
-    """
-    add, _, _, _ = _field_tables(p, e)
-    q = p**e
-    start = [0, *itertools.accumulate((len(cols) for _, cols in rows[1:]), initial=0)]
-    plan = {}
-    for j, (pc, cols) in enumerate(rows):
-        groups = []
-        for hi in range(len(cols), 0, -width):
-            lo = max(hi - width, 0)
-            table = _group_table(p, e, tuple(diag_idx[c] for c in cols[lo:hi]))
-            groups.append((lo, hi - lo, table))
-        for i in range(j):
-            shift = start[i] + len(rows[i][1]) - len(cols)  # top f[j] digits of row i
-            plan[i, j] = [(shift + lo, start[j] + lo, w, table) for lo, w, table in groups] or 0
-        diagonal = [
-            (None, start[j] + lo, w, table[:: q**w + 1].copy()) for lo, w, table in groups
-        ]
-        pivot = diag_idx[pc]  # B(r_j, r_j) = d_pivot + the free terms
-        if diagonal:
-            _, power, w, table = diagonal[0]
-            diagonal[0] = (None, power, w, _field_indices(add[pivot, table], q))
-        plan[j, j] = diagonal or pivot
-    return plan
-
-
-def _gather(table, x, y, scale: int, out=None):
-    """table[x * scale + y], written into ``out`` when it is given.
-
-    ``out`` must have the full broadcast shape and must not be ``y``, which
-    is read after ``out`` is first written; ``x`` may be ``out``.  The
-    gather reads each index before it writes over it.  It clips because
-    take(out=) with mode='raise' writes a copy first (see _field_indices).
-    """
-    if out is None:
-        return table.take(x * scale + y, mode="clip")
-    # a small x is scaled at its own size, not broadcast to out's
-    np.add(np.multiply(x, scale, out=out) if x is out else x * scale, y, out=out)
-    return table.take(out, out=out, mode="clip")
-
-
-def _gram_entries(plan, l, h, add, q: int, out, temp):
-    """Every Gram entry of a block: field indices where constant, else arrays
-    over l for row 0, over h for the other rows, broadcast where both.
-
-    An entry whose pair is a key of ``out`` is written into that full-size
-    buffer, with ``temp`` holding each further digit group's term; the other
-    entries are new arrays.
-    """
-    sides = (l, h)
-    digits = {}
-
-    def digit(row, power, w):
-        key = (min(row, 1), power, w)
-        if key not in digits:
-            digits[key] = sides[key[0]] // q**power % q**w
-        return digits[key]
-
-    gram = {}
-    for (i, j), entry in plan.items():
-        if isinstance(entry, list):
-            buf = out.get((i, j))
-            spare = None if buf is None else temp
-            acc = None
-            for a_power, b_power, w, table in entry:
-                y = digit(j, b_power, w)
-                if a_power is None:
-                    term = table.take(y, mode="clip")
-                else:
-                    term = _gather(table, digit(i, a_power, w), y, q**w,
-                                   buf if acc is None else spare)
-                acc = term if acc is None else _gather(add, acc, term, q, buf)
-            entry = acc
-        gram[i, j] = gram[j, i] = entry
-    return gram
+def _gather(table, x, y, scale: int):
+    """table[x * scale + y].  It clips, which never acts: every table it
+    reads holds field indices (see _field_indices)."""
+    return table.take(x * scale + y, mode="clip")
 
 
 class _Minors(dict):
@@ -418,45 +245,15 @@ class _Minors(dict):
         return self[key]
 
 
-def _determinant(gram, k: int, add, mul, neg, inverse, q: int, det, z, temp):
-    """det G = g00 det C - b^T adj(C) b, for C the Gram block of rows 1..k-1
-    and b_j = G[0, j], as (x, a, b) with det G = a * (x + b * b) where
-    a != 0 and det G = x where a = 0, for k >= 2.
-
-    The bordered expansion holds over any commutative ring, so a singular C
-    needs no branch.  C is symmetric, so adj(C) is too, and
-    b^T adj(C) b = sum_i b_i (A_ii b_i + sum_{j>i} 2 A_ij b_j).  Its last
-    term, i = k - 1, is a * b * b with a = -A_{k-1,k-1} an h-side array or
-    a constant and b = b_{k-1}.  det C and every -A_ij are cofactor
-    expansions on the h side, scaled there by 1 / a (by 1 where a = 0), so
-    x reaches full block size only through products with b and the sum
-    with g00 det C, written into the buffers ``det`` (x), ``z`` and ``temp``.
-    """
-    def fmul(x, y, out=None):
-        return _gather(mul, x, y, q, out)
-
-    def fadd(x, y, out=None):
-        return _gather(add, x, y, q, out)
-
-    minors = _Minors(gram, fmul, fadd, neg)
-    inner = tuple(range(1, k))
-    drop = {i: inner[:i - 1] + inner[i:] for i in inner}
-    a = neg.take(minors[drop[k - 1], drop[k - 1]])
-    scale = inverse.take(a)
-
-    def scaled_neg_adj(i, j):
-        """-adj(C)[i, j] / a = -(-1)^(i+j) det(C without row i and column j) / a."""
-        minor = minors[drop[i], drop[j]]
-        return fmul(scale, minor if (i + j) % 2 else neg.take(minor))
-
-    fmul(gram[0, 0], fmul(scale, minors[inner, inner]), det)
-    for i in inner[:-1]:
-        fmul(scaled_neg_adj(i, i), gram[0, i], z)
-        for j in inner[i:]:
-            coeff = scaled_neg_adj(i, j)
-            fadd(z, fmul(fadd(coeff, coeff), gram[0, j], temp), z)
-        fadd(det, fmul(z, gram[0, i], z), det)
-    return det, a, gram[0, k - 1]
+def _gram_classes(gram, k: int, p: int, e: int):
+    """Square-class codes of det G for a k x k Gram dict of field-index
+    arrays, by the cofactor expansion of _Minors."""
+    add, mul, neg, klass = _field_tables(p, e)
+    q = p**e
+    minors = _Minors(gram, lambda x, y: _gather(mul, x, y, q),
+                     lambda x, y: _gather(add, x, y, q), neg)
+    rows = tuple(range(k))
+    return klass.take(minors[rows, rows])
 
 
 def _row_codes(position, p: int, digits: int):
@@ -480,65 +277,6 @@ def _row_codes(position, p: int, digits: int):
     shifts.take(codes, out=codes, mode="clip")
     codes += position
     return codes
-
-
-def _chunk_tasks(field, diag_idx: tuple, rows: tuple):
-    """Blocks of h values x l values covering the codes l + q^f0 * h of a
-    row layout in code order, at most _CHUNK codes each.
-
-    A block holds all of row 0's q^f0 codes when they fit, so row 0 is
-    split only when q^f0 is over _CHUNK, and then a block holds one h value.
-    """
-    q = field.q
-    size_l = q ** len(rows[0][1])
-    size_h = q ** sum(len(cols) for _, cols in rows[1:])
-    h_step = max(1, _CHUNK // size_l)
-    l_step = min(size_l, _CHUNK)
-    blocks = [((h, min(h + h_step, size_h)), (l, min(l + l_step, size_l)))
-              for h in range(0, size_h, h_step) for l in range(0, size_l, l_step)]
-    return [(field.p, field.e, diag_idx, rows, hs, ls) for hs, ls in blocks]
-
-
-@lru_cache(maxsize=1)
-def _workspace(count: int, size: int):
-    """``count`` intp buffers of ``size`` entries, reused by every block of a
-    process; a call with another (count, size) replaces them."""
-    return np.empty((count, size), dtype=np.intp)
-
-
-def _chunk_classes(task):
-    """The square-class codes of one block's Gram determinants, shape
-    (h values, l values).
-
-    The classes are a new array: none of the workspace buffers escapes.
-    """
-    p, e, diag_idx, rows, (h_lo, h_hi), (l_lo, l_hi) = task
-    add, mul, neg, klass = _field_tables(p, e)
-    q = p**e
-    k = len(rows)
-    plan = _gram_plan(p, e, diag_idx, rows, _group_width(q))
-    h, l = np.arange(h_lo, h_hi)[:, None], np.arange(l_lo, l_hi)[None, :]
-    shape = (h_hi - h_lo, l_hi - l_lo)
-    size = shape[0] * shape[1]
-    # b_1..b_{k-1}, det, z and a temporary.  Sized by _CHUNK, not by the
-    # block, so short blocks and every row layout share one set.
-    buffers = [b[:size].reshape(shape) for b in _workspace(k + 2, max(size, _CHUNK))]
-    cross = {(0, j): buffers[j - 1] for j in range(1, k)}
-    det, z, temp = buffers[k - 1:]
-    gram = _gram_entries(plan, l, h, add, q, cross, temp)
-    if k == 1:
-        # take copies a read-only index array such as a broadcast view, so
-        # the codes of g00 alone are broadcast after the gather
-        return np.broadcast_to(klass.take(gram[0, 0]), shape)
-    inverse, offsets, classes = _ending_tables(p, e)
-    x, a, b = _determinant(gram, k, add, mul, neg, inverse, q, det, z, temp)
-    # the index (s * q + x) * q + b, formed in place; s * q^2 is h-side
-    np.multiply(x, q, out=x)
-    np.add(x, b, out=x)
-    if np.ndim(a):
-        np.add(x, offsets.take(a), out=x)
-        return classes.take(x)
-    return classes[offsets[a]:offsets[a] + q * q].take(x)
 
 
 def _triangle(j: int) -> int:
@@ -600,16 +338,12 @@ def _state_classes(p: int, e: int, m: int):
     """Square-class codes of det S for every level-m state S, by the
     cofactor expansion of _Minors over the state digits, _TABLE_BLOCK
     states at a time."""
-    add, mul, neg, klass = _field_tables(p, e)
     q = p**e
     size = q ** _triangle(m)
     classes = np.empty(size, dtype=np.int8)
-    rows = tuple(range(m))
     for lo in range(0, size, _TABLE_BLOCK):
         gram = _state_gram(np.arange(lo, min(lo + _TABLE_BLOCK, size)), m, q)
-        minors = _Minors(gram, lambda x, y: _gather(mul, x, y, q),
-                         lambda x, y: _gather(add, x, y, q), neg)
-        classes[lo:lo + _TABLE_BLOCK] = klass.take(minors[rows, rows])
+        classes[lo:lo + _TABLE_BLOCK] = _gram_classes(gram, m, p, e)
     return classes
 
 
@@ -686,6 +420,10 @@ def _transfer_tallies(field, diag_idx: tuple, k: int):
     det D_P det D_F det(D_F^-1 + X^T D_P^-1 X), the last factor being a
     state of that walk.  det D_P det D_F is the product of every d, so a
     non-square product swaps the two nonzero classes.
+
+    Permuting the columns is an isometry of a diagonal form, so the walk
+    takes its rarer entries first: column 0 never scatters, and a lambda-dot
+    walk builds the shift tables of d = 1 alone.
     """
     p, e, n = field.p, field.e, len(diag_idx)
     m = _walk_level(field.q, diag_idx, k)
@@ -698,7 +436,7 @@ def _transfer_tallies(field, diag_idx: tuple, k: int):
         for d in diag_idx:
             product = mul[product, d]
         twist = klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
-    counts = _transfer_counts(p, e, diag, m)
+    counts = _transfer_counts(p, e, tuple(sorted(diag, key=diag.count)), m)
     classes = _state_classes(p, e, m)
     square, non_square = (
         int(counts[classes == _CLASS_CODES[c]].sum())
@@ -806,32 +544,61 @@ class _Layer:
     vectors: object  # (size, ceil(q^n / 8)) uint8 array, or None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosetSnapshot:
     """Graded inclusion poset with adjoined bottom (zero) and top (full space).
 
-    ``layers`` holds the nodes rank by rank (see _Layer), each rank's vector
-    sets as one packed bit array.  Node U of rank s lies in node W of rank
-    r > s exactly when every basis row of U is a vector of W, so the
-    containment block of two ranks is an AND over the lower rank's row
-    codes, gathered from the upper rank's packed rows a group of upper nodes
-    at a time (_containment).  The Hasse edges are read off the blocks of
-    adjacent ranks; mobius_bottom reads every block, and sums in int64 only
-    while an a priori bound rules out overflow.
+    ``layers`` holds the nodes rank by rank (see _Layer), each rank's basis
+    rows as vector codes and its vector sets as one packed bit array.  Node
+    U of rank s lies in node W of rank r > s exactly when every basis row
+    of U is a vector of W, so the containment block of two ranks is an AND
+    over the lower rank's row codes, gathered from the upper rank's packed
+    rows a group of upper nodes at a time (_containment).  The Hasse edges
+    are read off the blocks of adjacent ranks; mobius_bottom reads every
+    block, and sums in int64 only while an a priori bound rules out
+    overflow.  ``nodes`` are made from the row codes on first read, and two
+    snapshots are equal when their ambient, kind, nodes and edges are.
     """
 
     ambient: AmbientForm
     poset_kind: PosetKind
-    nodes: tuple  # (Subspace, rank) pairs, sorted by rank
     # (lower node index, upper node index), by rank pair in increasing order
     hasse_edges: tuple
-    # a _Layer per rank present; its arrays have no == or short repr
-    layers: tuple = dataclass_field(compare=False, repr=False)
+    # a _Layer per rank present, bottom first and top last
+    layers: tuple = dataclass_field(repr=False)
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """(Subspace, rank) pairs, sorted by rank, in enumerate_subspaces order."""
+        ambient = self.ambient
+        q, n = ambient.field.q, ambient.n
+        elements = list(ambient.field.elements())
+        nodes = [(zero_subspace(ambient), 0)]
+        for layer in self.layers[1:-1]:
+            digits = layer.row_codes[:, :, None] // q ** np.arange(n) % q
+            nodes.extend(
+                (Subspace(ambient, tuple(tuple(elements[v] for v in row) for row in rows)),
+                 layer.rank)
+                for rows in digits.tolist()
+            )
+        nodes.append((full_subspace(ambient), n))
+        return tuple(nodes)
+
+    def _key(self):
+        return self.ambient, self.poset_kind, self.nodes, self.hasse_edges
+
+    def __eq__(self, other):
+        if not isinstance(other, PosetSnapshot):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def rank_sizes(self) -> tuple[int, ...]:
         sizes = [0] * (self.ambient.n + 1)
-        for _, rank in self.nodes:
-            sizes[rank] += 1
+        for layer in self.layers:
+            sizes[layer.rank] += layer.size
         return tuple(sizes)
 
 
@@ -882,6 +649,60 @@ def _containment(upper: _Layer, lowers):
         yield first, blocks
 
 
+def _rank_layout(q: int, n: int, k: int):
+    """(starts, pivots, powers) that decode the codes of the k x n RREF
+    matrices, numbered in enumerate_subspaces order.
+
+    Pivot pattern i holds the codes starts[i] .. starts[i + 1] - 1.  The
+    matrix of code c there has 1 at (r, pivots[i, r]) and
+    (c - starts[i]) // powers[i, r, t] % q at every other entry (r, t).
+    itertools.product makes free slot 0 the most significant, so slot s of
+    S is at the power q^(S - 1 - s); every other entry is at q^S, above the
+    pattern's every code, and reads 0.
+    """
+    patterns = list(itertools.combinations(range(n), k))
+    powers = np.empty((len(patterns), k, n), dtype=np.intp)
+    sizes = []
+    for i, pattern in enumerate(patterns):
+        slots = _free_positions(pattern, n)
+        sizes.append(q ** len(slots))
+        powers[i] = sizes[-1]
+        for s, (r, t) in enumerate(slots):
+            powers[i, r, t] = q ** (len(slots) - 1 - s)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    return starts, np.array(patterns, dtype=np.intp), powers
+
+
+def _rank_blocks(field, diag_idx: tuple, k: int):
+    """Yield (basis, classes) for the k-subspaces in enumerate_subspaces
+    order, at most _CHUNK at a time, a block running across pivot patterns:
+    basis is their (N, k, n) RREF matrices as field indices and classes the
+    square-class codes of their Gram determinants."""
+    add, mul, _, _ = _field_tables(field.p, field.e)
+    q, n = field.q, len(diag_idx)
+    starts, pivots, powers = _rank_layout(q, n, k)
+    upper = [(a, b) for b in range(k) for a in range(b + 1)]
+    rows, cols = np.array(upper).T
+    total = int(starts[-1])
+    for lo in range(0, total, _CHUNK):
+        codes = np.arange(lo, min(lo + _CHUNK, total))
+        pattern = np.searchsorted(starts, codes, side="right") - 1
+        basis = powers[pattern]
+        np.floor_divide((codes - starts[pattern])[:, None, None], basis, out=basis)
+        basis %= q
+        basis[np.arange(len(codes))[:, None], np.arange(k), pivots[pattern]] = 1
+        # G[a, b] = sum_t d_t * B[a, t] * B[b, t], one row per upper entry
+        entries = basis.transpose(1, 2, 0)  # [r, t, code]
+        gram_upper = 0
+        for t, d in enumerate(diag_idx):
+            term = _gather(mul, _gather(mul, d, entries[rows, t], q), entries[cols, t], q)
+            gram_upper = _gather(add, gram_upper, term, q)
+        gram = {}
+        for (a, b), entry in zip(upper, gram_upper):
+            gram[a, b] = gram[b, a] = entry
+        yield basis, _gram_classes(gram, k, field.p, field.e)
+
+
 def build_poset(
     ambient: AmbientForm, poset_kind: PosetKind, budget: int = DEFAULT_POSET_BUDGET
 ) -> PosetSnapshot:
@@ -914,61 +735,40 @@ def build_poset(
         SquareClass.SQUARE if poset_kind is PosetKind.EUCLIDEAN else SquareClass.NON_SQUARE
     ]
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    elements = list(field.elements())
-    nodes, bases = [(zero_subspace(ambient), 0)], {}
+    bases = {}
     for k in range(1, n):
-        rank = []
-        for pattern in itertools.combinations(range(n), k):
-            slots = _free_positions(pattern, n)
-            tasks = _chunk_tasks(field, diag_idx, _pattern_rows(pattern, n))
-            # every code, in order: code h * q^f0 + l is the flat index of
-            # (h, l) within the blocks
-            classes = np.concatenate([_chunk_classes(t).ravel() for t in tasks])
-            codes = np.flatnonzero(classes == wanted)
-            # slot s is code digit s, but itertools.product, and so
-            # enumerate_subspaces, makes slot 0 the most significant
-            digits = codes[:, None] // q ** np.arange(len(slots)) % q
-            digits = digits[np.argsort(digits @ q ** np.arange(len(slots))[::-1])]
-            basis = np.zeros((len(digits), k, n), dtype=np.intp)
-            basis[:, np.arange(k), list(pattern)] = 1
-            for s, (r, c) in enumerate(slots):
-                basis[:, r, c] = digits[:, s]
-            rank.append(basis)
-            for rows in basis.tolist():
-                node = tuple(tuple(elements[v] for v in row) for row in rows)
-                nodes.append((Subspace(ambient, node), k))
-        basis = np.concatenate(rank)
+        basis = np.concatenate([basis[classes == wanted]
+                                for basis, classes in _rank_blocks(field, diag_idx, k)])
         if len(basis):
             bases[k] = basis
-    inner = len(nodes) - 1
+    inner = sum(len(basis) for basis in bases.values())
     words = inner * mask_words
     if words > budget:
         raise BudgetExceeded(
             f"vector masks of {inner} subspaces at (q={q}, n={n}) take "
             f"{words} 64-bit words, exceeding budget {budget}"
         )
-    nodes.append((full_subspace(ambient), n))
     layers = [_Layer(0, 0, 1, np.empty((1, 0), dtype=np.intp), None)]
     weights = q ** np.arange(n)
     for k, basis in bases.items():
-        start = layers[-1].start + layers[-1].size
-        layers.append(_Layer(k, start, len(basis), basis @ weights,
-                             _vector_sets(field, n, basis)))
-    layers.append(_Layer(n, len(nodes) - 1, 1, None, None))
+        layers.append(_Layer(k, layers[-1].start + layers[-1].size, len(basis),
+                             basis @ weights, _vector_sets(field, n, basis)))
+    layers.append(_Layer(n, inner + 1, 1, None, None))
     edges = []
     for lower, upper in zip(layers, layers[1:]):
         for first, (block,) in _containment(upper, [lower]):
             hi, lo = np.nonzero(block)  # row-major: upper node, then lower node
             edges.extend(zip((lower.start + lo).tolist(),
                              (upper.start + first + hi).tolist()))
-    return PosetSnapshot(ambient, poset_kind, tuple(nodes), tuple(edges), tuple(layers))
+    return PosetSnapshot(ambient, poset_kind, tuple(edges), tuple(layers))
 
 
 def count_flags(snapshot: PosetSnapshot) -> int:
     """Maximal chains from bottom to top, by rank-layered dynamic programming."""
     if snapshot.poset_kind is not PosetKind.EUCLIDEAN:
         raise UndefinedForParameters("flag counts are defined on the Euclidean poset")
-    ways = [0] * len(snapshot.nodes)
+    top = snapshot.layers[-1]
+    ways = [0] * (top.start + top.size)
     ways[0] = 1
     for lo, hi in snapshot.hasse_edges:  # lower ranks first
         ways[hi] += ways[lo]

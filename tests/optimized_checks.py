@@ -1,6 +1,6 @@
 """Cells whose range checks must survive ``python -O``.
 
-The block kernel's clipped gathers (poset nodes), the transfer's clipped
+The poset blocks' clipped gathers (poset nodes), the transfer's clipped
 table builds and int32 shift tables, the int64 sums of ``mobius_bottom`` and
 of the Gram transfer, and the transfer's total check are safe only because of
 checks written as statements, not asserts.  This script runs the
@@ -84,8 +84,8 @@ def poset_q9_n4():
 
 
 def poset_small_chunks():
-    """q=3 n=4 poset nodes in blocks of 7 codes: blocks that end mid-digit
-    and row 0's codes split over several blocks."""
+    """q=3 n=4 poset nodes in blocks of 7 codes: blocks that run across
+    pivot patterns and pivot patterns split over several blocks."""
     saved = oracle._CHUNK
     oracle._CHUNK = 7
     try:

@@ -68,18 +68,18 @@ def test_fast_tallies_match_object_level_classification(p, e, n, maker):
 
 
 def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
-    """Chunks that end mid-digit and rows split into several digit groups,
-    in the transfer's scatter and in the posets' blocks."""
+    """Chunks of 7 codes, which run across pivot patterns in the posets'
+    blocks, and shift tables split into several digit groups in the
+    transfer's scatter."""
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
-    assert oracle._group_width(3) == 2 and oracle._group_width(9) == 1
     for p, e, n, maker in DIFFERENTIAL_CELLS[-3:]:
         _assert_fast_matches_slow(p, e, n, maker)
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 @pytest.mark.parametrize("q,n,ks,chunk", [
-    # row 0 holds q^f0 codes, f0 = n - k on the largest pivot pattern
+    # the first pivot pattern holds q^(k (n - k)) codes
     (3, 5, range(1, 4), 2),
     (3, 6, [1], 2),
     (5, 4, range(1, 3), 4),
@@ -89,12 +89,13 @@ def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
     (9, 3, [2], 4),
 ])
 def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk, maker):
-    """Poset blocks of one h value and part of row 0's codes, at k up to 5;
-    the count at the same _CHUNK beside them."""
+    """Poset blocks of a few codes, at k up to 5: the first pivot pattern
+    is split over several blocks, and at chunk > 1 blocks run across pivot
+    patterns, whose sizes are odd; the count at the same _CHUNK beside them."""
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     ambient = maker(make_field(*closed.odd_prime_power(q)), n)
     for k in ks:
-        assert chunk < q ** (n - k)  # row 0's codes are split
+        assert chunk < q ** (n - k)  # the first pattern is split
         slow = _slow_tallies(ambient, k)
         assert _every_code_tallies(ambient, k) == slow, (q, n, k)
         assert oracle.count_subspaces_by_class(ambient, k) == slow, (q, n, k)
@@ -103,71 +104,6 @@ def test_fast_tallies_match_when_row_zero_is_split(monkeypatch, q, n, ks, chunk,
 def _slow_tallies(ambient, k):
     slow = Counter(classify(sub) for sub in oracle.enumerate_subspaces(ambient, k))
     return {klass: slow.get(klass, 0) for klass in SubspaceClass}
-
-
-def test_workspace_reuse_keeps_counts_and_posets_exact(monkeypatch):
-    """One process, one workspace: block shapes, q and k change from call to
-    call, counts run between the blocks, and a poset follows."""
-    space = {q: make_field(*closed.odd_prime_power(q)) for q in (3, 5, 7, 9)}
-    steps = [
-        (2, 3, 5, 3, lambda_dot_space),  # row 0 split: one h value per block
-        (10, 5, 3, 2, dot_space),  # short last blocks of ten codes
-        (oracle._CHUNK, 9, 3, 2, lambda_dot_space),
-        (oracle._CHUNK, 7, 3, 1, dot_space),
-        (oracle._CHUNK, 3, 4, 3, dot_space),
-        (2, 5, 3, 1, lambda_dot_space),
-    ]
-    for chunk, q, n, k, maker in steps:
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        ambient = maker(space[q], n)
-        slow = _slow_tallies(ambient, k)
-        assert _every_code_tallies(ambient, k) == slow, (chunk, q, n, k)
-        assert oracle.count_subspaces_by_class(ambient, k) == slow, (chunk, q, n, k)
-    monkeypatch.setattr(oracle, "_CHUNK", 7)
-    _assert_poset_nodes_match_objects(3, 4, dot_space)
-
-
-def _largest_block(q, n, k, maker):
-    field = make_field(*closed.odd_prime_power(q))
-    diag_idx = tuple(field.index(d) for d in maker(field, n).gram_diag)
-    tasks = [
-        task
-        for pattern in itertools.combinations(range(n), k)
-        for task in oracle._chunk_tasks(field, diag_idx, oracle._pattern_rows(pattern, n))
-    ]
-    return max(tasks, key=lambda t: (t[-2][1] - t[-2][0]) * (t[-1][1] - t[-1][0]))
-
-
-@pytest.mark.parametrize("q,n,k,maker", [
-    (13, 5, 2, dot_space),
-    (11, 5, 3, lambda_dot_space),
-    (3, 7, 4, lambda_dot_space),
-    (5, 6, 3, dot_space),
-])
-def test_warm_block_allocates_under_two_full_size_arrays(q, n, k, maker):
-    """A warm block writes its full-size intermediates into the workspace.
-
-    A kernel that allocated each of them peaked at 6 to 9 full-size intp
-    arrays on these blocks; the workspace leaves under two, most of them
-    h-side arrays, such as the minors of C, where the l side is short.
-    """
-    task = _largest_block(q, n, k, maker)
-    (h_lo, h_hi), (l_lo, l_hi) = task[-2:]
-    full_size = (h_hi - h_lo) * (l_hi - l_lo) * np.dtype(np.intp).itemsize
-    peak = _warm_peak(task)
-    assert peak < 2 * full_size, (peak, full_size)
-
-
-def _warm_peak(task):
-    for _ in range(2):
-        oracle._chunk_classes(task)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        oracle._chunk_classes(task)
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
@@ -192,13 +128,11 @@ def test_paired_row_list_holds_one_code_of_each_sign_pair(q, f):
 
 def _every_code_tallies(ambient, k):
     """Tallies of the class arrays of every code, weight 1 each, as build_poset reads them."""
-    field, n = ambient.field, ambient.n
+    field = ambient.field
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
     counts = np.zeros(3, dtype=np.int64)
-    for pattern in itertools.combinations(range(n), k):
-        rows = oracle._pattern_rows(pattern, n)
-        for task in oracle._chunk_tasks(field, diag_idx, rows):
-            counts += np.bincount(oracle._chunk_classes(task).ravel(), minlength=3)
+    for _, classes in oracle._rank_blocks(field, diag_idx, k):
+        counts += np.bincount(classes, minlength=3)
     square, non_square, zero = (oracle._CLASS_CODES[c] for c in (
         SquareClass.SQUARE, SquareClass.NON_SQUARE, SquareClass.ZERO))
     return {SubspaceClass.DOT_TYPE: int(counts[square]),
@@ -220,7 +154,7 @@ EVERY_CODE_CELLS = [
 def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit):
     """The transfer, one shift of each pair {x, -x} at weight 2, tallies what
     the posets' blocks of every code tally; at _CHUNK 7 the transfer scatters
-    a few live states at a time and l blocks start above 0."""
+    a few live states at a time and the blocks run across pivot patterns."""
     if chunk:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
     for q, n, k, maker in EVERY_CODE_CELLS:
@@ -233,7 +167,7 @@ def test_weighted_tallies_equal_every_code_tallies(monkeypatch, chunk, limit):
 
 @pytest.mark.parametrize("name", ["add", "mul", "neg"])
 def test_field_table_entry_beyond_q_is_refused(monkeypatch, name):
-    """The kernel's gathers clip, so a table entry >= q is refused where the
+    """The oracle's gathers clip, so a table entry >= q is refused where the
     table is built instead of being clamped into a wrong class."""
     build = oracle._arithmetic_tables
 
@@ -320,34 +254,6 @@ def test_field_tables_check_euler_criterion(monkeypatch):
         oracle._field_tables.__wrapped__(3, 2)
 
 
-@pytest.mark.parametrize("q,samples", [
-    (3, None), (5, None), (9, None), (25, 2000), (27, 2000), (157, 2000),
-])
-def test_ending_tables_match_field_arithmetic(q, samples):
-    """inverse[a] * a = 1 for a != 0, and the entry at offsets[a] + x * q + b
-    is the square class of a * (x + b * b) for a != 0 and of x for a = 0."""
-    field = make_field(*closed.odd_prime_power(q))
-    inverse, offsets, classes = oracle._ending_tables.__wrapped__(field.p, field.e)
-    assert inverse.shape == offsets.shape == (q,)
-    assert classes.dtype == np.int8 and classes.shape == (3 * q * q,)
-    assert set(np.unique(classes).tolist()) <= {0, 1, 2}
-    codes = {SquareClass.ZERO: 0, SquareClass.SQUARE: 1, SquareClass.NON_SQUARE: 2}
-    elems = list(field.elements())
-    assert inverse[0] == 1 and offsets[0] == 2 * q * q
-    for a in range(1, q):
-        assert field.mul(elems[a], elems[inverse[a]]) == field.one, (q, a)
-        part = {SquareClass.SQUARE: 0, SquareClass.NON_SQUARE: 1}[field.square_class(elems[a])]
-        assert offsets[a] == part * q * q, (q, a)
-    if samples is None:
-        triples = itertools.product(range(q), repeat=3)
-    else:
-        triples = np.random.default_rng(q).integers(0, q, size=(samples, 3)).tolist()
-    for a, x, b in triples:
-        value = field.add(elems[x], field.mul(elems[b], elems[b]))
-        value = field.mul(elems[a], value) if a else elems[x]
-        assert classes[offsets[a] + x * q + b] == codes[field.square_class(value)], (q, a, x, b)
-
-
 def _closed_tallies(q, n, k, maker):
     dot_variant, lambda_variant = {
         dot_space: (Variant.DD, Variant.DL), lambda_dot_space: (Variant.LD, Variant.LL),
@@ -363,10 +269,9 @@ def _closed_tallies(q, n, k, maker):
 
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_blocks_above_the_class_table_price_match_object_level(q):
-    """Every-code block tallies at k = 2, 3, 4 and poset nodes, whose blocks
-    end on every part of the ending table: a = -1 at k = 2 is a non-square
-    at q = 3 and a square at q = 5 and 9, and at k = 3, 4 the h-side a
-    takes every class.  Counts run beside them.
+    """Every-code block tallies at k = 2, 3, 4 and poset nodes, over fields
+    where -1 is a non-square (q = 3) and a square (q = 5, 9).  Counts run
+    beside them.
 
     Tallies are checked against classify() up to 2000 subspaces and against
     the closed form beyond (q = 9: n = 4, k = 2 and n = 5, k = 4).
@@ -384,36 +289,21 @@ def test_blocks_above_the_class_table_price_match_object_level(q):
         _assert_poset_nodes_match_objects(q, {3: 5, 5: 4, 9: 3}[q], maker)
 
 
-def test_only_blocks_of_k_at_least_two_build_the_ending_tables():
-    """k = 1 blocks end on klass alone; the 3 q^2 ending table is built on
-    the first k >= 2 block of a field (about 60 ms at q = 2039), and never
-    by a count."""
-    oracle._ending_tables.cache_clear()
-    ambient = lambda_dot_space(make_field(13), 3)
-    _every_code_tallies(ambient, 1)
-    assert oracle.count_subspaces_by_class(ambient, 2) == _closed_tallies(13, 3, 2, lambda_dot_space)
-    assert oracle._ending_tables.cache_info().currsize == 0
-    assert _every_code_tallies(ambient, 2) == _closed_tallies(13, 3, 2, lambda_dot_space)
-    assert oracle._ending_tables.cache_info().currsize == 1
-
-
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(monkeypatch, maker):
-    """q = 157, n = 2, k = 2 is one subspace: its block ends on the 3 q^2
-    ending table, and no table of 157^3 entries is built for it."""
-    built = []
-    tables = oracle._ending_tables
-
-    def spy(p, e):
-        result = tables(p, e)
-        built.append(sum(t.size for t in result))
-        return result
-
-    monkeypatch.setattr(oracle, "_ending_tables", spy)
-    tallies = _every_code_tallies(maker(make_field(157), 2), 2)
-    assert tallies == _closed_tallies(157, 2, 2, maker)
-    assert built and max(built) < 157**3
-    assert max(built) == 2 * 157 + 3 * 157**2  # inverse, offsets, classes
+def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(maker):
+    """q = 157, n = 2, k = 2 is one subspace: its block of one code is
+    classified, and counted, beside the warm field tables without building
+    any table of q^2 entries, let alone q^3."""
+    ambient = maker(make_field(157), 2)
+    oracle._field_tables(157, 1)
+    tracemalloc.start()
+    try:
+        tallies = [_every_code_tallies(ambient, 2), oracle.count_subspaces_by_class(ambient, 2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tallies == [_closed_tallies(157, 2, 2, maker)] * 2
+    assert peak < 157**2, peak
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
@@ -507,6 +397,23 @@ def test_transfer_matches_kernel_on_both_sides():
             q, n, k, maker)
 
 
+@pytest.mark.parametrize("q,n,k", [(27, 4, 2), (5, 5, 2), (7, 3, 1), (9, 5, 3)])
+def test_lambda_dot_walk_builds_only_the_shift_tables_of_one(monkeypatch, q, n, k):
+    """The walk takes the lone lambda column first, where nothing scatters,
+    on the column side (k <= n / 2) and on the row side, which inverts it."""
+    built = []
+    tables = oracle._shift_tables
+
+    def spy(p, e, j, d):
+        built.append(d)
+        return tables(p, e, j, d)
+
+    monkeypatch.setattr(oracle, "_shift_tables", spy)
+    ambient = lambda_dot_space(make_field(*closed.odd_prime_power(q)), n)
+    assert oracle.count_subspaces_by_class(ambient, k) == _closed_tallies(q, n, k, lambda_dot_space)
+    assert set(built) == {1}  # the field index of 1
+
+
 def test_count_refuses_a_state_array_beyond_the_table_limit(monkeypatch):
     """q=163 n=4 k=2 walks q^3 = 4330747 states at level 2, past 2^22: it is
     refused before any table is built, whatever the budget; q=157 fits."""
@@ -592,7 +499,7 @@ def test_transfer_counts_past_float64_precision_exactly(monkeypatch, n, k):
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 def test_k_near_n_counts_on_the_row_side_in_little_memory(maker):
     """q=3 n=15 k=14 has 7.2 M subspaces, inside the default budget; the
-    row side walks one level, 3 states, where the kernel's minors at k = 14
+    row side walks one level, 3 states, where every code's minors at k = 14
     would take some 3 GB."""
     ambient = maker(make_field(3), 15)
     oracle.count_subspaces_by_class(maker(make_field(3), 3), 2)  # build the field tables
@@ -799,8 +706,48 @@ def _assert_poset_nodes_match_objects(q, n, maker):
 
 @pytest.mark.parametrize("q,n,maker", POSET_NODE_CELLS)
 def test_poset_nodes_match_object_level_classification(q, n, maker):
-    """Kernel-classified nodes equal classify() over enumerate_subspaces, in order."""
+    """Block-classified nodes equal classify() over enumerate_subspaces, in order."""
     _assert_poset_nodes_match_objects(q, n, maker)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 3), (9, 2)])
+def test_poset_summaries_make_no_subspace_until_nodes_are_read(monkeypatch, q, n):
+    """Rank sizes, flags and Mobius values read the rank arrays alone; the
+    nodes are made on first read, equal to classify() over enumerate_subspaces."""
+    made = []
+    init = oracle.Subspace.__init__
+
+    def counting(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    ambient = dot_space(make_field(*closed.odd_prime_power(q)), n)
+    monkeypatch.setattr(oracle.Subspace, "__init__", counting)
+    snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN)
+    summaries = snap.rank_sizes(), oracle.count_flags(snap), oracle.mobius_bottom(snap)
+    assert made == []
+    assert summaries[1:] == (closed.bracket_factorial(q, n), closed.mobius_sequence(q, n).mu[n])
+    expected = [(zero_subspace(ambient), 0)] + [
+        (sub, k) for k in range(1, n) for sub in oracle.enumerate_subspaces(ambient, k)
+        if classify(sub) is SubspaceClass.DOT_TYPE
+    ] + [(full_subspace(ambient), n)]
+    made.clear()
+    assert list(snap.nodes) == expected
+    assert len(made) == len(expected) and snap.nodes is snap.nodes
+    assert tuple(Counter(k for _, k in expected)[k] for k in range(n + 1)) == summaries[0]
+
+
+def test_snapshots_with_other_nodes_compare_unequal():
+    """q = 3, n = 2: both posets have two lines and the same edge indices, so
+    only their nodes tell a relabelled Euclidean poset from the Lorentzian one."""
+    ambient = dot_space(make_field(3), 2)
+    euclid, lorentz = (oracle.build_poset(ambient, kind) for kind in PosetKind)
+    relabelled = dataclasses.replace(euclid, poset_kind=PosetKind.LORENTZIAN)
+    assert relabelled.hasse_edges == lorentz.hasse_edges
+    assert relabelled.rank_sizes() == lorentz.rank_sizes()
+    assert relabelled != lorentz
+    again = oracle.build_poset(ambient, PosetKind.EUCLIDEAN)
+    assert again == euclid and hash(again) == hash(euclid)
 
 
 def test_poset_nodes_match_with_small_chunks_and_digit_groups(monkeypatch):
