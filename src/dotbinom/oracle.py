@@ -24,14 +24,19 @@ the cofactor expansion of _Minors.  States number q^(k (k + 1) / 2), so
 for k > n / 2 the walk runs at level n - k instead: Sylvester's identity
 (Horn and Johnson, 0.8.5) gives det(D_P + X D_F X^T) = det D_P det D_F
 det(D_F^-1 + X^T D_P^-1 X) over the pivot and free columns P and F, and
-the last factor is a state of the walk over the reversed columns with
-every d inverted; the product of every d decides whether square and
+the last factor is a state of the walk over the columns with every d
+inverted, the row side; the product of every d decides whether square and
 non-square swap.  An ambient with a zero diagonal entry, which only a
 hand-built AmbientForm has, walks the column side.  So the transfer costs
 a polynomial in n times an exponential in min(k, n - k).  Its counts are
 int64 under an a priori bound and Python ints beyond, and a count whose
 level-m state array would pass the table limit is refused before it
 starts.  The budget prices the subspaces.
+
+After c columns the level-j states hold the tallies of the j-subspaces
+of the first c columns, so count_table reads every (n, k) of the dot or
+lambda-dot ambients off one walk per side, at every column
+(_walk_tallies); count_subspaces_by_class reads a walk's last column.
 
 The posets need every node, so build_poset classifies every RREF matrix
 of each rank, in enumerate_subspaces order, _CHUNK matrices at a time.  A
@@ -70,7 +75,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .closed import gaussian_binom
-from .errors import BudgetExceeded, IdentityViolated, Mismatch, UndefinedForParameters
+from .errors import (
+    BudgetExceeded,
+    DotAnalogueError,
+    IdentityViolated,
+    Mismatch,
+    UndefinedForParameters,
+)
 from .gf import SquareClass, make_field
 from .quadspace import (
     DEFAULT_BUDGET,
@@ -80,6 +91,7 @@ from .quadspace import (
     PosetKind,
     Subspace,
     SubspaceClass,
+    ambient_space,
     contains,  # noqa: F401  unused here; the benchmark tracer counts its calls
     full_subspace,
     zero_subspace,
@@ -347,8 +359,9 @@ def _state_classes(p: int, e: int, m: int):
     return classes
 
 
-def _transfer_counts(p: int, e: int, diag, m: int):
-    """Counts of the level-m states after a walk over the columns of ``diag``.
+def _column(p: int, e: int, levels, j: int, d: int, dtype):
+    """The counts of the level-j states after one more column of d, from
+    ``levels``, the counts before it.
 
     A state (j, S) is j pivots so far and their j x j partial Gram matrix S,
     stored as its upper triangle's digits (_state_gram).  A pivot column of
@@ -356,43 +369,55 @@ def _transfer_counts(p: int, e: int, diag, m: int):
     one slice of level j, at d * q^(T(j) - 1).  A free column of d keeps
     every count (x = 0) and adds twice each live state's count onto the
     state plus each shift of _shift_tables, _CHUNK targets at a time.
-    Counts are int64 while every state count, at most the Gaussian binomial
-    of its prefix (c columns, j pivots), is below _TRANSFER_LIMIT, and
-    Python ints beyond; np.add.at adds either exactly.
     """
-    q, n = p**e, len(diag)
-    # (c, j) runs over every live state: m - j pivots still fit in n - c columns
-    bound = max(gaussian_binom(q, c, j)
-                for c in range(n + 1) for j in range(max(0, m - n + c), min(c, m) + 1))
+    q = p**e
+    old = levels.get(j)
+    if old is None:  # the level's first column
+        new = np.zeros(q ** _triangle(j), dtype=dtype)
+    elif j:
+        groups = _shift_tables(p, e, j, d)
+        new = old.copy()
+        shifts = groups[0][2].shape[1]
+        step = max(1, _CHUNK // shifts)
+        for block in range(0, old.size, _CHUNK):
+            live = np.flatnonzero(old[block:block + _CHUNK]) + block
+            for first in range(0, live.size, step):
+                codes = live[first:first + step]
+                targets = sum(table.take(codes // power % size, axis=0)
+                              for power, size, table in groups)
+                # flat: np.add.at takes a slow path for broadcast values
+                np.add.at(new, targets.ravel(), np.repeat(2 * old[codes], shifts))
+    else:
+        return old
+    if j - 1 in levels:
+        start = d * q ** (_triangle(j) - 1)
+        new[start:start + levels[j - 1].size] += levels[j - 1]
+    return new
+
+
+def _transfer_counts(p: int, e: int, diag, reads):
+    """Yield {j: counts of the level-j states} after each column of a walk
+    over ``diag`` (_column).
+
+    ``reads`` holds the (c, j) pairs the caller reads: level j after c
+    columns.  Level j after c columns feeds level j' after c' columns only
+    when j <= j' <= j + c' - c, so a level is kept only while some pending
+    read can still reach it, and the walk stops at the last column read.
+    Counts are int64 while every state count kept, at most the Gaussian
+    binomial of its prefix (c columns, j pivots), is below _TRANSFER_LIMIT,
+    and Python ints beyond; np.add.at adds either exactly.
+    """
+    last = max(c for c, _ in reads)
+    live = [set() for _ in range(last + 1)]
+    for c_read, j_read in reads:
+        for c in range(c_read + 1):
+            live[c].update(range(max(0, j_read - c_read + c), min(c, j_read) + 1))
+    bound = max(gaussian_binom(p**e, c, j) for c in range(last + 1) for j in live[c])
     dtype = np.int64 if bound < _TRANSFER_LIMIT else object
-    levels = [np.ones(1, dtype=dtype)] + [None] * m
-    for c, d in enumerate(diag):
-        lo, hi = max(0, m - n + c + 1), min(c + 1, m)
-        for j in range(hi, lo - 1, -1):  # level j - 1 is read before it moves
-            old = levels[j]
-            if old is None:
-                new = np.zeros(q ** _triangle(j), dtype=dtype)
-            elif j:
-                groups = _shift_tables(p, e, j, d)
-                new = old.copy()
-                shifts = groups[0][2].shape[1]
-                step = max(1, _CHUNK // shifts)
-                for block in range(0, old.size, _CHUNK):
-                    live = np.flatnonzero(old[block:block + _CHUNK]) + block
-                    for first in range(0, live.size, step):
-                        codes = live[first:first + step]
-                        targets = sum(table.take(codes // power % size, axis=0)
-                                      for power, size, table in groups)
-                        # flat: np.add.at takes a slow path for broadcast values
-                        np.add.at(new, targets.ravel(), np.repeat(2 * old[codes], shifts))
-            else:
-                new = old
-            if j and levels[j - 1] is not None:
-                start = d * q ** (_triangle(j) - 1)
-                new[start:start + levels[j - 1].size] += levels[j - 1]
-            levels[j] = new
-        levels[:lo] = [None] * lo
-    return levels[m]
+    levels = {0: np.ones(1, dtype=dtype)}
+    for c, d in enumerate(diag[:last], 1):
+        levels = {j: _column(p, e, levels, j, d, dtype) for j in live[c]}
+        yield levels
 
 
 def _walk_level(q: int, diag_idx: tuple, k: int) -> int:
@@ -410,46 +435,78 @@ def _walk_level(q: int, diag_idx: tuple, k: int) -> int:
     return m
 
 
-def _transfer_tallies(field, diag_idx: tuple, k: int):
-    """(square, non-square, zero) tallies of the k-subspaces by the Gram transfer.
+def _walk_tallies(field, cells):
+    """{key: (square, non-square, zero) tallies, or the error of field
+    tables that fail their checks} for admitted counts {key: (diag_idx, k)}.
 
-    At m = k (_walk_level) the walk runs over the columns with the ambient
-    diagonal.  At m = n - k it runs over the reversed columns with every d
-    inverted: a subspace's Gram matrix is D_P + X D_F X^T (pivot and free
+    At m = k (_walk_level) a cell is read off the walk over its columns, its
+    column side; at m = n - k off the walk with every d inverted, its row
+    side: a subspace's Gram matrix is D_P + X D_F X^T (pivot and free
     columns), and Sylvester's identity makes its determinant
     det D_P det D_F det(D_F^-1 + X^T D_P^-1 X), the last factor being a
-    state of that walk.  det D_P det D_F is the product of every d, so a
-    non-square product swaps the two nonzero classes.
+    state of that walk.  det D_P det D_F is the product of the cell's every
+    d, so a non-square product swaps the two nonzero classes.
 
-    Permuting the columns is an isometry of a diagonal form, so the walk
-    takes its rarer entries first: column 0 never scatters, and a lambda-dot
-    walk builds the shift tables of d = 1 alone.
+    Permuting the columns is an isometry of a diagonal form, so a side walks
+    its entries other than 1 first, then rarer ones: column 0 never
+    scatters, a lambda-dot walk builds the shift tables of d = 1 alone, and
+    the first c columns of a dot or lambda-dot side are the side of that
+    kind's ambient of dimension c.  A cell whose side begins another's is
+    read off that walk, so each distinct side is walked once.  The zero
+    subspace is dot-type by convention, and needs no walk.
     """
-    p, e, n = field.p, field.e, len(diag_idx)
-    m = _walk_level(field.q, diag_idx, k)
-    _, mul, _, klass = _field_tables(p, e)
-    if m == k:
-        diag, twist = diag_idx, False
-    else:
-        diag = tuple(int(np.flatnonzero(mul[d] == 1)[0]) for d in reversed(diag_idx))
+    tallies = {key: (1, 0, 0) for key, (_, k) in cells.items() if not k}
+    if len(tallies) == len(cells):
+        return tallies
+    p, e = field.p, field.e
+    try:
+        _, mul, _, klass = _field_tables(p, e)
+    except DotAnalogueError as exc:  # tables that fail their checks refuse every walk
+        return {key: tallies.get(key, exc) for key in cells}
+    sides = {}
+    for key, (diag_idx, k) in cells.items():
+        if not k:
+            continue
+        m = _walk_level(field.q, diag_idx, k)
+        diag = diag_idx
+        if m != k:
+            diag = tuple(int(np.flatnonzero(mul[d] == 1)[0]) for d in diag_idx)
         product = 1
         for d in diag_idx:
             product = mul[product, d]
-        twist = klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
-    counts = _transfer_counts(p, e, tuple(sorted(diag, key=diag.count)), m)
-    classes = _state_classes(p, e, m)
-    square, non_square = (
-        int(counts[classes == _CLASS_CODES[c]].sum())
-        for c in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
-    )
-    if twist:
-        square, non_square = non_square, square
-    return square, non_square, int(counts.sum()) - square - non_square
+        twist = m != k and klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
+        # 1 is the field index of 1
+        sides[key] = tuple(sorted(diag, key=lambda d: (d == 1, diag.count(d)))), m, twist
+    walks = {}  # walk diagonal: {key: (columns, level, twist)} read off it
+    for key in sorted(sides, key=lambda key: -len(sides[key][0])):
+        side, m, twist = sides[key]
+        walk = next((known for known in walks if known[:len(side)] == side), side)
+        walks.setdefault(walk, {})[key] = len(side), m, twist
+    for walk, reads in walks.items():
+        pending = {(c, m) for c, m, _ in reads.values()}
+        for c, levels in enumerate(_transfer_counts(p, e, walk, pending), 1):
+            for key, (columns, m, twist) in reads.items():
+                if columns != c:
+                    continue
+                counts, classes = levels[m], _state_classes(p, e, m)
+                square, non_square = (
+                    int(counts[classes == _CLASS_CODES[nonzero]].sum())
+                    for nonzero in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
+                )
+                if twist:
+                    square, non_square = non_square, square
+                tallies[key] = square, non_square, int(counts.sum()) - square - non_square
+    return tallies
 
 
-def _subspace_total(ambient: AmbientForm, k: int, budget: int) -> int:
+def _transfer_tallies(field, diag_idx: tuple, k: int):
+    """(square, non-square, zero) tallies of the k-subspaces by the Gram
+    transfer (_walk_tallies), or the error of the field tables."""
+    return _walk_tallies(field, {k: (diag_idx, k)})[k]
+
+
+def _subspace_total(q: int, n: int, k: int, budget: int) -> int:
     """Number of k-subspaces, refused when k is out of range or over budget."""
-    q, n = ambient.field.q, ambient.n
     if not 0 <= k <= n:
         raise UndefinedForParameters(f"k = {k} outside 0..{n}")
     total = gaussian_binom(q, n, k)
@@ -460,39 +517,67 @@ def _subspace_total(ambient: AmbientForm, k: int, budget: int) -> int:
     return total
 
 
+def _admit(q: int, diag_idx: tuple, k: int, budget: int) -> int:
+    """The number of k-subspaces of the ambient ``diag_idx``, after the
+    checks that may refuse their count: the budget, then for k >= 1 the
+    field tables and the walk's states."""
+    total = _subspace_total(q, len(diag_idx), k, budget)
+    if k:
+        _price_tables(q)
+        _walk_level(q, diag_idx, k)
+    return total
+
+
+def _by_class(q: int, n: int, k: int, tallies, total: int):
+    """(square, non-square, zero) tallies as a dict by subspace class, once
+    they sum to ``total``; an error in their place is raised."""
+    if isinstance(tallies, Exception):
+        raise tallies
+    if sum(tallies) != total:
+        raise Mismatch(
+            f"{sum(tallies)} subspaces tallied at (q={q}, n={n}, k={k}), expected {total}"
+        )
+    return dict(zip(SubspaceClass, tallies))
+
+
 def count_subspaces_by_class(
     ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ):
     """Exhaustive classification tally of all k-subspaces, by the Gram
-    transfer (see the module docstring).
+    transfer (see the module docstring): the walk's last column.
 
     ``jobs`` is accepted and ignored: every count runs in this process.  It
     stays because the benchmark's workloads pass it (bench/workloads.py)
     and its tracer reads it (bench/tracing.py).
     """
     field = ambient.field
-    n = ambient.n
-    total = _subspace_total(ambient, k, budget)
-    if k == 0:
-        # the zero subspace is dot-type by convention
-        return {
-            SubspaceClass.DOT_TYPE: 1,
-            SubspaceClass.LAMBDA_DOT_TYPE: 0,
-            SubspaceClass.DEGENERATE: 0,
-        }
-    _price_tables(field.q)
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    square, non_square, zero = _transfer_tallies(field, diag_idx, k)
-    if square + non_square + zero != total:
-        raise Mismatch(
-            f"{square + non_square + zero} subspaces tallied at "
-            f"(q={field.q}, n={n}, k={k}), expected {total}"
-        )
-    return {
-        SubspaceClass.DOT_TYPE: square,
-        SubspaceClass.LAMBDA_DOT_TYPE: non_square,
-        SubspaceClass.DEGENERATE: zero,
-    }
+    total = _admit(field.q, diag_idx, k, budget)
+    return _by_class(field.q, ambient.n, k, _transfer_tallies(field, diag_idx, k), total)
+
+
+def count_table(field, kind, max_n: int, budget: int = DEFAULT_BUDGET):
+    """{(n, k): class tallies, or the error that refuses the count} for
+    the k-subspaces of the ``kind`` ambient of each dimension n <= max_n:
+    what count_subspaces_by_class returns or raises, from one walk per
+    distinct side diagonal (_walk_tallies)."""
+    table, cells, totals = {}, {}, {}
+    for n in range(1, max_n + 1):
+        diag_idx = tuple(field.index(d) for d in ambient_space(field, kind, n).gram_diag)
+        for k in range(n + 1):
+            try:
+                totals[n, k] = _admit(field.q, diag_idx, k, budget)
+            except BudgetExceeded as exc:
+                table[n, k] = exc
+            else:
+                cells[n, k] = diag_idx, k
+    walked = _walk_tallies(field, cells)
+    for (n, k), total in totals.items():
+        try:
+            table[n, k] = _by_class(field.q, n, k, walked[n, k], total)
+        except DotAnalogueError as exc:
+            table[n, k] = exc
+    return table
 
 
 def count_lines(ambient: AmbientForm, budget: int = DEFAULT_BUDGET):
@@ -509,7 +594,7 @@ def enumerate_subspaces(ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDG
     """Yield every k-subspace exactly once, as canonical RREF values."""
     field = ambient.field
     n = ambient.n
-    _subspace_total(ambient, k, budget)
+    _subspace_total(field.q, n, k, budget)
     if k == 0:
         yield zero_subspace(ambient)
         return
@@ -703,16 +788,9 @@ def _rank_blocks(field, diag_idx: tuple, k: int):
         yield basis, _gram_classes(gram, k, field.p, field.e)
 
 
-def build_poset(
-    ambient: AmbientForm, poset_kind: PosetKind, budget: int = DEFAULT_POSET_BUDGET
-) -> PosetSnapshot:
-    """Euclidean (dot-type) or Lorentzian (lambda-dot-type) inclusion poset.
-
-    ``budget`` bounds both the subspaces scanned and the 64-bit words of the
-    intermediate nodes' vector sets.  Nodes come in enumerate_subspaces order;
-    edges join adjacent present ranks, upper node first, then lower node.
-    """
-    poset_kind = PosetKind(poset_kind)
+def _poset_bases(ambient: AmbientForm, poset_kind: PosetKind, budget: int):
+    """{k: (N_k, k, n) RREF bases of the poset's rank-k nodes} for the ranks
+    0 < k < n that hold any, after every price check of build_poset."""
     field, n = ambient.field, ambient.n
     q = field.q
     scan_total = sum(gaussian_binom(q, n, k) for k in range(n + 1))
@@ -748,12 +826,37 @@ def build_poset(
             f"vector masks of {inner} subspaces at (q={q}, n={n}) take "
             f"{words} 64-bit words, exceeding budget {budget}"
         )
+    return bases
+
+
+def poset_rank_sizes(
+    ambient: AmbientForm, poset_kind: PosetKind, budget: int = DEFAULT_POSET_BUDGET
+) -> tuple[int, ...]:
+    """build_poset(...).rank_sizes(), with the same refusals, from the ranks'
+    classification alone: no vector set or edge is made."""
+    bases = _poset_bases(ambient, PosetKind(poset_kind), budget)
+    return (1, *(len(bases.get(k, ())) for k in range(1, ambient.n)), 1)
+
+
+def build_poset(
+    ambient: AmbientForm, poset_kind: PosetKind, budget: int = DEFAULT_POSET_BUDGET
+) -> PosetSnapshot:
+    """Euclidean (dot-type) or Lorentzian (lambda-dot-type) inclusion poset.
+
+    ``budget`` bounds both the subspaces scanned and the 64-bit words of the
+    intermediate nodes' vector sets.  Nodes come in enumerate_subspaces order;
+    edges join adjacent present ranks, upper node first, then lower node.
+    """
+    poset_kind = PosetKind(poset_kind)
+    field, n = ambient.field, ambient.n
+    q = field.q
+    bases = _poset_bases(ambient, poset_kind, budget)
     layers = [_Layer(0, 0, 1, np.empty((1, 0), dtype=np.intp), None)]
     weights = q ** np.arange(n)
     for k, basis in bases.items():
         layers.append(_Layer(k, layers[-1].start + layers[-1].size, len(basis),
                              basis @ weights, _vector_sets(field, n, basis)))
-    layers.append(_Layer(n, inner + 1, 1, None, None))
+    layers.append(_Layer(n, layers[-1].start + layers[-1].size, 1, None, None))
     edges = []
     for lower, upper in zip(layers, layers[1:]):
         for first, (block,) in _containment(upper, [lower]):
@@ -924,25 +1027,18 @@ class CountReport:
 
 
 def full_count_report(ambient: AmbientForm, budget: int = DEFAULT_BUDGET) -> CountReport:
-    """Tallies for every dimension plus poset summaries when in budget."""
-    field = ambient.field
+    """Tallies for every dimension plus poset summaries when in budget.
+
+    The tallies are row n of a count table over the ambient's own diagonal:
+    every k is checked first, and the first refusal in k order is raised
+    before any walk runs; then one walk per side counts every k.
+    """
+    field, n = ambient.field, ambient.n
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    for k in range(ambient.n + 1):  # refuse as the counts would, before any runs
-        _subspace_total(ambient, k, budget)
-        if k:
-            _price_tables(field.q)
-            _walk_level(field.q, diag_idx, k)
-    tallies = []
-    for k in range(ambient.n + 1):
-        by_class = count_subspaces_by_class(ambient, k, budget=budget)
-        tallies.append(
-            (
-                k,
-                by_class[SubspaceClass.DOT_TYPE],
-                by_class[SubspaceClass.LAMBDA_DOT_TYPE],
-                by_class[SubspaceClass.DEGENERATE],
-            )
-        )
+    totals = [_admit(field.q, diag_idx, k, budget) for k in range(n + 1)]
+    walked = _walk_tallies(field, {k: (diag_idx, k) for k in range(n + 1)})
+    tallies = tuple((k, *_by_class(field.q, n, k, walked[k], total).values())
+                    for k, total in enumerate(totals))
     lines = tallies[1][1:] if ambient.n >= 1 else (0, 0, 0)
     flag_count = mobius = None
     # flag and Mobius summaries belong to the Euclidean poset of the dot ambient
@@ -958,7 +1054,7 @@ def full_count_report(ambient: AmbientForm, budget: int = DEFAULT_BUDGET) -> Cou
         ambient_kind=ambient.kind,
         q=ambient.field.q,
         n=ambient.n,
-        tallies=tuple(tallies),
+        tallies=tallies,
         lines=lines,
         flag_count=flag_count,
         mobius_bottom_to_top=mobius,

@@ -128,12 +128,11 @@ def _poset_family(add, q, n):
            closed.bracket_factorial(q, n), oracle.count_flags(snap))
     _check(add, "oracle/mobius", params,
            closed.mobius_sequence(q, n).mu[n], oracle.mobius_bottom(snap))
-    lo = oracle.build_poset(ambient, PosetKind.LORENTZIAN)
     want = (1,) + tuple(
         closed.dot_binom_variant(q, n, k, Variant.DL) for k in range(1, n)
     ) + (1,)
     _check(add, "oracle/poset-ranks", params + " kind=lorentzian",
-           want, lo.rank_sizes())
+           want, oracle.poset_rank_sizes(ambient, PosetKind.LORENTZIAN))
 
 
 def _group_family(add, q, n, budget):
@@ -249,22 +248,21 @@ def run_verify(qs, max_n, budget=oracle.DEFAULT_BUDGET, jobs=1,
     """
     records = []
     add = records.append
-    # each (q, ambient kind, n, k) is enumerated once per run: its tallies or
-    # the error that skipped or failed it
-    found = {}
+    # each (q, ambient kind) is counted once per run, as a table of every
+    # (n, k): each cell's tallies or the error that skipped or failed it
+    tables = {}
 
     def tally(q, kind, n, k):
-        key = q, kind, n, k
-        if key not in found:
+        if (q, kind) not in tables:
             try:
-                found[key] = oracle.count_subspaces_by_class(
-                    ambient_space(_field(q), kind, n), k, budget=budget
-                )
+                tables[q, kind] = oracle.count_table(_field(q), kind, max_n, budget)
             except _SKIPS + _FAILURES as exc:
-                found[key] = exc
-        if isinstance(found[key], Exception):
-            raise found[key]
-        return found[key]
+                tables[q, kind] = {(dim, j): exc for dim in range(1, max_n + 1)
+                                   for j in range(dim + 1)}
+        found = tables[q, kind][n, k]
+        if isinstance(found, Exception):
+            raise found
+        return found
 
     for q in qs:
         closed.odd_prime_power(q)  # a q that is not an odd prime power raises here

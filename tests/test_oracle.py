@@ -11,10 +11,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dotbinom import closed, gf, oracle, symsets
+from dotbinom import closed, gf, oracle, symsets, verify
 from dotbinom.closed import Variant
 from dotbinom.errors import (
     BudgetExceeded,
+    DotAnalogueError,
     IdentityViolated,
     Mismatch,
     UndefinedForParameters,
@@ -451,10 +452,11 @@ def test_transfer_counts_on_python_ints_beyond_the_limit(monkeypatch):
     dtypes = []
     walk = oracle._transfer_counts
 
-    def spy(*args):
-        counts = walk(*args)
-        dtypes.append(counts.dtype)
-        return counts
+    def spy(p, e, diag, reads):
+        (_, m), = reads  # a single count reads one level, after the last column
+        for levels in walk(p, e, diag, reads):
+            yield levels
+        dtypes.append(levels[m].dtype)
 
     monkeypatch.setattr(oracle, "_transfer_counts", spy)
     ambient = lambda_dot_space(make_field(3), 21)
@@ -482,11 +484,12 @@ def test_transfer_counts_past_float64_precision_exactly(monkeypatch, n, k):
     dtypes = []
     walk = oracle._transfer_counts
 
-    def spy(*args):
-        counts = walk(*args)
-        dtypes.append(counts.dtype)
-        assert counts.max() > 2**53
-        return counts
+    def spy(p, e, diag, reads):
+        (_, m), = reads  # a single count reads one level, after the last column
+        for levels in walk(p, e, diag, reads):
+            yield levels
+        dtypes.append(levels[m].dtype)
+        assert levels[m].max() > 2**53
 
     monkeypatch.setattr(oracle, "_transfer_counts", spy)
     for maker in (dot_space, lambda_dot_space):
@@ -870,6 +873,40 @@ def test_poset_budget_prices_vector_masks():
 
 
 @pytest.mark.parametrize("kind", list(PosetKind))
+def test_poset_rank_sizes_match_the_poset_without_vector_sets(monkeypatch, kind):
+    """The same rank sizes as the built poset, or the same refusal, from
+    the ranks' classification alone."""
+    cells = [(q, n, maker, oracle.DEFAULT_POSET_BUDGET)
+             for q, n in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (9, 2), (9, 3)]
+             for maker in (dot_space, lambda_dot_space)]
+    # a scan over budget, one mask over it, and every mask over it
+    cells += [(3, 6, dot_space, 1000), (7, 4, dot_space, oracle.DEFAULT_POSET_BUDGET),
+              (211, 2, dot_space, oracle.DEFAULT_POSET_BUDGET)]
+
+    def poset_or_refusal(call, *args):
+        try:
+            return call(*args)
+        except BudgetExceeded as exc:
+            return str(exc)
+
+    def ambient(q, n, maker):
+        return maker(make_field(*closed.odd_prime_power(q)), n)
+
+    built = [poset_or_refusal(lambda *args: oracle.build_poset(*args).rank_sizes(),
+                              ambient(q, n, maker), kind, budget)
+             for q, n, maker, budget in cells]
+    assert sum(isinstance(sizes, str) for sizes in built) == 3
+
+    def no_vector_sets(*args):
+        raise AssertionError("a vector set was made")
+
+    monkeypatch.setattr(oracle, "_vector_sets", no_vector_sets)
+    for (q, n, maker, budget), want in zip(cells, built):
+        got = poset_or_refusal(oracle.poset_rank_sizes, ambient(q, n, maker), kind, budget)
+        assert got == want, (q, n, maker, budget)
+
+
+@pytest.mark.parametrize("kind", list(PosetKind))
 @pytest.mark.parametrize("q, budget", [(1009, 10000), (10007, oracle.DEFAULT_POSET_BUDGET)])
 def test_poset_budget_refuses_one_mask_before_tables(monkeypatch, kind, q, budget):
     """The scan fits, but a single mask of ceil(q^2 / 64) words does not."""
@@ -968,18 +1005,21 @@ def test_full_count_report_lambda_ambient_has_no_poset_stats():
 
 
 def test_full_count_report_counts_each_dimension_once(monkeypatch):
-    count = oracle.count_subspaces_by_class
-    dims = []
+    """Every dimension is read off one walk: the dot ambient's two sides
+    are the same diagonal, so k = 1 and 2 read level 1 and k = 3 level 0,
+    each after the third column."""
+    walk = oracle._transfer_counts
+    walks = []
 
-    def counting(ambient, k, **kwargs):
-        dims.append(k)
-        return count(ambient, k, **kwargs)
+    def spy(p, e, diag, reads):
+        walks.append((diag, sorted(reads)))
+        return walk(p, e, diag, reads)
 
-    monkeypatch.setattr(oracle, "count_subspaces_by_class", counting)
+    monkeypatch.setattr(oracle, "_transfer_counts", spy)
     rep = oracle.full_count_report(dot_space(make_field(3), 3))
-    assert dims == [0, 1, 2, 3]
+    assert walks == [((1, 1, 1), [(3, 0), (3, 1)])]
+    assert [row[0] for row in rep.tallies] == [0, 1, 2, 3]
     assert rep.lines == (3, 6, 4)
-
 
 
 @pytest.mark.parametrize("q,n,budget,message", [
@@ -994,15 +1034,94 @@ def test_full_count_report_counts_each_dimension_once(monkeypatch):
 def test_full_count_report_prices_every_dimension_before_counting(
     monkeypatch, q, n, budget, message
 ):
-    """A report with any k over its price counts no k, and is refused with
-    the error that the first refused count would raise."""
+    """A report with any k over its price walks for no k, and is refused
+    with the error that the first refused count would raise."""
 
-    def no_count(*args, **kwargs):
+    def no_walk(*args, **kwargs):
         raise AssertionError("a dimension was counted")
 
-    monkeypatch.setattr(oracle, "count_subspaces_by_class", no_count)
+    monkeypatch.setattr(oracle, "_transfer_counts", no_walk)
     with pytest.raises(BudgetExceeded, match=message):
         oracle.full_count_report(dot_space(make_field(q), n), budget=budget)
+
+
+def _count_or_refusal(ambient, k, budget=oracle.DEFAULT_BUDGET):
+    try:
+        return oracle.count_subspaces_by_class(ambient, k, budget=budget)
+    except DotAnalogueError as exc:
+        return exc
+
+
+def _assert_table_matches_single_counts(q, max_n, budget=oracle.DEFAULT_BUDGET):
+    """count_table's cells equal count_subspaces_by_class's tallies, or its
+    refusal, type and message; the counted cells equal the closed forms.
+    Returns how many cells each kind counted."""
+    field = make_field(*closed.odd_prime_power(q))
+    counted = []
+    for maker in (dot_space, lambda_dot_space):
+        kind = maker(field, 1).kind
+        table = oracle.count_table(field, kind, max_n, budget)
+        assert sorted(table) == [(n, k) for n in range(1, max_n + 1) for k in range(n + 1)]
+        for (n, k), cell in table.items():
+            single = _count_or_refusal(maker(field, n), k, budget)
+            if isinstance(single, Exception):
+                assert (type(cell), str(cell)) == (type(single), str(single)), (q, n, k, kind)
+            else:
+                assert cell == single == _closed_tallies(q, n, k, maker), (q, n, k, kind)
+        counted.append(sum(not isinstance(cell, Exception) for cell in table.values()))
+    return counted
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_count_table_matches_single_counts(q):
+    """Every cell up to n = 6, both ambients, both sides of the transfer."""
+    assert all(_assert_table_matches_single_counts(q, 6))
+
+
+@pytest.mark.parametrize("q,max_n,budget,refused", [
+    (3, 4, 20, "exceed budget 20"),
+    (5, 3, 20, "exceed budget 20"),
+    (163, 4, 10**9, "Gram transfer states of 4330747 entries at (q=163, n=4, k=2)"),
+    (2053, 2, oracle.DEFAULT_BUDGET, "field tables of 4214809 entries at q=2053"),
+], ids=["budget-q3", "budget-q5", "state-limit", "table-limit"])
+def test_count_table_refuses_each_cell_as_a_single_count_would(monkeypatch, q, max_n,
+                                                               budget, refused):
+    field = make_field(*closed.odd_prime_power(q))
+    messages = {str(cell) for maker in (dot_space, lambda_dot_space)
+                for cell in oracle.count_table(field, maker(field, 1).kind, max_n,
+                                               budget).values()
+                if isinstance(cell, Exception)}
+    assert any(refused in message for message in messages)
+    _assert_table_matches_single_counts(q, max_n, budget)
+
+
+def _side_diagonals(q, n):
+    """The distinct walk diagonals of the dot and lambda-dot ambients of
+    dimension n, as field indices: the lambda entry first on the column
+    side, its inverse first on the row side."""
+    field = make_field(*closed.odd_prime_power(q))
+    lam, inverse = (field.index(x) for x in (field.lambda_, field.inv(field.lambda_)))
+    return {(1,) * n, (lam,) + (1,) * (n - 1), (inverse,) + (1,) * (n - 1)}
+
+
+def test_a_verify_run_walks_once_per_side_diagonal(monkeypatch):
+    """Every (n, k) count of a field is read off at most three walks, one
+    per distinct side diagonal of the largest ambients; -1 is q = 3's
+    lambda, its own inverse, so q = 3 walks twice."""
+    walk = oracle._transfer_counts
+    walks = Counter()
+
+    def spy(p, e, diag, reads):
+        walks[p**e, diag] += 1
+        return walk(p, e, diag, reads)
+
+    monkeypatch.setattr(oracle, "_transfer_counts", spy)
+    verify.run_verify([3, 5, 7, 9], 5)
+    assert set(walks.values()) == {1}
+    for q in (3, 5, 7, 9):
+        assert {diag for p, diag in walks if p == q} == _side_diagonals(q, 5), q
+    assert len(walks) == 2 + 3 * 3
+
 
 TABLE_PRICED = {
     "count": lambda ambient: oracle.count_subspaces_by_class(ambient, 1, budget=10**12),

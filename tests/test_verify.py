@@ -10,34 +10,38 @@ from dotbinom.report import Status
 
 
 def test_each_ambient_and_dimension_is_enumerated_once(monkeypatch):
-    count = oracle.count_subspaces_by_class
+    table = oracle.count_table
     calls = Counter()
+    cells = Counter()
 
-    def counting(ambient, k, *, budget):
-        calls[ambient, k] += 1
-        return count(ambient, k, budget=budget)
+    def counting(field, kind, max_n, budget):
+        calls[field.q, kind] += 1
+        found = table(field, kind, max_n, budget)
+        cells.update((field.q, kind, n, k) for n, k in found)
+        return found
 
-    monkeypatch.setattr(oracle, "count_subspaces_by_class", counting)
+    monkeypatch.setattr(oracle, "count_table", counting)
     # budget 20 leaves some cells beyond it: those are tried once as well
     report = verify.run_verify([3, 5], 3, budget=20)
     assert report.count(Status.SKIPPED) > 0
     assert set(calls.values()) == {1}
+    assert set(cells.values()) == {1}
     # two fields, two ambient kinds, k = 0..n for n = 1..3
-    assert len(calls) == 2 * 2 * (2 + 3 + 4)
+    assert len(cells) == 2 * 2 * (2 + 3 + 4)
 
 
 @pytest.mark.parametrize("error", [Mismatch, IdentityViolated])
 def test_a_failed_count_is_reported_and_counted_once(monkeypatch, error):
-    count = oracle.count_subspaces_by_class
+    table = oracle.count_table
     calls = Counter()
 
-    def failing(ambient, k, *, budget):
-        calls[ambient.kind, ambient.n, k] += 1
-        if (ambient.n, k) == (2, 1):
-            raise error("injected")
-        return count(ambient, k, budget=budget)
+    def failing(field, kind, max_n, budget):
+        found = table(field, kind, max_n, budget)
+        calls.update((kind, n, k) for n, k in found)
+        found[2, 1] = error("injected")
+        return found
 
-    monkeypatch.setattr(oracle, "count_subspaces_by_class", failing)
+    monkeypatch.setattr(oracle, "count_table", failing)
     report = verify.run_verify([3], 2)
     failed = {(r.check, r.params, r.note)
               for r in report.records if r.status is Status.FAIL}
