@@ -21,22 +21,20 @@ added exactly, on int64 or Python ints (np.add.at), never through a
 float64 sum.  The level-k states then hold every subspace's Gram matrix
 with its multiplicity, and each state's determinant is classified once by
 the cofactor expansion of _Minors.  States number q^(k (k + 1) / 2), so
-for k > n / 2 the walk runs at level n - k instead: Sylvester's identity
-(Horn and Johnson, 0.8.5) gives det(D_P + X D_F X^T) = det D_P det D_F
-det(D_F^-1 + X^T D_P^-1 X) over the pivot and free columns P and F, and
-the last factor is a state of the walk over the columns with every d
-inverted, the row side; the product of every d decides whether square and
-non-square swap.  An ambient with a zero diagonal entry, which only a
-hand-built AmbientForm has, walks the column side.  So the transfer costs
-a polynomial in n times an exponential in min(k, n - k).  Its counts are
-int64 under an a priori bound and Python ints beyond, and a count whose
-level-m state array would pass the table limit is refused before it
-starts.  The budget prices the subspaces.
+for k > n / 2 the walk is read at level n - k instead, by orthogonal
+complements: U -> U^perp pairs the k- and the (n - k)-subspaces of a
+nondegenerate space, and a non-square product of every d swaps square
+and non-square (_walk_tallies).  An ambient with a zero diagonal entry,
+which only a hand-built AmbientForm has, is read at level k.  So the
+transfer costs a polynomial in n times an exponential in min(k, n - k).
+Its counts are int64 under an a priori bound and Python ints beyond, and
+a count whose level-m state array would pass the table limit is refused
+before it starts.  The budget prices the subspaces.
 
 After c columns the level-j states hold the tallies of the j-subspaces
 of the first c columns, so count_table reads every (n, k) of the dot or
-lambda-dot ambients off one walk per side, at every column
-(_walk_tallies); count_subspaces_by_class reads a walk's last column.
+lambda-dot ambients off one walk, at every column (_walk_tallies);
+count_subspaces_by_class reads a walk's last column.
 
 The posets need every node, so build_poset classifies every RREF matrix
 of each rank, in enumerate_subspaces order, _CHUNK matrices at a time.  A
@@ -77,7 +75,6 @@ import numpy as np
 from .closed import gaussian_binom
 from .errors import (
     BudgetExceeded,
-    DotAnalogueError,
     IdentityViolated,
     Mismatch,
     UndefinedForParameters,
@@ -268,29 +265,6 @@ def _gram_classes(gram, k: int, p: int, e: int):
     return klass.take(minors[rows, rows])
 
 
-def _row_codes(position, p: int, digits: int):
-    """The codes at ``position`` in the list of one code of each pair
-    {v, -v} of ``digits`` base-p digits, v negated digit by digit.
-
-    The list is 0 and then the ranges [p^u, (p + 1) / 2 * p^u) for
-    u = 0, 1, ...: the codes whose top nonzero base-p digit is in
-    1..(p - 1) / 2, one of each pair {v, -v}.  Range u starts at position
-    (p^u + 1) / 2, so position j >= 1 lies in the range u with
-    p^u <= 2j - 1 < p^(u + 1) and holds code j + (p^u - 1) / 2.
-    """
-    if digits == 0:
-        return position
-    powers = p ** np.arange(digits)
-    shifts = np.concatenate(([0], (powers - 1) // 2))  # shifts[0] for j = 0
-    codes = np.multiply(position, 2)
-    codes -= 1
-    codes = np.searchsorted(powers, codes, side="right")
-    # every index is in 0..digits, so clipping never acts (see _gather)
-    shifts.take(codes, out=codes, mode="clip")
-    codes += position
-    return codes
-
-
 def _triangle(j: int) -> int:
     """Upper-triangle entries of a j x j matrix: the digits of a level-j state."""
     return j * (j + 1) // 2
@@ -314,17 +288,19 @@ def _state_gram(codes, j: int, q: int):
 def _shift_tables(p: int, e: int, j: int, d: int):
     """(q^lo, q^w, table) for each digit group lo..lo + w - 1 of a level-j
     state code, for the shifts d * x * x^T, x running over one vector of
-    each pair {x, -x} of F_q^j \\ {0} (_row_codes on j base-q digits).
+    each pair {x, -x} of F_q^j \\ {0}: the one of lower code.
 
     table[g, s] is the group's digits g plus shift s's digits there, field
     sums digit by digit, times q^lo; so the code of a state plus shift s is
     the sum over groups of table[code // q^lo % q^w, s].  A group is as wide
     as fits _GROUP_CAP entries, and at least one digit wide.
     """
-    add, mul, _, _ = _field_tables(p, e)
+    add, mul, neg, _ = _field_tables(p, e)
     q = p**e
-    x = _row_codes(np.arange(1, (q**j + 1) // 2), p, e * j)
-    x = x // q ** np.arange(j)[:, None] % q  # x[a] is coordinate a of each vector
+    powers = q ** np.arange(j)[:, None]
+    codes = np.arange(1, q**j)
+    x = codes // powers % q  # x[a] is coordinate a of every nonzero vector
+    x = x[:, codes < (neg[x] * powers).sum(axis=0)]  # the lower code of each pair
     # digit T(b) + a of every shift, in _state_gram's order
     digits = [mul[d, mul[x[a], x[b]]] for b in range(j) for a in range(b + 1)]
     shifts = x.shape[1]
@@ -422,7 +398,7 @@ def _transfer_counts(p: int, e: int, diag, reads):
 
 def _walk_level(q: int, diag_idx: tuple, k: int) -> int:
     """The level m of a k-subspace count's walk: min(k, n - k), or k where
-    the row side would invert a zero d; refused where the level-m state
+    a zero d makes the form degenerate; refused where the level-m state
     array would pass _MAX_TABLE_ENTRIES."""
     n = len(diag_idx)
     m = k if 0 in diag_idx else min(k, n - k)
@@ -435,74 +411,58 @@ def _walk_level(q: int, diag_idx: tuple, k: int) -> int:
     return m
 
 
-def _walk_tallies(field, cells):
-    """{key: (square, non-square, zero) tallies, or the error of field
-    tables that fail their checks} for admitted counts {key: (diag_idx, k)}.
+def _diagonal(ambient: AmbientForm) -> tuple:
+    """The ambient's diagonal as sorted field indices, those other than 1
+    first.  Permuting the columns is an isometry of a diagonal form; in this
+    order column 0 never scatters, a lambda-dot walk builds the shift tables
+    of d = 1 alone, and the first n entries of a dot or lambda-dot diagonal
+    are those of that kind's ambient of dimension n."""
+    field = ambient.field
+    # 1 is the field index of 1
+    return tuple(sorted((field.index(d) for d in ambient.gram_diag), key=lambda d: (d == 1, d)))
 
-    At m = k (_walk_level) a cell is read off the walk over its columns, its
-    column side; at m = n - k off the walk with every d inverted, its row
-    side: a subspace's Gram matrix is D_P + X D_F X^T (pivot and free
-    columns), and Sylvester's identity makes its determinant
-    det D_P det D_F det(D_F^-1 + X^T D_P^-1 X), the last factor being a
-    state of that walk.  det D_P det D_F is the product of the cell's every
-    d, so a non-square product swaps the two nonzero classes.
 
-    Permuting the columns is an isometry of a diagonal form, so a side walks
-    its entries other than 1 first, then rarer ones: column 0 never
-    scatters, a lambda-dot walk builds the shift tables of d = 1 alone, and
-    the first c columns of a dot or lambda-dot side are the side of that
-    kind's ambient of dimension c.  A cell whose side begins another's is
-    read off that walk, so each distinct side is walked once.  The zero
+def _walk_tallies(field, diag_idx: tuple, reads):
+    """{key: (square, non-square, zero) tallies} of the k-subspaces of V,
+    the form of diag_idx's first n entries, for admitted reads
+    {key: (n, k)}, off one walk over diag_idx.
+
+    A read takes level m = min(k, n - k) after column n, or level k where a
+    zero entry makes V degenerate (_walk_level).  On a nondegenerate V,
+    U -> U^perp is a bijection from the k- to the (n - k)-subspaces; it
+    keeps degenerate subspaces degenerate, and for nondegenerate U,
+    disc U * disc U^perp = disc V, the product of the n entries.  So for
+    k > n / 2 a non-square product swaps the two nonzero classes.  The zero
     subspace is dot-type by convention, and needs no walk.
     """
-    tallies = {key: (1, 0, 0) for key, (_, k) in cells.items() if not k}
-    if len(tallies) == len(cells):
+    tallies = {key: (1, 0, 0) for key, (_, k) in reads.items() if not k}
+    if len(tallies) == len(reads):
         return tallies
     p, e = field.p, field.e
-    try:
-        _, mul, _, klass = _field_tables(p, e)
-    except DotAnalogueError as exc:  # tables that fail their checks refuse every walk
-        return {key: tallies.get(key, exc) for key in cells}
-    sides = {}
-    for key, (diag_idx, k) in cells.items():
+    _, mul, _, klass = _field_tables(p, e)
+    levels_read = {}  # key: (column n, level m, whether the classes swap)
+    for key, (n, k) in reads.items():
         if not k:
             continue
-        m = _walk_level(field.q, diag_idx, k)
-        diag = diag_idx
-        if m != k:
-            diag = tuple(int(np.flatnonzero(mul[d] == 1)[0]) for d in diag_idx)
+        m = _walk_level(field.q, diag_idx[:n], k)
         product = 1
-        for d in diag_idx:
+        for d in diag_idx[:n]:
             product = mul[product, d]
-        twist = m != k and klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
-        # 1 is the field index of 1
-        sides[key] = tuple(sorted(diag, key=lambda d: (d == 1, diag.count(d)))), m, twist
-    walks = {}  # walk diagonal: {key: (columns, level, twist)} read off it
-    for key in sorted(sides, key=lambda key: -len(sides[key][0])):
-        side, m, twist = sides[key]
-        walk = next((known for known in walks if known[:len(side)] == side), side)
-        walks.setdefault(walk, {})[key] = len(side), m, twist
-    for walk, reads in walks.items():
-        pending = {(c, m) for c, m, _ in reads.values()}
-        for c, levels in enumerate(_transfer_counts(p, e, walk, pending), 1):
-            for key, (columns, m, twist) in reads.items():
-                if columns != c:
-                    continue
-                counts, classes = levels[m], _state_classes(p, e, m)
-                square, non_square = (
-                    int(counts[classes == _CLASS_CODES[nonzero]].sum())
-                    for nonzero in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
-                )
-                if twist:
-                    square, non_square = non_square, square
-                tallies[key] = square, non_square, int(counts.sum()) - square - non_square
+        levels_read[key] = n, m, m != k and klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
+    pending = {(n, m) for n, m, _ in levels_read.values()}
+    for c, levels in enumerate(_transfer_counts(p, e, diag_idx, pending), 1):
+        for key, (n, m, twist) in levels_read.items():
+            if n != c:
+                continue
+            counts, classes = levels[m], _state_classes(p, e, m)
+            square, non_square = (
+                int(counts[classes == _CLASS_CODES[nonzero]].sum())
+                for nonzero in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
+            )
+            if twist:
+                square, non_square = non_square, square
+            tallies[key] = square, non_square, int(counts.sum()) - square - non_square
     return tallies
-
-
-def _transfer_tallies(field, diag_idx: tuple, k: int):
-    """(square, non-square, zero) tallies of the k-subspaces by the Gram
-    transfer (_walk_tallies), or the error of the field tables."""
-    return _walk_tallies(field, {k: (diag_idx, k)})[k]
 
 
 def _subspace_total(q: int, n: int, k: int, budget: int) -> int:
@@ -530,9 +490,7 @@ def _admit(q: int, diag_idx: tuple, k: int, budget: int) -> int:
 
 def _by_class(q: int, n: int, k: int, tallies, total: int):
     """(square, non-square, zero) tallies as a dict by subspace class, once
-    they sum to ``total``; an error in their place is raised."""
-    if isinstance(tallies, Exception):
-        raise tallies
+    they sum to ``total``."""
     if sum(tallies) != total:
         raise Mismatch(
             f"{sum(tallies)} subspaces tallied at (q={q}, n={n}, k={k}), expected {total}"
@@ -550,32 +508,33 @@ def count_subspaces_by_class(
     stays because the benchmark's workloads pass it (bench/workloads.py)
     and its tracer reads it (bench/tracing.py).
     """
-    field = ambient.field
-    diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
+    field, n = ambient.field, ambient.n
+    diag_idx = _diagonal(ambient)
     total = _admit(field.q, diag_idx, k, budget)
-    return _by_class(field.q, ambient.n, k, _transfer_tallies(field, diag_idx, k), total)
+    return _by_class(field.q, n, k, _walk_tallies(field, diag_idx, {k: (n, k)})[k], total)
 
 
 def count_table(field, kind, max_n: int, budget: int = DEFAULT_BUDGET):
     """{(n, k): class tallies, or the error that refuses the count} for
     the k-subspaces of the ``kind`` ambient of each dimension n <= max_n:
-    what count_subspaces_by_class returns or raises, from one walk per
-    distinct side diagonal (_walk_tallies)."""
-    table, cells, totals = {}, {}, {}
+    what count_subspaces_by_class returns or raises, from one walk over the
+    _diagonal of the dimension-max_n ambient, whose first n entries are
+    the dimension-n ambient's.  Field tables that fail their checks raise."""
+    table, reads, totals = {}, {}, {}
+    diag_idx = _diagonal(ambient_space(field, kind, max_n)) if max_n else ()
     for n in range(1, max_n + 1):
-        diag_idx = tuple(field.index(d) for d in ambient_space(field, kind, n).gram_diag)
         for k in range(n + 1):
             try:
-                totals[n, k] = _admit(field.q, diag_idx, k, budget)
+                totals[n, k] = _admit(field.q, diag_idx[:n], k, budget)
             except BudgetExceeded as exc:
                 table[n, k] = exc
             else:
-                cells[n, k] = diag_idx, k
-    walked = _walk_tallies(field, cells)
+                reads[n, k] = n, k
+    walked = _walk_tallies(field, diag_idx, reads)
     for (n, k), total in totals.items():
         try:
             table[n, k] = _by_class(field.q, n, k, walked[n, k], total)
-        except DotAnalogueError as exc:
+        except Mismatch as exc:
             table[n, k] = exc
     return table
 
@@ -1031,12 +990,12 @@ def full_count_report(ambient: AmbientForm, budget: int = DEFAULT_BUDGET) -> Cou
 
     The tallies are row n of a count table over the ambient's own diagonal:
     every k is checked first, and the first refusal in k order is raised
-    before any walk runs; then one walk per side counts every k.
+    before any walk runs; then one walk counts every k.
     """
     field, n = ambient.field, ambient.n
-    diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
+    diag_idx = _diagonal(ambient)
     totals = [_admit(field.q, diag_idx, k, budget) for k in range(n + 1)]
-    walked = _walk_tallies(field, {k: (diag_idx, k) for k in range(n + 1)})
+    walked = _walk_tallies(field, diag_idx, {k: (n, k) for k in range(n + 1)})
     tallies = tuple((k, *_by_class(field.q, n, k, walked[k], total).values())
                     for k, total in enumerate(totals))
     lines = tallies[1][1:] if ambient.n >= 1 else (0, 0, 0)

@@ -48,8 +48,8 @@ COUNT_CELLS = [
     (27, 4, 2, _LAMBDA),
     (3, 9, 7, _DOT),
 ]
-# counts beyond the default budget: the row side at k = n - 1, the column
-# side on a prime power, and q=3 n=21 k=3 (1.0e26 subspaces), whose walk
+# counts beyond the default budget: level n - k at k = n - 1, level k on a
+# prime power, and q=3 n=21 k=3 (1.0e26 subspaces), whose walk
 # counts on Python ints beyond 2^63
 BEYOND_BUDGET_CELLS = [
     (3, 15, 14, _DOT),

@@ -240,6 +240,16 @@ def test_poly_rows_match_golden(capsys):
     _replay_golden("poly_rows.json", capsys)
 
 
+def test_lambda_dot_counts_match_golden(capsys):
+    """``oracle count`` on lambda-dot ambients where lambda^-1 differs from
+    lambda (q = 5, 7, 9; n = 4, 5), plain and json.
+
+    Frozen from the oracle that read k > n / 2 off a walk over the inverted
+    diagonal, before every k was read off the ambient's own walk.
+    """
+    _replay_golden("oracle_count_lambda.json", capsys)
+
+
 def test_flags_command():
     res = run_cli("flags", "--q", "3", "--n", "3")
     assert res.returncode == 0

@@ -110,21 +110,23 @@ def _slow_tallies(ambient, k):
 @pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
 @pytest.mark.parametrize("f", [0, 1, 2, 3])
 def test_paired_row_list_holds_one_code_of_each_sign_pair(q, f):
-    """The list of f digits that the transfer's shifts are drawn from and its
-    digit-wise negations, through the field's neg table, cover every code of
-    f digits, each nonzero code once; at weight 2 for each nonzero code and
-    1 for 0, the weights add up to q^f."""
-    p, e = closed.odd_prime_power(q)
-    neg = oracle._field_tables(p, e)[2]
-    size = (q**f + 1) // 2
-    codes = oracle._row_codes(np.arange(size), p, e * f)
-    powers = q ** np.arange(f)
-    negated = (neg[codes[:, None] // powers % q] * powers).sum(axis=1)
-    nonzero = codes[codes > 0]
-    assert np.array_equal(np.sort(np.concatenate([nonzero, negated[codes > 0]])),
-                          np.arange(1, q**f))
-    assert size == len(codes) and np.count_nonzero(codes == 0) == 1
-    assert 1 + 2 * len(nonzero) == q**f
+    """The shifts x * x^T of a level-f free column, read off the shift
+    tables at state 0, are those of one x of each pair {x, -x}: x and -x
+    make the same shift, and every nonzero x makes a shift that two vectors
+    make, so the shifts are distinct and each stands for two vectors; at
+    weight 2 for each and 1 for x = 0, the weights add up to q^f."""
+    field = make_field(*closed.odd_prime_power(q))
+    groups = oracle._shift_tables(field.p, field.e, f, 1)  # d = 1, at field index 1
+    shifts = sum(table[0] for _, _, table in groups) if groups else np.zeros(0)
+    elements = list(field.elements())
+    made = Counter()
+    for x in itertools.product(elements, repeat=f):
+        if any(v != field.zero for v in x):
+            made[sum(field.index(field.mul(x[a], x[b])) * q ** (oracle._triangle(b) + a)
+                     for b in range(f) for a in range(b + 1))] += 1
+    assert sorted(shifts.tolist()) == sorted(made)
+    assert set(made.values()) <= {2}
+    assert 1 + 2 * len(shifts) == q**f
 
 
 def _every_code_tallies(ambient, k):
@@ -370,13 +372,14 @@ def test_budget_is_enforced():
 
 def test_short_tally_raises_mismatch(monkeypatch):
     ambient = dot_space(make_field(3), 2)
-    monkeypatch.setattr(oracle, "_transfer_tallies", lambda field, diag_idx, k: (1, 0, 0))
+    monkeypatch.setattr(oracle, "_walk_tallies",
+                        lambda field, diag_idx, reads: {key: (1, 0, 0) for key in reads})
     with pytest.raises(Mismatch):
         oracle.count_subspaces_by_class(ambient, 1)
 
 
-# every cell up to n = 6 and 200 000 subspaces: column side for k <= n / 2,
-# row side above
+# every cell up to n = 6 and 200 000 subspaces: read at level k for
+# k <= n / 2, at level n - k above
 OVERLAP_CELLS = [
     (q, n, k, maker)
     for q in (3, 5, 7, 9, 11, 13, 25, 27)
@@ -389,7 +392,7 @@ OVERLAP_CELLS = [
 
 def test_transfer_matches_kernel_on_both_sides():
     """The transfer and the posets' every-code block classification agree on
-    every cell, both ambients and both sides of the transfer."""
+    every cell, both ambients, at level k and at level n - k."""
     assert {2 * k <= n for _, n, k, _ in OVERLAP_CELLS} == {True, False}
     assert {q for q, *_ in OVERLAP_CELLS} == {3, 5, 7, 9, 11, 13, 25, 27}
     for q, n, k, maker in OVERLAP_CELLS:
@@ -401,7 +404,7 @@ def test_transfer_matches_kernel_on_both_sides():
 @pytest.mark.parametrize("q,n,k", [(27, 4, 2), (5, 5, 2), (7, 3, 1), (9, 5, 3)])
 def test_lambda_dot_walk_builds_only_the_shift_tables_of_one(monkeypatch, q, n, k):
     """The walk takes the lone lambda column first, where nothing scatters,
-    on the column side (k <= n / 2) and on the row side, which inverts it."""
+    whether the count is read at level k (k <= n / 2) or at level n - k."""
     built = []
     tables = oracle._shift_tables
 
@@ -435,8 +438,9 @@ def test_count_refuses_a_state_array_beyond_the_table_limit(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_zero_diagonal_entry_walks_the_column_side(n):
-    """A hand-built ambient with a zero diagonal entry: the row side would
-    invert it, so every k walks the column side, and agrees with classify()."""
+    """A hand-built ambient with a zero diagonal entry is degenerate, so
+    orthogonal complements do not pair its k- and (n - k)-subspaces: every
+    k is read at level k, and agrees with classify()."""
     field = make_field(3)
     diag = (field.one, field.zero) + (field.one,) * (n - 2)
     ambient = AmbientForm(field, n, AmbientKind.DOT, diag)
@@ -444,6 +448,59 @@ def test_zero_diagonal_entry_walks_the_column_side(n):
     for k in range(n + 1):
         assert oracle._walk_level(3, diag_idx, k) == k
         assert oracle.count_subspaces_by_class(ambient, k) == _slow_tallies(ambient, k), k
+
+
+# hand-built diagonals as powers of the field's lambda: several entries
+# other than 1, squares among them, in no sorted order; the product is a
+# square at an even total power and a non-square at an odd one
+HAND_BUILT_POWERS = [(0, 2, 1), (3, 2, 1), (1, 0, 1, 2), (0, 1, 1, 1), (2, 0, 0, 3)]
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_hand_built_diagonals_match_object_level_classification(q):
+    """Every k of diagonals with several entries other than 1, which no CLI
+    ambient has: the sorted walk, and for k > n / 2 the class swap under a
+    non-square product, against classify()."""
+    field = make_field(*closed.odd_prime_power(q))
+    powers = [field.one]
+    for _ in range(3):
+        powers.append(field.mul(powers[-1], field.lambda_))
+    # q=9 n=4 would classify 7462 planes one object at a time
+    cells = [exponents for exponents in HAND_BUILT_POWERS
+             if closed.gaussian_binom(q, len(exponents), 2) <= 3000]
+    assert {sum(exponents) % 2 for exponents in cells} == {0, 1}
+    for exponents in cells:
+        n = len(exponents)
+        ambient = AmbientForm(field, n, AmbientKind.DOT, tuple(powers[a] for a in exponents))
+        for k in range(n + 1):
+            assert oracle.count_subspaces_by_class(ambient, k) == _slow_tallies(ambient, k), (
+                exponents, k)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_low_and_high_k_walk_the_ambient_diagonal(monkeypatch, q):
+    """lambda^-1 differs from lambda at q = 5 and 7, yet every k of a
+    lambda-dot ambient, k <= n / 2 or above, walks the diagonal (lambda, 1,
+    1, 1, 1), and its report reads every k off a single walk of it."""
+    field = make_field(q)
+    ambient = lambda_dot_space(field, 5)
+    lam = field.index(field.lambda_)
+    assert field.index(field.inv(field.lambda_)) != lam
+    walk = oracle._transfer_counts
+    walks = []
+
+    def spy(p, e, diag, reads):
+        walks.append(diag)
+        return walk(p, e, diag, reads)
+
+    monkeypatch.setattr(oracle, "_transfer_counts", spy)
+    for k in range(1, 6):
+        assert oracle.count_subspaces_by_class(ambient, k) == _closed_tallies(
+            q, 5, k, lambda_dot_space), k
+    assert walks == [(lam, 1, 1, 1, 1)] * 5
+    walks.clear()
+    oracle.full_count_report(lambda_dot_space(field, 4))
+    assert walks == [(lam, 1, 1, 1)]
 
 
 def test_transfer_counts_on_python_ints_beyond_the_limit(monkeypatch):
@@ -501,8 +558,8 @@ def test_transfer_counts_past_float64_precision_exactly(monkeypatch, n, k):
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
 def test_k_near_n_counts_on_the_row_side_in_little_memory(maker):
-    """q=3 n=15 k=14 has 7.2 M subspaces, inside the default budget; the
-    row side walks one level, 3 states, where every code's minors at k = 14
+    """q=3 n=15 k=14 has 7.2 M subspaces, inside the default budget; they
+    are read at level n - k = 1, 3 states, where every code's minors at k = 14
     would take some 3 GB."""
     ambient = maker(make_field(3), 15)
     oracle.count_subspaces_by_class(maker(make_field(3), 3), 2)  # build the field tables
@@ -1005,9 +1062,8 @@ def test_full_count_report_lambda_ambient_has_no_poset_stats():
 
 
 def test_full_count_report_counts_each_dimension_once(monkeypatch):
-    """Every dimension is read off one walk: the dot ambient's two sides
-    are the same diagonal, so k = 1 and 2 read level 1 and k = 3 level 0,
-    each after the third column."""
+    """Every dimension is read off one walk: k = 1 and 2 read level 1 and
+    k = 3 level 0, each after the third column."""
     walk = oracle._transfer_counts
     walks = []
 
@@ -1074,7 +1130,7 @@ def _assert_table_matches_single_counts(q, max_n, budget=oracle.DEFAULT_BUDGET):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
 def test_count_table_matches_single_counts(q):
-    """Every cell up to n = 6, both ambients, both sides of the transfer."""
+    """Every cell up to n = 6, both ambients, at level k and at level n - k."""
     assert all(_assert_table_matches_single_counts(q, 6))
 
 
@@ -1095,19 +1151,9 @@ def test_count_table_refuses_each_cell_as_a_single_count_would(monkeypatch, q, m
     _assert_table_matches_single_counts(q, max_n, budget)
 
 
-def _side_diagonals(q, n):
-    """The distinct walk diagonals of the dot and lambda-dot ambients of
-    dimension n, as field indices: the lambda entry first on the column
-    side, its inverse first on the row side."""
-    field = make_field(*closed.odd_prime_power(q))
-    lam, inverse = (field.index(x) for x in (field.lambda_, field.inv(field.lambda_)))
-    return {(1,) * n, (lam,) + (1,) * (n - 1), (inverse,) + (1,) * (n - 1)}
-
-
-def test_a_verify_run_walks_once_per_side_diagonal(monkeypatch):
-    """Every (n, k) count of a field is read off at most three walks, one
-    per distinct side diagonal of the largest ambients; -1 is q = 3's
-    lambda, its own inverse, so q = 3 walks twice."""
+def test_a_verify_run_walks_once_per_field_and_kind(monkeypatch):
+    """Every (n, k) count of a field and ambient kind is read off one walk
+    over the diagonal of the largest ambient, its lambda entry first."""
     walk = oracle._transfer_counts
     walks = Counter()
 
@@ -1119,8 +1165,10 @@ def test_a_verify_run_walks_once_per_side_diagonal(monkeypatch):
     verify.run_verify([3, 5, 7, 9], 5)
     assert set(walks.values()) == {1}
     for q in (3, 5, 7, 9):
-        assert {diag for p, diag in walks if p == q} == _side_diagonals(q, 5), q
-    assert len(walks) == 2 + 3 * 3
+        field = make_field(*closed.odd_prime_power(q))
+        lam = field.index(field.lambda_)
+        assert {diag for p, diag in walks if p == q} == {(1,) * 5, (lam,) + (1,) * 4}, q
+    assert len(walks) == 8
 
 
 TABLE_PRICED = {

@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, seed, settings, strategies as st  # noqa: E402
 
 from dotbinom import cli, closed, oracle, polyq  # noqa: E402
 from dotbinom.closed import Variant  # noqa: E402
@@ -180,18 +180,22 @@ def test_weighted_tallies_equal_the_posets_every_code_ranks(q, n, lam):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(q=prime_powers.filter(lambda q: q * q <= oracle._MAX_TABLE_ENTRIES),
        n=st.integers(1, 10), k=st.integers(1, 10), lam=st.booleans())
-@example(q=2039, n=3, k=2, lam=True)  # row side at the largest field the tables admit
+@example(q=2039, n=3, k=2, lam=True)  # level n - k at the largest field the tables admit
 @example(q=27, n=6, k=2, lam=False)
+# derandomize would seed from a digest of the source, so any edit of the body
+# would draw other cells, some of which walk for minutes; this seed keeps the
+# 30 cells drawn so far, about a minute in all
+@seed(34525623445459674596362962400268070329687856300048624782878068975820367325248681591056921878866034515455560525879575)  # noqa: E501
 def test_transfer_matches_the_closed_forms_over_random_prime_powers(q, n, k, lam):
-    """The Gram transfer against the variant closed forms on both sides,
+    """The Gram transfer against the variant closed forms at level k and n - k,
     moved towards k = 1 or n - 1 until its state array fits the table limit."""
     k = k % n + 1
     field = _fields(q)
     ambient = (lambda_dot_space if lam else dot_space)(field, n)
-    diag = tuple(field.index(d) for d in ambient.gram_diag)
     while q ** oracle._triangle(min(k, n - k)) > oracle._MAX_TABLE_ENTRIES:
         k += 1 if 2 * k > n else -1
-    square, non_square, zero = oracle._transfer_tallies(field, diag, k)
+    square, non_square, zero = oracle._walk_tallies(field, oracle._diagonal(ambient),
+                                                    {k: (n, k)})[k]
     variants = (Variant.LD, Variant.LL) if lam else (Variant.DD, Variant.DL)
     assert (square, non_square) == tuple(closed.dot_binom_variant(q, n, k, v) for v in variants)
     assert square + non_square + zero == closed.gaussian_binom(q, n, k)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from dotbinom import oracle, verify
+from dotbinom import cli, oracle, verify
 from dotbinom.errors import IdentityViolated, Mismatch
 from dotbinom.report import Status
 
@@ -60,6 +60,27 @@ def test_a_failed_count_is_reported_and_counted_once(monkeypatch, error):
     assert set(calls.values()) == {1}
     # two ambient kinds, k = 0..n for n = 1, 2
     assert len(calls) == 2 * (2 + 3)
+
+
+def test_field_tables_that_fail_their_checks_fail_every_count(monkeypatch, capsys):
+    """count_table raises when the field tables fail their checks: the run
+    reports every count of the field as FAIL, k = 0 too, and exits 1 with
+    its report and no traceback."""
+
+    def failing(p, e):
+        raise IdentityViolated("injected")
+
+    monkeypatch.setattr(oracle, "_field_tables", failing)
+    report = verify.run_verify([3], 2)
+    failed = {r.params: r.note for r in report.records
+              if r.check == "oracle/subspace-count" and r.status is Status.FAIL}
+    assert failed == {f"q=3 n={n} k={k} ambient={kind}": "injected"
+                      for kind in ("dot", "lambda_dot") for n in (1, 2) for k in range(n + 1)}
+    assert report.exit_status == 1
+    assert cli.main(["verify", "--q", "3", "--max-n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL" in out and out.splitlines()[-1].startswith("checks:")
+    assert "Traceback" not in out + err
 
 
 def test_a_state_array_beyond_the_limit_is_skipped():
