@@ -3,7 +3,7 @@
 A FieldSpec fixes the modulus polynomial and a canonical non-square witness;
 elements are fully reduced coefficient tuples, so structural equality of
 values is equality in the field.  Everything here is pure and immutable once
-constructed, safe to share across threads and worker processes.
+constructed, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ class FieldSpec:
         self.p = p
         self.e = e
         self.q = q
-        self.q_mod4 = q % 4
         self.modulus = _smallest_irreducible(p, e)
         self.zero = FieldElement((0,) * e)
         self.one = FieldElement((1,) + (0,) * (e - 1))

@@ -24,7 +24,7 @@ the cofactor expansion of _Minors.  States number q^(k (k + 1) / 2), so
 for k > n / 2 the walk is read at level n - k instead, by orthogonal
 complements: U -> U^perp pairs the k- and the (n - k)-subspaces of a
 nondegenerate space, and a non-square product of every d swaps square
-and non-square (_walk_tallies).  An ambient with a zero diagonal entry,
+and non-square (_count).  An ambient with a zero diagonal entry,
 which only a hand-built AmbientForm has, is read at level k.  So the
 transfer costs a polynomial in n times an exponential in min(k, n - k).
 Its counts are int64 under an a priori bound and Python ints beyond, and
@@ -32,9 +32,9 @@ a count whose level-m state array would pass the table limit is refused
 before it starts.  The budget prices the subspaces.
 
 After c columns the level-j states hold the tallies of the j-subspaces
-of the first c columns, so count_table reads every (n, k) of the dot or
-lambda-dot ambients off one walk, at every column (_walk_tallies);
-count_subspaces_by_class reads a walk's last column.
+of the first c columns, so _count reads cells (n, k) off one walk, each
+admitted and checked against its total: count_table every cell of an
+ambient, count_subspaces_by_class one and full_count_report one row.
 
 The posets need every node, so build_poset classifies every RREF matrix
 of each rank, in enumerate_subspaces order, _CHUNK matrices at a time.  A
@@ -254,11 +254,16 @@ class _Minors(dict):
         return self[key]
 
 
-def _gram_classes(gram, k: int, p: int, e: int):
-    """Square-class codes of det G for a k x k Gram dict of field-index
-    arrays, by the cofactor expansion of _Minors."""
+def _gram_classes(upper, k: int, p: int, e: int):
+    """Square-class codes of det G for a k x k Gram matrix of field-index
+    arrays, by the cofactor expansion of _Minors.  ``upper`` holds its upper
+    triangle: entry (a, b), a <= b, at T(b) + a, T being _triangle."""
     add, mul, neg, klass = _field_tables(p, e)
     q = p**e
+    gram = {}
+    for b in range(k):
+        for a in range(b + 1):
+            gram[a, b] = gram[b, a] = upper[_triangle(b) + a]
     minors = _Minors(gram, lambda x, y: _gather(mul, x, y, q),
                      lambda x, y: _gather(add, x, y, q), neg)
     rows = tuple(range(k))
@@ -271,17 +276,14 @@ def _triangle(j: int) -> int:
 
 
 def _state_gram(codes, j: int, q: int):
-    """The partial Gram matrix of level-j state codes as a dict of digit arrays.
+    """The upper triangle of the partial Gram matrix of level-j state codes,
+    as their digit arrays.
 
     Entry (a, b), a <= b, is digit T(b) + a, T being _triangle: the upper
     triangle column by column, so a level-j code is the low T(j) digits of
     every level-(j + 1) code that extends it.
     """
-    gram = {}
-    for b in range(j):
-        for a in range(b + 1):
-            gram[a, b] = gram[b, a] = codes // q ** (_triangle(b) + a) % q
-    return gram
+    return [codes // q**t % q for t in range(_triangle(j))]
 
 
 @lru_cache(maxsize=8)
@@ -330,8 +332,8 @@ def _state_classes(p: int, e: int, m: int):
     size = q ** _triangle(m)
     classes = np.empty(size, dtype=np.int8)
     for lo in range(0, size, _TABLE_BLOCK):
-        gram = _state_gram(np.arange(lo, min(lo + _TABLE_BLOCK, size)), m, q)
-        classes[lo:lo + _TABLE_BLOCK] = _gram_classes(gram, m, p, e)
+        upper = _state_gram(np.arange(lo, min(lo + _TABLE_BLOCK, size)), m, q)
+        classes[lo:lo + _TABLE_BLOCK] = _gram_classes(upper, m, p, e)
     return classes
 
 
@@ -422,49 +424,6 @@ def _diagonal(ambient: AmbientForm) -> tuple:
     return tuple(sorted((field.index(d) for d in ambient.gram_diag), key=lambda d: (d == 1, d)))
 
 
-def _walk_tallies(field, diag_idx: tuple, reads):
-    """{key: (square, non-square, zero) tallies} of the k-subspaces of V,
-    the form of diag_idx's first n entries, for admitted reads
-    {key: (n, k)}, off one walk over diag_idx.
-
-    A read takes level m = min(k, n - k) after column n, or level k where a
-    zero entry makes V degenerate (_walk_level).  On a nondegenerate V,
-    U -> U^perp is a bijection from the k- to the (n - k)-subspaces; it
-    keeps degenerate subspaces degenerate, and for nondegenerate U,
-    disc U * disc U^perp = disc V, the product of the n entries.  So for
-    k > n / 2 a non-square product swaps the two nonzero classes.  The zero
-    subspace is dot-type by convention, and needs no walk.
-    """
-    tallies = {key: (1, 0, 0) for key, (_, k) in reads.items() if not k}
-    if len(tallies) == len(reads):
-        return tallies
-    p, e = field.p, field.e
-    _, mul, _, klass = _field_tables(p, e)
-    levels_read = {}  # key: (column n, level m, whether the classes swap)
-    for key, (n, k) in reads.items():
-        if not k:
-            continue
-        m = _walk_level(field.q, diag_idx[:n], k)
-        product = 1
-        for d in diag_idx[:n]:
-            product = mul[product, d]
-        levels_read[key] = n, m, m != k and klass[product] == _CLASS_CODES[SquareClass.NON_SQUARE]
-    pending = {(n, m) for n, m, _ in levels_read.values()}
-    for c, levels in enumerate(_transfer_counts(p, e, diag_idx, pending), 1):
-        for key, (n, m, twist) in levels_read.items():
-            if n != c:
-                continue
-            counts, classes = levels[m], _state_classes(p, e, m)
-            square, non_square = (
-                int(counts[classes == _CLASS_CODES[nonzero]].sum())
-                for nonzero in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
-            )
-            if twist:
-                square, non_square = non_square, square
-            tallies[key] = square, non_square, int(counts.sum()) - square - non_square
-    return tallies
-
-
 def _subspace_total(q: int, n: int, k: int, budget: int) -> int:
     """Number of k-subspaces, refused when k is out of range or over budget."""
     if not 0 <= k <= n:
@@ -477,41 +436,85 @@ def _subspace_total(q: int, n: int, k: int, budget: int) -> int:
     return total
 
 
-def _admit(q: int, diag_idx: tuple, k: int, budget: int) -> int:
-    """The number of k-subspaces of the ambient ``diag_idx``, after the
-    checks that may refuse their count: the budget, then for k >= 1 the
-    field tables and the walk's states."""
+def _admit(q: int, diag_idx: tuple, k: int, budget: int):
+    """(total, m): the number of k-subspaces of the ambient ``diag_idx`` and
+    the walk level m that counts them (_walk_level; 0 at k = 0, which needs
+    no walk), after the checks that may refuse their count: the budget, then
+    for k >= 1 the field tables and the walk's states."""
     total = _subspace_total(q, len(diag_idx), k, budget)
-    if k:
-        _price_tables(q)
-        _walk_level(q, diag_idx, k)
-    return total
+    if not k:
+        return total, 0
+    _price_tables(q)
+    return total, _walk_level(q, diag_idx, k)
 
 
-def _by_class(q: int, n: int, k: int, tallies, total: int):
-    """(square, non-square, zero) tallies as a dict by subspace class, once
-    they sum to ``total``."""
-    if sum(tallies) != total:
-        raise Mismatch(
-            f"{sum(tallies)} subspaces tallied at (q={q}, n={n}, k={k}), expected {total}"
-        )
-    return dict(zip(SubspaceClass, tallies))
+def _count(field, diag_idx: tuple, cells, budget: int):
+    """{(n, k): class tallies, or the BudgetExceeded or Mismatch that refuses
+    the count} of the k-subspaces of V_n, the form of diag_idx's first n
+    entries, for each (n, k) of ``cells``, off one walk over diag_idx.
+
+    Each cell is admitted by _admit, in ``cells`` order, and reads level m
+    after column n: m = min(k, n - k), or k where a zero entry makes V_n
+    degenerate.  On a nondegenerate V_n, U -> U^perp is a bijection from
+    the k- to the (n - k)-subspaces; it keeps degenerate subspaces
+    degenerate, and for nondegenerate U, disc U * disc U^perp = disc V_n,
+    the product of the first n entries.  So a cell read at level n - k < k
+    swaps the two nonzero classes when that product is a non-square.  The
+    zero subspace is dot-type by convention, and needs no walk.  A cell
+    whose tallies do not sum to its number of subspaces is a Mismatch.
+    """
+    p, e, q = field.p, field.e, field.q
+    table, admitted = {}, {}
+    for n, k in cells:
+        try:
+            admitted[n, k] = _admit(q, diag_idx[:n], k, budget)
+        except BudgetExceeded as exc:
+            table[n, k] = exc
+    tallies = {cell: (1, 0, 0) for cell in admitted if not cell[1]}
+    if len(tallies) < len(admitted):
+        _, mul, _, klass = _field_tables(p, e)
+        # disc V_n is products[n]; 1 is the field index of 1
+        products = list(itertools.accumulate(diag_idx, lambda x, d: mul[x, d], initial=1))
+        reads = {(n, m) for (n, k), (_, m) in admitted.items() if k}
+        for c, levels in enumerate(_transfer_counts(p, e, diag_idx, reads), 1):
+            for (n, k), (_, m) in admitted.items():
+                if n != c or not k:
+                    continue
+                counts, classes = levels[m], _state_classes(p, e, m)
+                square, non_square = (
+                    int(counts[classes == _CLASS_CODES[nonzero]].sum())
+                    for nonzero in (SquareClass.SQUARE, SquareClass.NON_SQUARE)
+                )
+                if m != k and klass[products[n]] == _CLASS_CODES[SquareClass.NON_SQUARE]:
+                    square, non_square = non_square, square
+                tallies[n, k] = square, non_square, int(counts.sum()) - square - non_square
+    for (n, k), (total, _) in admitted.items():
+        tallied = sum(tallies[n, k])
+        table[n, k] = dict(zip(SubspaceClass, tallies[n, k])) if tallied == total else (
+            Mismatch(f"{tallied} subspaces tallied at (q={q}, n={n}, k={k}), expected {total}"))
+    return table
+
+
+def _raised(cell):
+    """A _count cell's tallies, or its refusal raised."""
+    if isinstance(cell, Exception):
+        raise cell
+    return cell
 
 
 def count_subspaces_by_class(
     ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ):
     """Exhaustive classification tally of all k-subspaces, by the Gram
-    transfer (see the module docstring): the walk's last column.
+    transfer (see the module docstring): one _count cell, the walk's last
+    column.
 
     ``jobs`` is accepted and ignored: every count runs in this process.  It
     stays because the benchmark's workloads pass it (bench/workloads.py)
     and its tracer reads it (bench/tracing.py).
     """
-    field, n = ambient.field, ambient.n
-    diag_idx = _diagonal(ambient)
-    total = _admit(field.q, diag_idx, k, budget)
-    return _by_class(field.q, n, k, _walk_tallies(field, diag_idx, {k: (n, k)})[k], total)
+    n = ambient.n
+    return _raised(_count(ambient.field, _diagonal(ambient), [(n, k)], budget)[n, k])
 
 
 def count_table(field, kind, max_n: int, budget: int = DEFAULT_BUDGET):
@@ -519,24 +522,11 @@ def count_table(field, kind, max_n: int, budget: int = DEFAULT_BUDGET):
     the k-subspaces of the ``kind`` ambient of each dimension n <= max_n:
     what count_subspaces_by_class returns or raises, from one walk over the
     _diagonal of the dimension-max_n ambient, whose first n entries are
-    the dimension-n ambient's.  Field tables that fail their checks raise."""
-    table, reads, totals = {}, {}, {}
+    the dimension-n ambient's (_count).  Field tables that fail their
+    checks raise."""
     diag_idx = _diagonal(ambient_space(field, kind, max_n)) if max_n else ()
-    for n in range(1, max_n + 1):
-        for k in range(n + 1):
-            try:
-                totals[n, k] = _admit(field.q, diag_idx[:n], k, budget)
-            except BudgetExceeded as exc:
-                table[n, k] = exc
-            else:
-                reads[n, k] = n, k
-    walked = _walk_tallies(field, diag_idx, reads)
-    for (n, k), total in totals.items():
-        try:
-            table[n, k] = _by_class(field.q, n, k, walked[n, k], total)
-        except Mismatch as exc:
-            table[n, k] = exc
-    return table
+    cells = [(n, k) for n in range(1, max_n + 1) for k in range(n + 1)]
+    return _count(field, diag_idx, cells, budget)
 
 
 def count_lines(ambient: AmbientForm, budget: int = DEFAULT_BUDGET):
@@ -725,8 +715,7 @@ def _rank_blocks(field, diag_idx: tuple, k: int):
     add, mul, _, _ = _field_tables(field.p, field.e)
     q, n = field.q, len(diag_idx)
     starts, pivots, powers = _rank_layout(q, n, k)
-    upper = [(a, b) for b in range(k) for a in range(b + 1)]
-    rows, cols = np.array(upper).T
+    rows, cols = np.array([(a, b) for b in range(k) for a in range(b + 1)]).T
     total = int(starts[-1])
     for lo in range(0, total, _CHUNK):
         codes = np.arange(lo, min(lo + _CHUNK, total))
@@ -741,10 +730,7 @@ def _rank_blocks(field, diag_idx: tuple, k: int):
         for t, d in enumerate(diag_idx):
             term = _gather(mul, _gather(mul, d, entries[rows, t], q), entries[cols, t], q)
             gram_upper = _gather(add, gram_upper, term, q)
-        gram = {}
-        for (a, b), entry in zip(upper, gram_upper):
-            gram[a, b] = gram[b, a] = entry
-        yield basis, _gram_classes(gram, k, field.p, field.e)
+        yield basis, _gram_classes(gram_upper, k, field.p, field.e)
 
 
 def _poset_bases(ambient: AmbientForm, poset_kind: PosetKind, budget: int):
@@ -994,10 +980,10 @@ def full_count_report(ambient: AmbientForm, budget: int = DEFAULT_BUDGET) -> Cou
     """
     field, n = ambient.field, ambient.n
     diag_idx = _diagonal(ambient)
-    totals = [_admit(field.q, diag_idx, k, budget) for k in range(n + 1)]
-    walked = _walk_tallies(field, diag_idx, {k: (n, k) for k in range(n + 1)})
-    tallies = tuple((k, *_by_class(field.q, n, k, walked[k], total).values())
-                    for k, total in enumerate(totals))
+    for k in range(n + 1):
+        _admit(field.q, diag_idx, k, budget)
+    row = _count(field, diag_idx, [(n, k) for k in range(n + 1)], budget)
+    tallies = tuple((k, *_raised(row[n, k]).values()) for k in range(n + 1))
     lines = tallies[1][1:] if ambient.n >= 1 else (0, 0, 0)
     flag_count = mobius = None
     # flag and Mobius summaries belong to the Euclidean poset of the dot ambient

@@ -2,7 +2,10 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -370,12 +373,43 @@ def test_budget_is_enforced():
         oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=1000)
 
 
-def test_short_tally_raises_mismatch(monkeypatch):
-    ambient = dot_space(make_field(3), 2)
-    monkeypatch.setattr(oracle, "_walk_tallies",
-                        lambda field, diag_idx, reads: {key: (1, 0, 0) for key in reads})
-    with pytest.raises(Mismatch):
-        oracle.count_subspaces_by_class(ambient, 1)
+@pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
+def test_a_lost_count_is_a_mismatch_at_every_entry_point(monkeypatch, maker):
+    """A walk that loses one count of every level after column 3 makes each
+    cell read there a Mismatch: a count_table cell, and raised by
+    count_subspaces_by_class and full_count_report.  k = 0 reads no walk,
+    and every cell of another column is the unpatched table's."""
+    field = make_field(5)
+    kind = maker(field, 1).kind
+    clean = oracle.count_table(field, kind, 4)
+    walk = oracle._transfer_counts
+
+    def lossy(p, e, diag, reads):
+        for c, levels in enumerate(walk(p, e, diag, reads), 1):
+            if c == 3:  # copies: the walk goes on from its own counts
+                levels = {j: counts.copy() for j, counts in levels.items()}
+                for counts in levels.values():
+                    counts[np.flatnonzero(counts)[0]] -= 1
+            yield levels
+
+    monkeypatch.setattr(oracle, "_transfer_counts", lossy)
+    table = oracle.count_table(field, kind, 4)
+    assert sorted(table) == sorted(clean)
+    lost = {}
+    for (n, k), cell in table.items():
+        if n == 3 and k:
+            total = closed.gaussian_binom(5, 3, k)
+            lost[k] = f"{total - 1} subspaces tallied at (q=5, n=3, k={k}), expected {total}"
+            assert (type(cell), str(cell)) == (Mismatch, lost[k]), k
+        else:
+            assert cell == clean[n, k], (n, k)
+    assert sorted(lost) == [1, 2, 3]
+    ambient = maker(field, 3)
+    for k, message in lost.items():
+        with pytest.raises(Mismatch, match=f"^{re.escape(message)}$"):
+            oracle.count_subspaces_by_class(ambient, k)
+    with pytest.raises(Mismatch, match=f"^{re.escape(lost[1])}$"):
+        oracle.full_count_report(ambient)
 
 
 # every cell up to n = 6 and 200 000 subspaces: read at level k for
@@ -1151,6 +1185,35 @@ def test_count_table_refuses_each_cell_as_a_single_count_would(monkeypatch, q, m
     _assert_table_matches_single_counts(q, max_n, budget)
 
 
+COUNT_TABLE_CELLS = pathlib.Path(__file__).parent / "data" / "count_table_cells.json"
+
+
+def _count_table_cells():
+    """{table: {cell: value}} for count_table over eight fields, both kinds
+    and three budgets, max_n 8 at q = 3 and 6 elsewhere.  A cell holds its
+    tallies in SubspaceClass order, or its refusal's [type name, message]."""
+    tables = {}
+    for q in (3, 5, 7, 9, 25, 27, 163, 2053):
+        field = make_field(*closed.odd_prime_power(q))
+        for kind in AmbientKind:
+            for budget in (20, 10**7, 10**9):
+                table = oracle.count_table(field, kind, 8 if q == 3 else 6, budget)
+                tables[f"q={q} {kind.value} budget={budget}"] = {
+                    f"n={n} k={k}": ([type(cell).__name__, str(cell)]
+                                     if isinstance(cell, Exception)
+                                     else [cell[klass] for klass in SubspaceClass])
+                    for (n, k), cell in table.items()
+                }
+    return tables
+
+
+def test_count_table_cells_equal_the_frozen_ones():
+    """Every cell's tallies, or its refusal's type and message, as frozen in
+    data/count_table_cells.json; `PYTHONPATH=src python tests/test_oracle.py`
+    rewrites the file from the code as it stands."""
+    assert _count_table_cells() == json.loads(COUNT_TABLE_CELLS.read_text(encoding="utf-8"))
+
+
 def test_a_verify_run_walks_once_per_field_and_kind(monkeypatch):
     """Every (n, k) count of a field and ambient kind is read off one walk
     over the diagonal of the largest ambient, its lambda entry first."""
@@ -1196,3 +1259,13 @@ def test_largest_prime_under_the_table_limit_is_not_refused():
     oracle._price_tables(2039)
     with pytest.raises(BudgetExceeded, match="field tables of 4214809 entries"):
         oracle._price_tables(2053)
+
+
+if __name__ == "__main__":
+    # one line per cell
+    COUNT_TABLE_CELLS.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {{\n" + ",\n".join(
+            f"  {json.dumps(cell)}: {json.dumps(value)}" for cell, value in cells.items()
+        ) + "\n }"
+        for name, cells in _count_table_cells().items()
+    ) + "\n}\n", encoding="utf-8")

@@ -194,11 +194,11 @@ def test_transfer_matches_the_closed_forms_over_random_prime_powers(q, n, k, lam
     ambient = (lambda_dot_space if lam else dot_space)(field, n)
     while q ** oracle._triangle(min(k, n - k)) > oracle._MAX_TABLE_ENTRIES:
         k += 1 if 2 * k > n else -1
-    square, non_square, zero = oracle._walk_tallies(field, oracle._diagonal(ambient),
-                                                    {k: (n, k)})[k]
+    total = closed.gaussian_binom(q, n, k)
+    square, non_square, zero = oracle.count_subspaces_by_class(ambient, k, budget=total).values()
     variants = (Variant.LD, Variant.LL) if lam else (Variant.DD, Variant.DL)
     assert (square, non_square) == tuple(closed.dot_binom_variant(q, n, k, v) for v in variants)
-    assert square + non_square + zero == closed.gaussian_binom(q, n, k)
+    assert square + non_square + zero == total
 
 
 # the commands that enumerate draw small inputs only, so each finishes at once
