@@ -42,21 +42,22 @@ block of codes, which may run across pivot patterns, is decoded into an
 (N, k, n) array of field indices (_rank_layout); each Gram entry is the
 field sum over columns t of d_t * B[a, t] * B[b, t], formed by gathers
 from the add and mul tables, and det G is classified by the cofactor
-expansion of _Minors, as the transfer's states are.  Only the rows of the
-wanted class are kept.  The Subspace objects of the nodes are made from
-their row codes when a snapshot's nodes are first read; rank sizes, flag
-counts and Mobius values read the rank arrays alone.
+expansion of _Minors, as the transfer's states are.  Only the basis rows
+of the wanted class are kept, as vector codes, and every refusal comes
+before build_poset returns.  Rank sizes read the row codes alone; the
+rest is made from them on first read: the nodes' Subspace objects, the
+vector sets and the Hasse edges.
 
-The inclusion posets are stored a rank at a time.  Each rank holds its
-nodes' basis rows as vector codes and their vector sets as one packed bit
-array, N_r rows of ceil(q^n / 8) bytes, spanned for a whole group of nodes
-at once.  U lies in W exactly when every basis row of U is a vector of W,
-so the containment block of rank s under rank r is an AND over U's s row
-codes, each gathered from W's packed row; blocks are made a group of upper
-nodes at a time, at most _INCIDENCE_ENTRIES entries per lower rank.  The
-Hasse edges are the nonzero entries of the blocks of adjacent present
-ranks, and mu(0, .) is the recursion mu_r = -sum_{s<r} C_{s,r}^T mu_s, in
-int64 while an a priori bound on its sums holds and on Python ints beyond.
+The inclusion posets are stored a rank at a time.  Each inner rank's
+vector sets, spanned from its row codes a group of nodes at a time, are
+one packed bit array of N_r rows of ceil(q^n / 8) bytes.  U lies in W
+exactly when every basis row of U is a vector of W, so the containment
+block of rank s under rank r is an AND over U's s row codes, each gathered
+from W's packed row; blocks are made a group of upper nodes at a time, at
+most _INCIDENCE_ENTRIES entries per lower rank.  The Hasse edges are the
+nonzero entries of the blocks of adjacent present ranks, and mu(0, .) is
+the recursion mu_r = -sum_{s<r} C_{s,r}^T mu_s, in int64 while an a priori
+bound on its sums holds and on Python ints beyond.
 
 The isometry group is counted as frames of columns, one column at a time
 among the vectors of the wanted norm orthogonal to those chosen so far; it
@@ -109,10 +110,9 @@ _MAX_TABLE_ENTRIES = 1 << 22
 # lower rank's N_s nodes at most this many entries at a time, and vector
 # sets are made a group of nodes of q^k * n + q^n entries at a time.
 _INCIDENCE_ENTRIES = 1 << 20
-# mobius_bottom sums in int64 while this bounds every partial sum
-_MU_LIMIT = 1 << 63
-# the Gram transfer counts in int64 while this bounds every state count
-_TRANSFER_LIMIT = 1 << 63
+# the Gram transfer and mobius_bottom sum in int64 while this bounds every
+# count or partial sum, and on Python ints beyond
+_INT64_LIMIT = 1 << 63
 
 _CLASS_CODES = {
     SquareClass.ZERO: 0,
@@ -382,7 +382,7 @@ def _transfer_counts(p: int, e: int, diag, reads):
     when j <= j' <= j + c' - c, so a level is kept only while some pending
     read can still reach it, and the walk stops at the last column read.
     Counts are int64 while every state count kept, at most the Gaussian
-    binomial of its prefix (c columns, j pivots), is below _TRANSFER_LIMIT,
+    binomial of its prefix (c columns, j pivots), is below _INT64_LIMIT,
     and Python ints beyond; np.add.at adds either exactly.
     """
     last = max(c for c, _ in reads)
@@ -391,7 +391,7 @@ def _transfer_counts(p: int, e: int, diag, reads):
         for c in range(c_read + 1):
             live[c].update(range(max(0, j_read - c_read + c), min(c, j_read) + 1))
     bound = max(gaussian_binom(p**e, c, j) for c in range(last + 1) for j in live[c])
-    dtype = np.int64 if bound < _TRANSFER_LIMIT else object
+    dtype = np.int64 if bound < _INT64_LIMIT else object
     levels = {0: np.ones(1, dtype=dtype)}
     for c, d in enumerate(diag[:last], 1):
         levels = {j: _column(p, e, levels, j, d, dtype) for j in live[c]}
@@ -582,24 +582,46 @@ class _Layer:
 class PosetSnapshot:
     """Graded inclusion poset with adjoined bottom (zero) and top (full space).
 
-    ``layers`` holds the nodes rank by rank (see _Layer), each rank's basis
-    rows as vector codes and its vector sets as one packed bit array.  Node
-    U of rank s lies in node W of rank r > s exactly when every basis row
-    of U is a vector of W, so the containment block of two ranks is an AND
-    over the lower rank's row codes, gathered from the upper rank's packed
-    rows a group of upper nodes at a time (_containment).  The Hasse edges
-    are read off the blocks of adjacent ranks; mobius_bottom reads every
-    block, and sums in int64 only while an a priori bound rules out
-    overflow.  ``nodes`` are made from the row codes on first read, and two
-    snapshots are equal when their ambient, kind, nodes and edges are.
+    ``ranks`` maps each rank 0 < k < n that has nodes to their basis rows as
+    vector codes, an (N_k, k) array, and rank sizes read it alone.  The rest
+    is made on first read and kept: ``layers`` adds the packed vector sets
+    (see _Layer).  Node U of rank s lies in node W of rank r > s exactly
+    when every basis row of U is a vector of W, so the containment block of
+    two ranks is an AND over the lower rank's row codes, gathered from the
+    upper rank's packed rows a group of upper nodes at a time
+    (_containment).  ``hasse_edges`` are read off the blocks of adjacent
+    ranks; mobius_bottom reads every block, and sums in int64 only while an
+    a priori bound rules out overflow.  ``nodes`` are made from the row
+    codes, and two snapshots are equal when their ambient, kind, nodes and
+    edges are.
     """
 
     ambient: AmbientForm
     poset_kind: PosetKind
-    # (lower node index, upper node index), by rank pair in increasing order
-    hasse_edges: tuple
-    # a _Layer per rank present, bottom first and top last
-    layers: tuple = dataclass_field(repr=False)
+    ranks: dict = dataclass_field(repr=False)
+
+    @cached_property
+    def layers(self) -> tuple:
+        """A _Layer per rank present, bottom first and top last."""
+        field, n = self.ambient.field, self.ambient.n
+        layers = [_Layer(0, 0, 1, np.empty((1, 0), dtype=np.intp), None)]
+        for k, codes in self.ranks.items():
+            layers.append(_Layer(k, layers[-1].start + layers[-1].size, len(codes),
+                                 codes, _vector_sets(field, n, codes)))
+        layers.append(_Layer(n, layers[-1].start + layers[-1].size, 1, None, None))
+        return tuple(layers)
+
+    @cached_property
+    def hasse_edges(self) -> tuple:
+        """(lower node index, upper node index) pairs of adjacent present ranks,
+        by rank pair in increasing order, upper node first, then lower node."""
+        edges = []
+        for lower, upper in zip(self.layers, self.layers[1:]):
+            for first, (block,) in _containment(upper, [lower]):
+                hi, lo = np.nonzero(block)  # row-major: upper node, then lower node
+                edges.extend(zip((lower.start + lo).tolist(),
+                                 (upper.start + first + hi).tolist()))
+        return tuple(edges)
 
     @cached_property
     def nodes(self) -> tuple:
@@ -608,11 +630,10 @@ class PosetSnapshot:
         q, n = ambient.field.q, ambient.n
         elements = list(ambient.field.elements())
         nodes = [(zero_subspace(ambient), 0)]
-        for layer in self.layers[1:-1]:
-            digits = layer.row_codes[:, :, None] // q ** np.arange(n) % q
+        for k, codes in self.ranks.items():
+            digits = codes[:, :, None] // q ** np.arange(n) % q
             nodes.extend(
-                (Subspace(ambient, tuple(tuple(elements[v] for v in row) for row in rows)),
-                 layer.rank)
+                (Subspace(ambient, tuple(tuple(elements[v] for v in row) for row in rows)), k)
                 for rows in digits.tolist()
             )
         nodes.append((full_subspace(ambient), n))
@@ -630,23 +651,20 @@ class PosetSnapshot:
         return hash(self._key())
 
     def rank_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * (self.ambient.n + 1)
-        for layer in self.layers:
-            sizes[layer.rank] += layer.size
-        return tuple(sizes)
+        return (1, *(len(self.ranks.get(k, ())) for k in range(1, self.ambient.n)), 1)
 
 
-def _vector_sets(field, n: int, basis):
-    """Packed vector sets of the subspaces spanned by ``basis``, an
-    (N, k, n) array of field-index rows, made a group of nodes at a time."""
+def _vector_sets(field, n: int, row_codes):
+    """Packed vector sets of the subspaces whose basis rows have the vector
+    codes ``row_codes``, an (N, k) array, made a group of nodes at a time."""
     add, mul, _, _ = _field_tables(field.p, field.e)
     q = field.q
-    size, k, _ = basis.shape
+    size, k = row_codes.shape
     weights = q ** np.arange(n)
     packed = np.empty((size, -(-(q**n) // 8)), dtype=np.uint8)
     step = max(1, _INCIDENCE_ENTRIES // (q**k * n + q**n))
     for first in range(0, size, step):
-        rows = basis[first:first + step]
+        rows = row_codes[first:first + step, :, None] // weights % q  # (group, k, n)
         vecs = np.zeros((len(rows), 1, n), dtype=np.intp)
         for i in range(k):
             # multiples[g, s, t] = s * row_i[t]; add each to every vector so far
@@ -733,9 +751,18 @@ def _rank_blocks(field, diag_idx: tuple, k: int):
         yield basis, _gram_classes(gram_upper, k, field.p, field.e)
 
 
-def _poset_bases(ambient: AmbientForm, poset_kind: PosetKind, budget: int):
-    """{k: (N_k, k, n) RREF bases of the poset's rank-k nodes} for the ranks
-    0 < k < n that hold any, after every price check of build_poset."""
+def build_poset(
+    ambient: AmbientForm, poset_kind: PosetKind, budget: int = DEFAULT_POSET_BUDGET
+) -> PosetSnapshot:
+    """Euclidean (dot-type) or Lorentzian (lambda-dot-type) inclusion poset.
+
+    ``budget`` bounds both the subspaces scanned and the 64-bit words of the
+    intermediate nodes' vector sets, and every refusal is raised here,
+    though the vector sets are made only when the snapshot's layers are
+    first read.  Each rank is classified _CHUNK codes at a time
+    (_rank_blocks), and only its wanted nodes' row codes are kept.
+    """
+    poset_kind = PosetKind(poset_kind)
     field, n = ambient.field, ambient.n
     q = field.q
     scan_total = sum(gaussian_binom(q, n, k) for k in range(n + 1))
@@ -758,65 +785,28 @@ def _poset_bases(ambient: AmbientForm, poset_kind: PosetKind, budget: int):
         SquareClass.SQUARE if poset_kind is PosetKind.EUCLIDEAN else SquareClass.NON_SQUARE
     ]
     diag_idx = tuple(field.index(d) for d in ambient.gram_diag)
-    bases = {}
+    weights = q ** np.arange(n)
+    ranks = {}
     for k in range(1, n):
-        basis = np.concatenate([basis[classes == wanted]
+        codes = np.concatenate([basis[classes == wanted] @ weights
                                 for basis, classes in _rank_blocks(field, diag_idx, k)])
-        if len(basis):
-            bases[k] = basis
-    inner = sum(len(basis) for basis in bases.values())
+        if len(codes):
+            ranks[k] = codes
+    inner = sum(len(codes) for codes in ranks.values())
     words = inner * mask_words
     if words > budget:
         raise BudgetExceeded(
             f"vector masks of {inner} subspaces at (q={q}, n={n}) take "
             f"{words} 64-bit words, exceeding budget {budget}"
         )
-    return bases
-
-
-def poset_rank_sizes(
-    ambient: AmbientForm, poset_kind: PosetKind, budget: int = DEFAULT_POSET_BUDGET
-) -> tuple[int, ...]:
-    """build_poset(...).rank_sizes(), with the same refusals, from the ranks'
-    classification alone: no vector set or edge is made."""
-    bases = _poset_bases(ambient, PosetKind(poset_kind), budget)
-    return (1, *(len(bases.get(k, ())) for k in range(1, ambient.n)), 1)
-
-
-def build_poset(
-    ambient: AmbientForm, poset_kind: PosetKind, budget: int = DEFAULT_POSET_BUDGET
-) -> PosetSnapshot:
-    """Euclidean (dot-type) or Lorentzian (lambda-dot-type) inclusion poset.
-
-    ``budget`` bounds both the subspaces scanned and the 64-bit words of the
-    intermediate nodes' vector sets.  Nodes come in enumerate_subspaces order;
-    edges join adjacent present ranks, upper node first, then lower node.
-    """
-    poset_kind = PosetKind(poset_kind)
-    field, n = ambient.field, ambient.n
-    q = field.q
-    bases = _poset_bases(ambient, poset_kind, budget)
-    layers = [_Layer(0, 0, 1, np.empty((1, 0), dtype=np.intp), None)]
-    weights = q ** np.arange(n)
-    for k, basis in bases.items():
-        layers.append(_Layer(k, layers[-1].start + layers[-1].size, len(basis),
-                             basis @ weights, _vector_sets(field, n, basis)))
-    layers.append(_Layer(n, layers[-1].start + layers[-1].size, 1, None, None))
-    edges = []
-    for lower, upper in zip(layers, layers[1:]):
-        for first, (block,) in _containment(upper, [lower]):
-            hi, lo = np.nonzero(block)  # row-major: upper node, then lower node
-            edges.extend(zip((lower.start + lo).tolist(),
-                             (upper.start + first + hi).tolist()))
-    return PosetSnapshot(ambient, poset_kind, tuple(edges), tuple(layers))
+    return PosetSnapshot(ambient, poset_kind, ranks)
 
 
 def count_flags(snapshot: PosetSnapshot) -> int:
     """Maximal chains from bottom to top, by rank-layered dynamic programming."""
     if snapshot.poset_kind is not PosetKind.EUCLIDEAN:
         raise UndefinedForParameters("flag counts are defined on the Euclidean poset")
-    top = snapshot.layers[-1]
-    ways = [0] * (top.start + top.size)
+    ways = [0] * sum(snapshot.rank_sizes())
     ways[0] = 1
     for lo, hi in snapshot.hasse_edges:  # lower ranks first
         ways[hi] += ways[lo]
@@ -829,13 +819,13 @@ def mobius_bottom(snapshot: PosetSnapshot) -> int:
     mu_r = -sum_{s<r} C_{s,r}^T mu_s over every comparable pair, C_{s,r}
     being the containment block of rank s under rank r (Stanley, EC1 3.6).
     Each rank's sums run in int64 while sum_{s<r} N_s max|mu_s|, which
-    bounds every partial sum, is below _MU_LIMIT, and on Python ints beyond.
+    bounds every partial sum, is below _INT64_LIMIT, and on Python ints beyond.
     """
     layers = snapshot.layers
     mus = [np.ones(1, dtype=np.int64)]
     for r in range(1, len(layers)):
         bound = sum(lower.size * int(abs(mu).max()) for lower, mu in zip(layers, mus))
-        dtype = np.int64 if bound < _MU_LIMIT else object
+        dtype = np.int64 if bound < _INT64_LIMIT else object
         below = [mu.astype(dtype) for mu in mus]
         mu = np.empty(layers[r].size, dtype=dtype)
         for first, blocks in _containment(layers[r], layers[:r]):

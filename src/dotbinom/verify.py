@@ -132,7 +132,7 @@ def _poset_family(add, q, n):
         closed.dot_binom_variant(q, n, k, Variant.DL) for k in range(1, n)
     ) + (1,)
     _check(add, "oracle/poset-ranks", params + " kind=lorentzian",
-           want, oracle.poset_rank_sizes(ambient, PosetKind.LORENTZIAN))
+           want, lambda: oracle.build_poset(ambient, PosetKind.LORENTZIAN).rank_sizes())
 
 
 def _group_family(add, q, n, budget):

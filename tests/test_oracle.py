@@ -1,6 +1,7 @@
 """Enumeration oracle: tallies, posets, groups, and cross-checks."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -29,6 +31,7 @@ from dotbinom.quadspace import (
     AmbientForm,
     AmbientKind,
     SubspaceClass,
+    ambient_space,
     bilinear,
     classify,
     contains,
@@ -557,7 +560,7 @@ def test_transfer_counts_on_python_ints_beyond_the_limit(monkeypatch):
     cells = [(3, 6, 2), (5, 5, 3), (9, 4, 1), (3, 7, 5), (7, 3, 3)]
     fields = {q: make_field(*closed.odd_prime_power(q)) for q, _, _ in cells}
     int64 = [oracle.count_subspaces_by_class(dot_space(fields[q], n), k) for q, n, k in cells]
-    monkeypatch.setattr(oracle, "_TRANSFER_LIMIT", 0)
+    monkeypatch.setattr(oracle, "_INT64_LIMIT", 0)
     dtypes.clear()
     for (q, n, k), want in zip(cells, int64):
         for maker in (dot_space, lambda_dot_space):
@@ -908,7 +911,7 @@ def test_posets_beyond_verify_window(monkeypatch, q, n, mu):
     lorentzian = oracle.build_poset(ambient, PosetKind.LORENTZIAN, budget=10**6)
     inner = tuple(closed.dot_binom_variant(q, n, k, Variant.DL) for k in range(1, n))
     assert lorentzian.rank_sizes() == (1, *inner, 1)
-    monkeypatch.setattr(oracle, "_MU_LIMIT", 0)  # every rank sums on Python ints
+    monkeypatch.setattr(oracle, "_INT64_LIMIT", 0)  # every rank sums on Python ints
     assert oracle.mobius_bottom(snap) == mu
 
 
@@ -945,7 +948,9 @@ def test_poset_degrees_are_regular(q, n, kind):
     assert _degree_faults(snap) == []
     edges = snap.hasse_edges
     middle = len(edges) // 2
-    dropped = dataclasses.replace(snap, hasse_edges=edges[:middle] + edges[middle + 1:])
+    dropped = types.SimpleNamespace(ambient=snap.ambient, poset_kind=snap.poset_kind,
+                                    nodes=snap.nodes,
+                                    hasse_edges=edges[:middle] + edges[middle + 1:])
     assert _degree_faults(dropped)
 
 
@@ -965,7 +970,7 @@ def test_poset_budget_prices_vector_masks():
 
 @pytest.mark.parametrize("kind", list(PosetKind))
 def test_poset_rank_sizes_match_the_poset_without_vector_sets(monkeypatch, kind):
-    """The same rank sizes as the built poset, or the same refusal, from
+    """The same rank sizes as the poset's nodes, or the same refusal, from
     the ranks' classification alone."""
     cells = [(q, n, maker, oracle.DEFAULT_POSET_BUDGET)
              for q, n in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (9, 2), (9, 3)]
@@ -983,8 +988,12 @@ def test_poset_rank_sizes_match_the_poset_without_vector_sets(monkeypatch, kind)
     def ambient(q, n, maker):
         return maker(make_field(*closed.odd_prime_power(q)), n)
 
-    built = [poset_or_refusal(lambda *args: oracle.build_poset(*args).rank_sizes(),
-                              ambient(q, n, maker), kind, budget)
+    def node_ranks(*args):
+        snap = oracle.build_poset(*args)
+        ranks = Counter(k for _, k in snap.nodes)
+        return tuple(ranks[k] for k in range(snap.ambient.n + 1))
+
+    built = [poset_or_refusal(node_ranks, ambient(q, n, maker), kind, budget)
              for q, n, maker, budget in cells]
     assert sum(isinstance(sizes, str) for sizes in built) == 3
 
@@ -993,8 +1002,32 @@ def test_poset_rank_sizes_match_the_poset_without_vector_sets(monkeypatch, kind)
 
     monkeypatch.setattr(oracle, "_vector_sets", no_vector_sets)
     for (q, n, maker, budget), want in zip(cells, built):
-        got = poset_or_refusal(oracle.poset_rank_sizes, ambient(q, n, maker), kind, budget)
+        got = poset_or_refusal(lambda *args: oracle.build_poset(*args).rank_sizes(),
+                               ambient(q, n, maker), kind, budget)
         assert got == want, (q, n, maker, budget)
+
+
+@pytest.mark.parametrize("kind", list(PosetKind))
+def test_poset_vector_sets_are_made_once_on_first_read_of_the_edges(monkeypatch, kind):
+    """build_poset, rank sizes and nodes make no vector set; the edges make
+    each inner rank's once, and flags and Mobius values read those."""
+    made = Counter()
+    vector_sets = oracle._vector_sets
+
+    def counting(field, n, row_codes):
+        made[row_codes.shape[1]] += 1
+        return vector_sets(field, n, row_codes)
+
+    monkeypatch.setattr(oracle, "_vector_sets", counting)
+    snap = oracle.build_poset(dot_space(make_field(3), 4), kind)
+    assert snap.rank_sizes() and snap.nodes
+    assert made == {}
+    assert snap.hasse_edges
+    assert made == {1: 1, 2: 1, 3: 1}
+    if kind is PosetKind.EUCLIDEAN:
+        oracle.count_flags(snap)
+    oracle.mobius_bottom(snap)
+    assert made == {1: 1, 2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("kind", list(PosetKind))
@@ -1214,6 +1247,45 @@ def test_count_table_cells_equal_the_frozen_ones():
     assert _count_table_cells() == json.loads(COUNT_TABLE_CELLS.read_text(encoding="utf-8"))
 
 
+POSET_CELLS = pathlib.Path(__file__).parent / "data" / "poset_cells.json"
+
+
+def _poset_cells():
+    """{table: {cell: value}} for build_poset over six fields, both ambient
+    kinds, both poset kinds and three budgets, n = 1..4.  A cell holds its
+    rank sizes, edge count, the sha256 of its 'lower upper' edge lines, its
+    flag count (Euclidean only) and Mobius value, or its refusal's [type
+    name, message]."""
+    tables = {}
+    for q in (3, 5, 7, 9, 25, 27):
+        field = make_field(*closed.odd_prime_power(q))
+        for ambient_kind, poset_kind, budget in itertools.product(
+                AmbientKind, PosetKind, (1000, 20000, 10**6)):
+            cells = tables[f"q={q} {ambient_kind.value} {poset_kind.value} budget={budget}"] = {}
+            for n in range(1, 5):
+                try:
+                    snap = oracle.build_poset(
+                        ambient_space(field, ambient_kind, n), poset_kind, budget)
+                except BudgetExceeded as exc:
+                    cells[f"n={n}"] = [type(exc).__name__, str(exc)]
+                    continue
+                lines = "".join(f"{lo} {hi}\n" for lo, hi in snap.hasse_edges)
+                cell = {"ranks": list(snap.rank_sizes()), "edges": len(snap.hasse_edges),
+                        "edges_sha256": hashlib.sha256(lines.encode()).hexdigest()}
+                if poset_kind is PosetKind.EUCLIDEAN:
+                    cell["flags"] = oracle.count_flags(snap)
+                cell["mobius"] = oracle.mobius_bottom(snap)
+                cells[f"n={n}"] = cell
+    return tables
+
+
+def test_poset_cells_equal_the_frozen_ones():
+    """Every poset's summaries, or its refusal's type and message, as frozen
+    in data/poset_cells.json; `PYTHONPATH=src python tests/test_oracle.py`
+    rewrites the file from the code as it stands."""
+    assert _poset_cells() == json.loads(POSET_CELLS.read_text(encoding="utf-8"))
+
+
 def test_a_verify_run_walks_once_per_field_and_kind(monkeypatch):
     """Every (n, k) count of a field and ambient kind is read off one walk
     over the diagonal of the largest ambient, its lambda entry first."""
@@ -1262,10 +1334,12 @@ def test_largest_prime_under_the_table_limit_is_not_refused():
 
 
 if __name__ == "__main__":
-    # one line per cell
-    COUNT_TABLE_CELLS.write_text("{\n" + ",\n".join(
-        f" {json.dumps(name)}: {{\n" + ",\n".join(
-            f"  {json.dumps(cell)}: {json.dumps(value)}" for cell, value in cells.items()
-        ) + "\n }"
-        for name, cells in _count_table_cells().items()
-    ) + "\n}\n", encoding="utf-8")
+    # both frozen files, one line per cell
+    for path, tables in ((COUNT_TABLE_CELLS, _count_table_cells()),
+                         (POSET_CELLS, _poset_cells())):
+        path.write_text("{\n" + ",\n".join(
+            f" {json.dumps(name)}: {{\n" + ",\n".join(
+                f"  {json.dumps(cell)}: {json.dumps(value)}" for cell, value in cells.items()
+            ) + "\n }"
+            for name, cells in tables.items()
+        ) + "\n}\n", encoding="utf-8")

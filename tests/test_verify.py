@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from dotbinom import cli, oracle, verify
-from dotbinom.errors import IdentityViolated, Mismatch
+from dotbinom.errors import BudgetExceeded, IdentityViolated, Mismatch
+from dotbinom.quadspace import PosetKind
 from dotbinom.report import Status
 
 
@@ -93,3 +94,19 @@ def test_a_state_array_beyond_the_limit_is_skipped():
                "exceed the limit of 4194304 entries")
     assert notes == {f"q=163 n=4 k=2 ambient={kind}": message for kind in ("dot", "lambda_dot")}
     assert report.count(Status.FAIL) == 0
+
+
+def test_a_refused_lorentzian_poset_is_skipped(monkeypatch):
+    build = oracle.build_poset
+
+    def refusing(ambient, kind, *args):
+        if kind is PosetKind.LORENTZIAN:
+            raise BudgetExceeded("injected")
+        return build(ambient, kind, *args)
+
+    monkeypatch.setattr(oracle, "build_poset", refusing)
+    report = verify.run_verify([3], 2)
+    skipped = [(r.params, r.note) for r in report.records
+               if r.check == "oracle/poset-ranks" and r.status is Status.SKIPPED]
+    assert skipped == [(f"q=3 n={n} kind=lorentzian", "injected") for n in (1, 2)]
+    assert report.exit_status == 0
