@@ -6,6 +6,10 @@ determinant square classes, and tallied.  The closed-form module must agree
 with these counts; no formula beyond the Gaussian binomial (used for budget
 estimates) is consulted.
 
+Every layer reads one checked set of field tables per process
+(_field_tables): add digit by digit, mul through the logs of a primitive
+element, and the square classes by log parity (_arithmetic_tables).
+
 A count of k-subspaces is a Gram transfer, which lists no subspace.  An
 RREF row holds 1 at its pivot and 0 at every other pivot, so a
 k-subspace's Gram matrix is diag(d_p) over its pivots plus
@@ -103,7 +107,7 @@ _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 # q^2 entries of each q x q table.  `oracle count --n 2` on the lambda-dot
 # ambient peaked 25 to 36 bytes per entry above importing the CLI at
 # q = 2003 and 1009 (numpy, intp add and mul, an int32 shift table and the
-# temporaries of their builds): q = 2039, the largest prime in, near 100 MB.
+# int32 copy of add it is gathered from): q = 2039, the largest prime in, 118 MB.
 # A transfer's level-m state array is held to the same number of entries.
 _MAX_TABLE_ENTRIES = 1 << 22
 # Entries of one poset block: a group of upper nodes is gathered against a
@@ -114,11 +118,7 @@ _INCIDENCE_ENTRIES = 1 << 20
 # count or partial sum, and on Python ints beyond
 _INT64_LIMIT = 1 << 63
 
-_CLASS_CODES = {
-    SquareClass.ZERO: 0,
-    SquareClass.SQUARE: 1,
-    SquareClass.NON_SQUARE: 2,
-}
+_CLASS_CODES = {SquareClass.ZERO: 0, SquareClass.SQUARE: 1, SquareClass.NON_SQUARE: 2}
 
 
 def _price_tables(q: int) -> None:
@@ -131,16 +131,20 @@ def _price_tables(q: int) -> None:
 
 
 def _arithmetic_tables(field):
-    """Index-level (add, mul, neg) lookup tables of ``field`` as intp, not yet checked.
+    """Index-level (add, mul, neg, log) tables of ``field`` as intp, not yet checked.
 
     Element index i has base-p digits i_t = (i // p^t) % p, the polynomial
     coefficients of the element, constant term first.  Addition is digit by
     digit, so the add table of t + 1 digits is the add table of Z/p at the
-    top digit, scaled by p^t, plus the table of the t digits below it.  The
-    mul table is built a block of rows at a time, digit by digit in int32,
-    so no temporary holds more than about (2e - 1) * _TABLE_BLOCK integers;
-    every intermediate there is below 2 e p^2 in magnitude, far below 2^31
-    for any q that _price_tables admits.
+    top digit, scaled by p^t, plus the table of the t digits below it.
+
+    mul reads the powers of a primitive element g, the first in index order
+    (from p for e > 1: constants have order dividing p - 1) whose q - 1
+    powers cover every nonzero index once; a ring has none and is refused.
+    Row g * x is built digit by digit in int32, every intermediate below
+    2 e p^2 < 2^31, and the powers by doubling.  With log[g^i] = i,
+    log[0] = 2q - 2 and ext the power cycle twice then zeros,
+    mul[a, b] = ext[log a + log b], zero included.
     """
     p, e, q = field.p, field.e, field.q
     index = np.arange(q, dtype=np.int32)
@@ -153,47 +157,46 @@ def _arithmetic_tables(field):
     add = digit_add.copy()
     for w in weights[1:]:
         add = (digit_add[:, None, :, None] * w + add[None, :, None, :]).reshape(p * w, p * w)
-    mul = np.empty((q, q), dtype=np.intp)
-    modulus = field.modulus
-    rows = max(1, _TABLE_BLOCK // q)
-    for lo in range(0, q, rows):
-        a = [d[lo:lo + rows, None] for d in digits]  # (rows, 1) each
-        prod = [0] * (2 * e - 1)
-        for s in range(e):
-            for t in range(e):
-                prod[s + t] = prod[s + t] + a[s] * digits[t]
+    for g in range(p if e > 1 else 2, q):
+        prod = [sum(int(digits[s][g]) * digits[u - s] for s in range(e) if 0 <= u - s < e)
+                for u in range(2 * e - 1)]
         # reduce modulo the monic modulus, top coefficient first
         for s in range(2 * e - 2, e - 1, -1):
             c = prod[s] % p
             for t in range(e):
-                prod[s - e + t] = prod[s - e + t] - c * modulus[t]
-        mul[lo:lo + rows] = sum(prod[t] % p * weights[t] for t in range(e))
-    return add, mul, neg
+                prod[s - e + t] = prod[s - e + t] - c * field.modulus[t]
+        step = sum(prod[t] % p * weights[t] for t in range(e)).astype(np.intp)  # x -> g x
+        powers = np.ones(1, dtype=np.intp)  # 1 is the field index of 1
+        while powers.size < q - 1:
+            powers = np.concatenate((powers, step[powers]))  # step: x -> g^size x
+            step = step[step]
+        powers = powers[:q - 1]
+        if (np.bincount(powers, minlength=q)[1:] == 1).all():
+            break
+    else:
+        raise IdentityViolated("primitive-element", (p, e), tuple(field.modulus))
+    log = np.full(q, 2 * q - 2, dtype=np.intp)  # log 0 + any log is past both cycles
+    log[powers] = np.arange(q - 1)
+    ext = np.concatenate((powers, powers, np.zeros(2 * q - 1, dtype=np.intp)))
+    mul = np.empty((q, q), dtype=np.intp)
+    rows = max(1, _TABLE_BLOCK // q)
+    for lo in range(0, q, rows):
+        ext.take(log[lo:lo + rows, None] + log, out=mul[lo:lo + rows])
+    return add, mul, neg, log
 
 
 @lru_cache(maxsize=None)
 def _field_tables(p: int, e: int):
     """(add, mul, neg, square-class) tables, cached per process: the one
-    checked set (_field_indices) that every layer of the oracle reads.  The
-    square classes are Euler's criterion by square-and-multiply on mul."""
+    checked set (_field_indices) that every layer of the oracle reads.  A
+    nonzero element is a square exactly when its log is even."""
     q = p**e
     _price_tables(q)
-    add, mul, neg = (_field_indices(t, q) for t in _arithmetic_tables(make_field(p, e)))
-    power = np.ones(q, dtype=np.intp)
-    base = np.arange(q)
-    exponent = (q - 1) // 2
-    while exponent:
-        if exponent & 1:
-            power = mul[power, base]
-        base = mul[base, base]
-        exponent >>= 1
-    minus_one = p - 1  # the index of -1 = (p - 1, 0, ..., 0)
-    klass = np.zeros(q, dtype=np.int8)
-    klass[power == 1] = _CLASS_CODES[SquareClass.SQUARE]
-    klass[power == minus_one] = _CLASS_CODES[SquareClass.NON_SQUARE]
-    bad = np.flatnonzero((power[1:] != 1) & (power[1:] != minus_one)) + 1
-    if bad.size:
-        raise IdentityViolated("euler-criterion", (p, e), int(bad[0]), int(power[bad[0]]))
+    *tables, log = _arithmetic_tables(make_field(p, e))
+    add, mul, neg = (_field_indices(t, q) for t in tables)
+    klass = np.where(log % 2, _CLASS_CODES[SquareClass.NON_SQUARE],
+                     _CLASS_CODES[SquareClass.SQUARE]).astype(np.int8)
+    klass[0] = _CLASS_CODES[SquareClass.ZERO]
     return add, mul, neg, klass
 
 
@@ -201,11 +204,9 @@ def _field_indices(table, q: int):
     """``table`` itself, refused unless every entry is a field index in [0, q).
 
     _gather and the shift tables gather with mode='clip', which clamps an
-    index out of range where mode='raise' would refuse it.  Their indices
-    x * q + y and digit groups are in range only because every table they
-    gather from holds field indices, so that is checked here, once per
-    table built (add, mul and neg in _field_tables), by a check that
-    python -O keeps.
+    index out of range.  Their indices x * q + y and digit groups are in
+    range only because every table they gather from holds field indices, so
+    each of add, mul and neg is checked here by a check that python -O keeps.
     """
     if table.size and not (0 <= table.min() and table.max() < q):
         raise IdentityViolated("field-index-range", q, int(table.min()), int(table.max()))
@@ -271,19 +272,11 @@ def _gram_classes(upper, k: int, p: int, e: int):
 
 
 def _triangle(j: int) -> int:
-    """Upper-triangle entries of a j x j matrix: the digits of a level-j state."""
+    """Upper-triangle entries of a j x j matrix: the digits of a level-j state,
+    whose code holds its partial Gram matrix's entry (a, b), a <= b, at digit
+    T(b) + a, T being _triangle: column by column, so a level-j code is the
+    low T(j) digits of every level-(j + 1) code that extends it."""
     return j * (j + 1) // 2
-
-
-def _state_gram(codes, j: int, q: int):
-    """The upper triangle of the partial Gram matrix of level-j state codes,
-    as their digit arrays.
-
-    Entry (a, b), a <= b, is digit T(b) + a, T being _triangle: the upper
-    triangle column by column, so a level-j code is the low T(j) digits of
-    every level-(j + 1) code that extends it.
-    """
-    return [codes // q**t % q for t in range(_triangle(j))]
 
 
 @lru_cache(maxsize=8)
@@ -299,11 +292,12 @@ def _shift_tables(p: int, e: int, j: int, d: int):
     """
     add, mul, neg, _ = _field_tables(p, e)
     q = p**e
+    add32 = add.astype(np.int32)  # so the int32 tables take no intp temporary
     powers = q ** np.arange(j)[:, None]
     codes = np.arange(1, q**j)
     x = codes // powers % q  # x[a] is coordinate a of every nonzero vector
     x = x[:, codes < (neg[x] * powers).sum(axis=0)]  # the lower code of each pair
-    # digit T(b) + a of every shift, in _state_gram's order
+    # digit T(b) + a of every shift, in _triangle's order
     digits = [mul[d, mul[x[a], x[b]]] for b in range(j) for a in range(b + 1)]
     shifts = x.shape[1]
     width = 1
@@ -315,8 +309,7 @@ def _shift_tables(p: int, e: int, j: int, d: int):
         for t in range(lo, min(lo + width, len(digits))):
             # [g_t, s]: digit t of g plus shift s's.  Field indices, so clip
             # never acts, and int32 holds every code below q^T(j) <= 2^22.
-            term = np.empty((q, shifts), dtype=np.int32)
-            add.take(digits[t], axis=1, out=term, mode="clip")
+            term = add32.take(digits[t], axis=1, mode="clip")
             term *= q**t
             table = term if table is None else (term[:, None, :] + table).reshape(-1, shifts)
         groups.append((q**lo, len(table), table))
@@ -326,14 +319,20 @@ def _shift_tables(p: int, e: int, j: int, d: int):
 @lru_cache(maxsize=8)
 def _state_classes(p: int, e: int, m: int):
     """Square-class codes of det S for every level-m state S, by the
-    cofactor expansion of _Minors over the state digits, _TABLE_BLOCK
-    states at a time."""
-    q = p**e
-    size = q ** _triangle(m)
-    classes = np.empty(size, dtype=np.int8)
-    for lo in range(0, size, _TABLE_BLOCK):
-        upper = _state_gram(np.arange(lo, min(lo + _TABLE_BLOCK, size)), m, q)
-        classes[lo:lo + _TABLE_BLOCK] = _gram_classes(upper, m, p, e)
+    cofactor expansion of _Minors over the state digits.
+
+    Digit t is np.arange(q) on axis T(m) - 1 - t, so C order is code order
+    and each minor is formed only over the digits it reads.  A block holds
+    the q^low <= _TABLE_BLOCK codes of one setting of the digits from low
+    up, which are fixed ints, whose zeros _Minors skips.
+    """
+    q, digits = p**e, _triangle(m)
+    classes = np.empty(q**digits, dtype=np.int8)
+    low = max(t for t in range(digits + 1) if q**t <= _TABLE_BLOCK)
+    axes = [np.arange(q).reshape((q,) + (1,) * t) for t in range(low)]
+    for lo in range(0, classes.size, q**low):
+        fixed = [lo // q**t % q for t in range(low, digits)]
+        classes[lo:lo + q**low].reshape((q,) * low)[...] = _gram_classes(axes + fixed, m, p, e)
     return classes
 
 
@@ -342,7 +341,7 @@ def _column(p: int, e: int, levels, j: int, d: int, dtype):
     ``levels``, the counts before it.
 
     A state (j, S) is j pivots so far and their j x j partial Gram matrix S,
-    stored as its upper triangle's digits (_state_gram).  A pivot column of
+    stored as its upper triangle's digits (_triangle).  A pivot column of
     d maps S to S + [d] on the diagonal: level j - 1's counts are added to
     one slice of level j, at d * q^(T(j) - 1).  A free column of d keeps
     every count (x = 0) and adds twice each live state's count onto the

@@ -41,6 +41,11 @@ COUNT_CELLS = [
     (2039, 2, 1, _LAMBDA),
     (2039, 2, 2, _LAMBDA),
     (2039, 3, 2, _DOT),
+    # the largest admitted prime power of each degree: mul from the powers
+    # of a primitive element, square classes by log parity
+    (1849, 2, 1, _LAMBDA),
+    (1331, 2, 1, _DOT),
+    (625, 2, 1, _LAMBDA),
     # q=27's shifts, one of each pair {x, -x}, run over the base-3 digits
     # inside each field index; q=27 n=4 k=2 walks 27^3 states in two groups
     (27, 4, 3, _LAMBDA),

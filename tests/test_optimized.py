@@ -12,6 +12,6 @@ def test_optimized_checks_pass_under_python_O():
                          text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "FAIL" not in res.stdout
-    # the verify reference, 2 posets, 12 count cells at the default budget,
+    # the verify reference, 2 posets, 15 count cells at the default budget,
     # 4 beyond it and 3 group checks
-    assert len(res.stdout.splitlines()) == 22
+    assert len(res.stdout.splitlines()) == 25

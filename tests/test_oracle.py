@@ -181,7 +181,7 @@ def test_field_table_entry_beyond_q_is_refused(monkeypatch, name):
     build = oracle._arithmetic_tables
 
     def bad_tables(field):
-        tables = dict(zip(("add", "mul", "neg"), build(field)))
+        tables = dict(zip(("add", "mul", "neg", "log"), build(field)))
         tables[name].flat[-1] = field.q
         return tuple(tables.values())
 
@@ -203,9 +203,9 @@ def test_field_table_range_check_survives_optimize_flag():
         "from dotbinom.quadspace import dot_space",
         "build = oracle._arithmetic_tables",
         "def bad_tables(field):",
-        "    add, mul, neg = build(field)",
+        "    add, mul, neg, log = build(field)",
         "    add[2, 2] = 3",
-        "    return add, mul, neg",
+        "    return add, mul, neg, log",
         "oracle._arithmetic_tables = bad_tables",
         "try:",
         "    oracle.count_subspaces_by_class(dot_space(make_field(3), 2), 2)",
@@ -218,10 +218,16 @@ def test_field_table_range_check_survives_optimize_flag():
     assert res.stdout.split() == ["1", "field-index-range"]
 
 
-@pytest.mark.parametrize(
-    "p,e", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 4)]
-)
+FULL_TABLE_FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 4)]
+# every other field of degree e >= 2 with q <= 2048, checked on three rows
+ROW_FIELDS = [(p, e) for e in (2, 3, 4) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+              if p**e <= 2048 and (p, e) not in FULL_TABLE_FIELDS]
+
+
+@pytest.mark.parametrize("p,e", FULL_TABLE_FIELDS + ROW_FIELDS)
 def test_field_tables_match_field_arithmetic(p, e):
+    """Every entry of the small tables, and three seeded rows of add and mul
+    of every other extension field up to q = 2048, against FieldSpec."""
     field = make_field(p, e)
     add, mul, neg, klass = oracle._field_tables.__wrapped__(p, e)
     assert (add.dtype, mul.dtype, neg.dtype, klass.dtype) == (np.intp,) * 3 + (np.int8,)
@@ -231,10 +237,16 @@ def test_field_tables_match_field_arithmetic(p, e):
     for i, a in enumerate(elems):
         assert neg[i] == field.index(field.neg(a))
         assert klass[i] == codes[field.square_class(a)]
-        for j in range(i, field.q):
-            b = elems[j]
-            assert add[i, j] == add[j, i] == field.index(field.add(a, b)), (a, b)
-            assert mul[i, j] == mul[j, i] == field.index(field.mul(a, b)), (a, b)
+    if (p, e) in FULL_TABLE_FIELDS:
+        rows = range(field.q)
+    else:
+        rows = np.random.default_rng(field.q).choice(field.q, 3, replace=False).tolist()
+    for i in rows:
+        a = elems[i]
+        assert add[i].tolist() == add[:, i].tolist() == [
+            field.index(field.add(a, b)) for b in elems], a
+        assert mul[i].tolist() == mul[:, i].tolist() == [
+            field.index(field.mul(a, b)) for b in elems], a
 
 
 def test_field_tables_refuse_orders_beyond_uint16(monkeypatch):
@@ -246,21 +258,66 @@ def test_field_tables_refuse_orders_beyond_uint16(monkeypatch):
         oracle._field_tables(65537, 1)
 
 
-def test_table_limit_keeps_the_int32_mul_build_exact():
-    """The entry limit alone refuses every q of 2^16 or more, and keeps every
-    intermediate of the int32 mul table build, below 2 e p^2 <= 2 q^2, in int32."""
-    q = math.isqrt(oracle._MAX_TABLE_ENTRIES)
-    assert q <= 0xFFFF
-    assert 2 * q * q < 2**31
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (7, 3), (3, 4), (2039, 1)])
+def test_every_log_sum_indexes_the_doubled_power_cycle(p, e):
+    """mul[a, b] is ext[log a + log b], ext being the power cycle twice and
+    then zeros, 4q - 3 entries: log 0 = 2q - 2 sends every sum with a zero
+    past the cycles, and the largest sum, 4q - 4, is ext's last entry.  The
+    entry limit alone refuses every q of 2^16 or more, and keeps the int32
+    row build, below 2 e p^2 <= 2 q^2, exact."""
+    q = p**e
+    *_, log = oracle._arithmetic_tables(make_field(p, e))
+    assert sorted(log[1:].tolist()) == list(range(q - 1))
+    assert log[0] == 2 * q - 2 and 2 * log.max() == 4 * q - 4
+    limit = math.isqrt(oracle._MAX_TABLE_ENTRIES)
+    assert limit <= 0xFFFF and 2 * limit * limit < 2**31
+    with pytest.raises(BudgetExceeded):
+        oracle._price_tables(1 << 16)
 
 
-def test_field_tables_check_euler_criterion(monkeypatch):
-    """x^2 - 1 is reducible over GF(3): a^4 is then not always +-1."""
+RING_SCRIPT = "\n".join([
+    "import sys",
+    "from dotbinom import gf, oracle",
+    "from dotbinom.errors import IdentityViolated",
+    "ring = gf.FieldSpec(3, 2)",
+    "ring.modulus = (2, 0, 1)",
+    "oracle.make_field = lambda p, e=1: ring",
+    "try:",
+    "    oracle._field_tables(3, 2)",
+    "except IdentityViolated as exc:",
+    "    print(sys.flags.optimize, *exc.args)",
+])
+
+
+def test_field_tables_refuse_a_ring_without_a_primitive_element(monkeypatch):
+    """x^2 - 1 is reducible over GF(3): GF(3)[x] / (x^2 - 1) has units of
+    order at most 2, so no element's powers cover the 8 nonzero indices."""
     ring = gf.FieldSpec(3, 2)
     ring.modulus = (2, 0, 1)
     monkeypatch.setattr(oracle, "make_field", lambda p, e=1: ring)
-    with pytest.raises(IdentityViolated, match="euler-criterion"):
+    with pytest.raises(IdentityViolated, match="primitive-element"):
         oracle._field_tables.__wrapped__(3, 2)
+
+
+def test_primitive_element_check_survives_optimize_flag():
+    res = subprocess.run([sys.executable, "-O", "-c", RING_SCRIPT],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "1 primitive-element (3, 2) (2, 0, 1)\n"
+
+
+def test_shift_tables_hold_no_intp_temporary_of_their_size():
+    """The int32 shift tables are gathered from an int32 copy of add: at
+    q = 157, j = 2 the traced peak stays within 2 MB of the bytes kept."""
+    oracle._field_tables(157, 1)
+    tracemalloc.start()
+    try:
+        groups = oracle._shift_tables.__wrapped__(157, 1, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(table.nbytes for _, _, table in groups)
+    assert peak - kept < 2 << 20, (peak, kept)
 
 
 def _closed_tallies(q, n, k, maker):
