@@ -54,7 +54,7 @@ DIFFERENTIAL_CELLS = [
 ]
 
 
-def _assert_fast_matches_slow(p, e, n, maker):
+def _assert_counts_and_blocks_match_classify(p, e, n, maker):
     """Counts, and for k >= 1 the posets' every-code blocks, against classify()."""
     field = make_field(p, e)
     ambient = maker(field, n)
@@ -71,7 +71,7 @@ def _assert_fast_matches_slow(p, e, n, maker):
 @pytest.mark.parametrize("p,e,n,maker", DIFFERENTIAL_CELLS)
 def test_fast_tallies_match_object_level_classification(p, e, n, maker):
     """The numpy path must agree with per-subspace classify() exactly."""
-    _assert_fast_matches_slow(p, e, n, maker)
+    _assert_counts_and_blocks_match_classify(p, e, n, maker)
 
 
 def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
@@ -81,7 +81,7 @@ def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
     for p, e, n, maker in DIFFERENTIAL_CELLS[-3:]:
-        _assert_fast_matches_slow(p, e, n, maker)
+        _assert_counts_and_blocks_match_classify(p, e, n, maker)
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
@@ -484,7 +484,7 @@ OVERLAP_CELLS = [
 ]
 
 
-def test_transfer_matches_kernel_on_both_sides():
+def test_transfer_matches_every_code_blocks_at_level_k_and_n_minus_k():
     """The transfer and the posets' every-code block classification agree on
     every cell, both ambients, at level k and at level n - k."""
     assert {2 * k <= n for _, n, k, _ in OVERLAP_CELLS} == {True, False}
