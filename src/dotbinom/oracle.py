@@ -181,7 +181,8 @@ def _arithmetic_tables(field):
     mul = np.empty((q, q), dtype=np.intp)
     rows = max(1, _TABLE_BLOCK // q)
     for lo in range(0, q, rows):
-        ext.take(log[lo:lo + rows, None] + log, out=mul[lo:lo + rows])
+        # clip never acts, as no sum passes 4q - 4; mode='raise' would buffer out
+        ext.take(log[lo:lo + rows, None] + log, out=mul[lo:lo + rows], mode="clip")
     return add, mul, neg, log
 
 
