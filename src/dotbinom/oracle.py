@@ -322,10 +322,10 @@ def _state_classes(p: int, e: int, m: int):
     """Square-class codes of det S for every level-m state S, by the
     cofactor expansion of _Minors over the state digits.
 
-    Digit t is np.arange(q) on axis T(m) - 1 - t, so C order is code order
-    and each minor is formed only over the digits it reads.  A block holds
-    the q^low <= _TABLE_BLOCK codes of one setting of the digits from low
-    up, which are fixed ints, whose zeros _Minors skips.
+    Each digit t < low runs over np.arange(q) on axis -1 - t, so C order is
+    code order and each minor is formed only over the digits it reads.  A
+    block holds the q^low <= _TABLE_BLOCK codes of one setting of the digits
+    from low up, which are fixed ints, whose zeros _Minors skips.
     """
     q, digits = p**e, _triangle(m)
     classes = np.empty(q**digits, dtype=np.int8)
