@@ -96,9 +96,7 @@ _LAZY_NAMES = {
         "dot_binom_poly",
         "eval_consistency",
         "functional_equation_check",
-        "functional_sign_report",
         "gaussian_binom_poly",
-        "limit_check",
         "published_functional_sign",
         "row_symmetric",
     ), "polyq"),
@@ -183,12 +181,10 @@ __all__ = [
     "export_hasse",
     "full_count_report",
     "functional_equation_check",
-    "functional_sign_report",
     "gaussian_binom",
     "gaussian_binom_poly",
     "group_order",
     "lambda_dot_space",
-    "limit_check",
     "limit_value",
     "line_counts",
     "line_type",

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import closed, symsets
 from .closed import Flavor, Variant
-from .errors import DotAnalogueError, MissingDependency, NeitherSign
+from .errors import DotAnalogueError, MissingDependency
 from .gf import MAX_Q, make_field
 from .quadspace import (
     DEFAULT_BUDGET,
@@ -114,13 +114,10 @@ def cmd_poly(args):
                "degree": poly.degree, "poly": str(poly)}
         line = f"k={k} degree={poly.degree} {poly}"
         if args.checks and 0 < k < args.n:
-            try:
-                sign = polyq.functional_equation_check(key).value
-            except NeitherSign:
-                sign = "neither"
+            rep = polyq.coefficient_symmetry_report(key)
             x = 1 if args.q_class == 1 else -1
-            row["sign"] = sign
-            row["published_sign"] = polyq.published_functional_sign(key).value
+            row["sign"] = rep.computed.value if rep.computed else "neither"
+            row["published_sign"] = rep.published.value
             row["limit"] = str(poly.evaluate(x))
             row["limit_expected"] = closed.limit_value(args.n, k)
             line += (f"  sign={row['sign']} published={row['published_sign']}"

@@ -105,9 +105,9 @@ _CHUNK = 1 << 15
 _GROUP_CAP = 1 << 16  # entries of one digit-group shift table
 _TABLE_BLOCK = 1 << 16  # table entries built per block of rows
 # q^2 entries of each q x q table.  `oracle count --n 2` on the lambda-dot
-# ambient peaked 25 to 36 bytes per entry above importing the CLI at
-# q = 2003 and 1009 (numpy, intp add and mul, an int32 shift table and the
-# int32 copy of add it is gathered from): q = 2039, the largest prime in, 118 MB.
+# ambient peaked 22 to 32 bytes per entry above importing the CLI at
+# q = 2003 and 1009 (numpy, intp add and mul, and an int32 shift table
+# gathered from add by row blocks): q = 2039, the largest prime in, 102 MB.
 # A transfer's level-m state array is held to the same number of entries.
 _MAX_TABLE_ENTRIES = 1 << 22
 # Entries of one poset block: a group of upper nodes is gathered against a
@@ -293,7 +293,6 @@ def _shift_tables(p: int, e: int, j: int, d: int):
     """
     add, mul, neg, _ = _field_tables(p, e)
     q = p**e
-    add32 = add.astype(np.int32)  # so the int32 tables take no intp temporary
     powers = q ** np.arange(j)[:, None]
     codes = np.arange(1, q**j)
     x = codes // powers % q  # x[a] is coordinate a of every nonzero vector
@@ -301,6 +300,7 @@ def _shift_tables(p: int, e: int, j: int, d: int):
     # digit T(b) + a of every shift, in _triangle's order
     digits = [mul[d, mul[x[a], x[b]]] for b in range(j) for a in range(b + 1)]
     shifts = x.shape[1]
+    rows = max(1, _TABLE_BLOCK // max(shifts, 1))  # level 0 has no shifts
     width = 1
     while width < len(digits) and q ** (width + 1) * shifts <= _GROUP_CAP:
         width += 1
@@ -308,9 +308,12 @@ def _shift_tables(p: int, e: int, j: int, d: int):
     for lo in range(0, len(digits), width):
         table = None
         for t in range(lo, min(lo + width, len(digits))):
-            # [g_t, s]: digit t of g plus shift s's.  Field indices, so clip
-            # never acts, and int32 holds every code below q^T(j) <= 2^22.
-            term = add32.take(digits[t], axis=1, mode="clip")
+            # [g_t, s]: digit t of g plus shift s's, a block of add's rows at a
+            # time.  Field indices, so clip never acts, and int32 holds every
+            # code below q^T(j) <= 2^22.
+            term = np.empty((q, shifts), dtype=np.int32)
+            for r in range(0, q, rows):
+                term[r:r + rows] = add[r:r + rows].take(digits[t], axis=1, mode="clip")
             term *= q**t
             table = term if table is None else (term[:, None, :] + table).reshape(-1, shifts)
         groups.append((q**lo, len(table), table))

@@ -15,6 +15,10 @@ q-Pascal rule, row by row, products with q^e +- 1 by convolution, and the
 even-n, even-k quotient by exact integer division.  The factor 1/2 * q^m is
 applied last, when the cell's ``RatPoly`` is made; ``RatPoly`` is a
 read-only value with ``Fraction`` coefficients.
+
+Each interior cell's sign, by coefficient reversal, is set beside the
+paper's printed sign rule in one ``coefficient_symmetry_report``; the
+printed class-3 case list is the one table ``_CLASS3_MINUS``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .closed import _chi, dot_binom, limit_value, odd_prime_power
+from .closed import _chi, dot_binom, odd_prime_power
 from .errors import (
     ExactDivisionFailed,
     Mismatch,
@@ -199,14 +203,6 @@ class PolyFamilyKey:
         if not 0 <= self.k <= self.n:
             raise UndefinedForParameters(f"need 0 <= k <= n, got n={self.n}, k={self.k}")
 
-    @property
-    def n_mod4(self) -> int:
-        return self.n % 4
-
-    @property
-    def k_mod4(self) -> int:
-        return self.k % 4
-
 
 @lru_cache(maxsize=None)
 def _dot_binom_poly(q_class: int, n: int, k: int) -> RatPoly:
@@ -247,15 +243,6 @@ def eval_consistency(key: PolyFamilyKey, q_value: int) -> bool:
     return True
 
 
-def degree_check(key: PolyFamilyKey) -> bool:
-    """Degree of the family polynomial must be k(n-k)."""
-    return dot_binom_poly(key).degree == key.k * (key.n - key.k)
-
-
-def leading_coefficient(key: PolyFamilyKey) -> Fraction:
-    return dot_binom_poly(key).leading_coefficient
-
-
 class FunctionalSign(Enum):
     PLUS = "plus"
     MINUS = "minus"
@@ -284,130 +271,84 @@ def functional_equation_check(key: PolyFamilyKey) -> FunctionalSign:
     )
 
 
+# The printed class-3 "minus" cases: (case number, or None where the case
+# restates its class; n mod 4; the k mod 4 values it covers).
+_CLASS3_MINUS = (
+    (None, 3, (1, 2)),
+    (3, 1, (3, 2)),
+    (4, 2, (0, 2)),
+    (5, 0, (0, 2)),
+    (6, 0, (3,)),
+)
+
+
+def _class3_minus_case(n: int, k: int):
+    """The _CLASS3_MINUS row that covers (n, k), or None."""
+    return next((row for row in _CLASS3_MINUS if n % 4 == row[1] and k % 4 in row[2]),
+                None)
+
+
 def published_functional_sign(key: PolyFamilyKey) -> FunctionalSign:
     """Sign claimed by the printed case list, unlabeled cases read as class 3."""
-    nm, km = key.n_mod4, key.k_mod4
     if key.q_class == 1:
         minus = key.n % 2 == 0 and key.k % 2 == 1
     else:
-        minus = (
-            (nm == 3 and km in (1, 2))
-            or (nm == 1 and km in (3, 2))
-            or (nm == 2 and key.k % 2 == 0)
-            or (nm == 0 and key.k % 2 == 0)
-            or (nm == 0 and km == 3)
-        )
+        minus = _class3_minus_case(key.n, key.k) is not None
     return FunctionalSign.MINUS if minus else FunctionalSign.PLUS
 
 
-def _ambiguous_case(nm: int, km: int):
-    # printed cases whose congruence class is not restated
-    if nm == 1 and km in (3, 2):
-        return 3
-    if nm == 2 and km % 2 == 0:
-        return 4
-    if nm == 0 and km % 2 == 0:
-        return 5
-    if nm == 0 and km == 3:
-        return 6
-    return None
-
-
-@dataclass(frozen=True)
-class FunctionalSignReport:
-    key: PolyFamilyKey
-    computed: FunctionalSign
-    published: FunctionalSign
-    matches: bool
-    ambiguous_case: object
-    minus_under_class1: object
-    minus_under_class3: object
-
-
-def functional_sign_report(key: PolyFamilyKey) -> FunctionalSignReport:
-    """Reversal-based sign next to the printed claim, with both-class resolution."""
-    computed = functional_equation_check(key)
-    published = published_functional_sign(key)
-    case = _ambiguous_case(key.n_mod4, key.k_mod4)
-    minus1 = minus3 = None
-    if case is not None:
-        minus1 = (
-            functional_equation_check(PolyFamilyKey(1, key.n, key.k))
-            is FunctionalSign.MINUS
-        )
-        minus3 = (
-            functional_equation_check(PolyFamilyKey(3, key.n, key.k))
-            is FunctionalSign.MINUS
-        )
-    return FunctionalSignReport(
-        key=key,
-        computed=computed,
-        published=published,
-        matches=computed is published,
-        ambiguous_case=case,
-        minus_under_class1=minus1,
-        minus_under_class3=minus3,
-    )
-
-
-def published_symmetry(key: PolyFamilyKey):
-    """(sign, printed reversal index) from the printed symmetry case lists."""
-    kk = key.k * (key.n - key.k)
-    if key.q_class == 3 and key.n % 2 == 0 and key.k % 2 == 1:
-        kk += 1
-    return published_functional_sign(key), Fraction(kk, 2)
+def _sign_or_none(q_class: int, n: int, k: int):
+    try:
+        return functional_equation_check(PolyFamilyKey(q_class, n, k))
+    except NeitherSign:
+        return None
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    key: PolyFamilyKey
-    depressed: tuple
-    trailing_exponent: int
+    """A cell's reversal sign (None if neither) beside the printed sign and
+    reversal index; for a class-3 case printed without its class (its number
+    in ``ambiguous_case``), whether the sign is minus in each class."""
+
     depressed_degree: int
     computed: object
     published: FunctionalSign
     printed_bound: Fraction
     bound_consistent: bool
     matches_published: bool
+    ambiguous_case: object
+    minus_under_class1: object
+    minus_under_class3: object
 
 
 def coefficient_symmetry_report(key: PolyFamilyKey) -> SymmetryReport:
     """Reversal symmetry of the depressed coefficients, checked against the printed table."""
     if not 0 < key.k < key.n:
         raise UndefinedForParameters(f"need 0 < k < n, got n={key.n}, k={key.k}")
-    m, s = depressed_coefficients(key)
-    depressed_degree = len(s) - 1
-    try:
-        computed = functional_equation_check(key)
-    except NeitherSign:
-        computed = None
-    published, bound = published_symmetry(key)
+    depressed_degree = len(depressed_coefficients(key)[1]) - 1
+    computed = _sign_or_none(key.q_class, key.n, key.k)
+    published = published_functional_sign(key)
+    kk = key.k * (key.n - key.k)
+    if key.q_class == 3 and key.n % 2 == 0 and key.k % 2 == 1:
+        kk += 1
+    bound = Fraction(kk, 2)
+    row = _class3_minus_case(key.n, key.k)
+    case = row[0] if row else None
+    minus1 = minus3 = None
+    if case is not None:
+        minus1, minus3 = (_sign_or_none(c, key.n, key.k) is FunctionalSign.MINUS
+                          for c in (1, 3))
     return SymmetryReport(
-        key=key,
-        depressed=s,
-        trailing_exponent=m,
         depressed_degree=depressed_degree,
         computed=computed,
         published=published,
         printed_bound=bound,
         bound_consistent=bound == depressed_degree,
         matches_published=computed is published,
+        ambiguous_case=case,
+        minus_under_class1=minus1,
+        minus_under_class3=minus3,
     )
-
-
-def limit_check(key: PolyFamilyKey) -> bool:
-    """Evaluate at q=1 (class 1) or q=-1 (class 3) and compare with the limit table."""
-    if not 0 < key.k < key.n:
-        raise UndefinedForParameters(f"need 0 < k < n, got n={key.n}, k={key.k}")
-    x = 1 if key.q_class == 1 else -1
-    got = dot_binom_poly(key).evaluate(x)
-    want = limit_value(key.n, key.k)
-    if got != want:
-        raise Mismatch(
-            f"limit of p_({key.n},{key.k}) at q={x}: polynomial gives {got}, "
-            f"table value is {want}"
-        )
-    return True
 
 
 def row_symmetric(q_class: int, n: int) -> bool:

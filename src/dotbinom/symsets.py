@@ -1,8 +1,8 @@
 """Negation-closed subsets of Z/(n+1), counted by scanning them.
 
 These counts are what the polynomial limits at the degenerate point should
-equal.  The scan consults no closed form and needs no numpy, so the
-``limits`` command and the oracle share it.
+equal.  The scan consults no closed form and needs no numpy; the CLI's
+``limits`` command and ``verify`` read it, and the oracle does not.
 """
 
 from __future__ import annotations

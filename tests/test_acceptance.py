@@ -165,10 +165,11 @@ def test_criterion_07_polynomial_suite():
                 poly = polyq.dot_binom_poly(key)
                 assert poly.degree == k * (n - k), key
                 if 0 < k < n:
-                    assert polyq.leading_coefficient(key) == Fraction(1, 2)
+                    assert poly.leading_coefficient == Fraction(1, 2)
                     sign = polyq.functional_equation_check(key)
                     assert sign in (FunctionalSign.PLUS, FunctionalSign.MINUS)
-                    assert polyq.limit_check(key)
+                    assert poly.evaluate(1 if q_class == 1 else -1) == \
+                        closed.limit_value(n, k)
                 for q in eval_points:
                     assert polyq.eval_consistency(key, q)
     for n in range(17):

@@ -4,6 +4,7 @@ Each check starts a fresh interpreter, because this test process has
 usually imported the oracle, and so numpy, already.
 """
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -94,6 +95,37 @@ print('ok')
     res = run_python("-c", script)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "ok\n"
+
+
+def test_lazy_names_are_exported_once():
+    """A name dropped from one export list but left in the other fails."""
+    import dotbinom
+
+    assert len(dotbinom.__all__) == len(set(dotbinom.__all__))
+    assert set(dotbinom._LAZY_NAMES) <= set(dotbinom.__all__)
+
+
+def _imports(path):
+    """(module, name) of each import in ``path``, the package prefix dropped;
+    name is None where a whole module is imported."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.removeprefix("dotbinom."), None
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module in (None, "dotbinom"):
+                    yield alias.name, None
+                else:
+                    yield node.module.removeprefix("dotbinom."), alias.name
+
+
+def test_oracle_imports_no_closed_form_but_gaussian_binom():
+    """The oracle enumerates from definitions: of the closed forms it imports
+    only gaussian_binom, for budget estimates, and neither polyq nor verify."""
+    imports = set(_imports(pathlib.Path(cli.__file__).with_name("oracle.py")))
+    assert {name for module, name in imports if module == "closed"} == {"gaussian_binom"}
+    assert not {module for module, _ in imports} & {"polyq", "verify"}
 
 
 def test_unknown_package_attribute_is_an_attribute_error():

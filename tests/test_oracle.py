@@ -306,8 +306,9 @@ def test_primitive_element_check_survives_optimize_flag():
 
 
 def test_shift_tables_hold_no_intp_temporary_of_their_size():
-    """The int32 shift tables are gathered from an int32 copy of add: at
-    q = 157, j = 2 the traced peak stays within 2 MB of the bytes kept."""
+    """The int32 shift tables are gathered from add a block of rows at a
+    time: at q = 157, j = 2 the traced peak stays within 2 MB of the bytes
+    kept (it measured 1.1 MB above them)."""
     oracle._field_tables(157, 1)
     tracemalloc.start()
     try:
@@ -330,6 +331,45 @@ def _closed_tallies(q, n, k, maker):
         SubspaceClass.LAMBDA_DOT_TYPE: lam,
         SubspaceClass.DEGENERATE: closed.gaussian_binom(q, n, k) - dot - lam,
     }
+
+
+def test_oracle_runs_with_every_other_closed_form_raising(monkeypatch):
+    """The oracle counts from definitions: with every public closed-form
+    function but gaussian_binom made to raise, counts, both posets and the
+    isometry group still come out, equal to the closed forms read first."""
+    q, n = 5, 3
+    field = make_field(q)
+    want_counts = {maker: {(m, k): _closed_tallies(q, m, k, maker)
+                           for m in range(1, n + 1) for k in range(m + 1)}
+                   for maker in (dot_space, lambda_dot_space)}
+    want_ranks = {kind: (1, *(closed.dot_binom_variant(q, n, k, variant)
+                              for k in range(1, n)), 1)
+                  for kind, variant in ((PosetKind.EUCLIDEAN, Variant.DD),
+                                        (PosetKind.LORENTZIAN, Variant.DL))}
+    want_flags = closed.bracket_factorial(q, n)
+    want_mu = closed.mobius_sequence(q, n).mu[n]
+    want_order = closed.group_order(q, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read a closed form")
+
+    patched = [name for name, value in vars(closed).items()
+               if callable(value) and getattr(value, "__module__", None) == closed.__name__
+               and not isinstance(value, type) and not name.startswith("_")
+               and name != "gaussian_binom"]
+    assert "dot_binom" in patched and "limit_value" in patched
+    for name in patched:
+        monkeypatch.setattr(closed, name, refuse)
+    for maker, want in want_counts.items():
+        assert oracle.count_table(field, maker(field, 1).kind, n) == want, maker
+    ambient = dot_space(field, n)
+    for kind, want in want_ranks.items():
+        snap = oracle.build_poset(ambient, kind)
+        assert snap.rank_sizes() == want, kind
+        if kind is PosetKind.EUCLIDEAN:
+            assert oracle.count_flags(snap) == want_flags
+            assert oracle.mobius_bottom(snap) == want_mu
+    assert oracle.enumerate_orthogonal_group(ambient) == want_order
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
@@ -530,7 +570,7 @@ def test_count_refuses_a_state_array_beyond_the_table_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_zero_diagonal_entry_walks_the_column_side(n):
+def test_zero_diagonal_entry_is_read_at_level_k(n):
     """A hand-built ambient with a zero diagonal entry is degenerate, so
     orthogonal complements do not pair its k- and (n - k)-subspaces: every
     k is read at level k, and agrees with classify()."""
@@ -650,7 +690,7 @@ def test_transfer_counts_past_float64_precision_exactly(monkeypatch, n, k):
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_k_near_n_counts_on_the_row_side_in_little_memory(maker):
+def test_k_near_n_is_read_at_level_n_minus_k_in_little_memory(maker):
     """q=3 n=15 k=14 has 7.2 M subspaces, inside the default budget; they
     are read at level n - k = 1, 3 states, where every code's minors at k = 14
     would take some 3 GB."""

@@ -72,8 +72,6 @@ def test_key_validation():
         PolyFamilyKey(1, 3, 4)
     with pytest.raises(UndefinedForParameters):
         PolyFamilyKey(1, 3, -1)
-    key = PolyFamilyKey(3, 6, 5)
-    assert (key.n_mod4, key.k_mod4) == (2, 1)
 
 
 def test_dot_binom_poly_frozen():
@@ -114,9 +112,9 @@ def test_degree_and_leading_coefficient():
     for q_class in (1, 3):
         for n in range(1, 9):
             for k in range(n + 1):
-                key = PolyFamilyKey(q_class, n, k)
-                assert polyq.degree_check(key)
-                lead = polyq.leading_coefficient(key)
+                poly = polyq.dot_binom_poly(PolyFamilyKey(q_class, n, k))
+                assert poly.degree == k * (n - k)
+                lead = poly.leading_coefficient
                 if 0 < k < n:
                     assert lead == HALF
                 else:
@@ -186,14 +184,14 @@ def test_published_sign_disagrees_only_at_known_cells():
 
 
 def test_functional_sign_report_records_ambiguous_cases():
-    rep = polyq.functional_sign_report(PolyFamilyKey(3, 5, 2))
+    rep = polyq.coefficient_symmetry_report(PolyFamilyKey(3, 5, 2))
     assert rep.ambiguous_case == 3
     assert rep.computed is FunctionalSign.MINUS
     assert rep.published is FunctionalSign.MINUS
-    assert rep.matches
+    assert rep.matches_published
     assert rep.minus_under_class3 and not rep.minus_under_class1
     # unambiguous cell: no case number, class booleans match the one class
-    rep2 = polyq.functional_sign_report(PolyFamilyKey(1, 4, 1))
+    rep2 = polyq.coefficient_symmetry_report(PolyFamilyKey(1, 4, 1))
     assert rep2.ambiguous_case is None
 
 
@@ -220,11 +218,7 @@ def test_symmetry_bound_inconsistent_exactly_on_class1_odd_cells():
 
 
 def test_limit_checks():
-    for q_class in (1, 3):
-        for n in range(1, 9):
-            for k in range(1, n):
-                assert polyq.limit_check(PolyFamilyKey(q_class, n, k))
-    # and the values agree with the degenerate-point table
+    # the values agree with the degenerate-point table
     x = {1: 1, 3: -1}
     for q_class in (1, 3):
         for n in range(1, 9):
