@@ -71,7 +71,6 @@ reads the field tables alone (enumerate_orthogonal_group).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 
@@ -102,8 +101,8 @@ from .quadspace import (
 # (7.9 MB at k = 5, n = 6), and a transfer scatters from about _CHUNK
 # targets at a time.
 _CHUNK = 1 << 15
-_GROUP_CAP = 1 << 16  # entries of one digit-group shift table
-_TABLE_BLOCK = 1 << 16  # table entries built per block of rows
+# table entries built per block of rows, and in one digit-group shift table
+_TABLE_BLOCK = 1 << 16
 # q^2 entries of each q x q table.  `oracle count --n 2` on the lambda-dot
 # ambient peaked 22 to 32 bytes per entry above importing the CLI at
 # q = 2003 and 1009 (numpy, intp add and mul, and an int32 shift table
@@ -289,7 +288,7 @@ def _shift_tables(p: int, e: int, j: int, d: int):
     table[g, s] is the group's digits g plus shift s's digits there, field
     sums digit by digit, times q^lo; so the code of a state plus shift s is
     the sum over groups of table[code // q^lo % q^w, s].  A group is as wide
-    as fits _GROUP_CAP entries, and at least one digit wide.
+    as fits _TABLE_BLOCK entries, and at least one digit wide.
     """
     add, mul, neg, _ = _field_tables(p, e)
     q = p**e
@@ -302,7 +301,7 @@ def _shift_tables(p: int, e: int, j: int, d: int):
     shifts = x.shape[1]
     rows = max(1, _TABLE_BLOCK // max(shifts, 1))  # level 0 has no shifts
     width = 1
-    while width < len(digits) and q ** (width + 1) * shifts <= _GROUP_CAP:
+    while width < len(digits) and q ** (width + 1) * shifts <= _TABLE_BLOCK:
         width += 1
     groups = []
     for lo in range(0, len(digits), width):
@@ -574,7 +573,6 @@ class _Layer:
     top, which holds every vector, has neither array.
     """
 
-    rank: int
     start: int
     size: int
     row_codes: object  # (size, rank) intp array, or None for the top
@@ -607,11 +605,11 @@ class PosetSnapshot:
     def layers(self) -> tuple:
         """A _Layer per rank present, bottom first and top last."""
         field, n = self.ambient.field, self.ambient.n
-        layers = [_Layer(0, 0, 1, np.empty((1, 0), dtype=np.intp), None)]
-        for k, codes in self.ranks.items():
-            layers.append(_Layer(k, layers[-1].start + layers[-1].size, len(codes),
+        layers = [_Layer(0, 1, np.empty((1, 0), dtype=np.intp), None)]
+        for codes in self.ranks.values():
+            layers.append(_Layer(layers[-1].start + layers[-1].size, len(codes),
                                  codes, _vector_sets(field, n, codes)))
-        layers.append(_Layer(n, layers[-1].start + layers[-1].size, 1, None, None))
+        layers.append(_Layer(layers[-1].start + layers[-1].size, 1, None, None))
         return tuple(layers)
 
     @cached_property

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .gf import make_field
 from .oracle import PosetKind
-from .quadspace import AmbientKind, SubspaceClass, ambient_space, dot_space
+from .quadspace import AmbientKind, SubspaceClass, dot_space
 from .report import CheckRecord, Status, VerifyReport
 
 # Posets are checked for q <= 5 and n <= 4 only.  Their edges and Mobius
@@ -52,8 +52,10 @@ def _check(add, check, params, expected, actual, failed="", compare=True,
     as its actual value.
     Otherwise it is PASS when ``expected`` equals the actual value and
     ``mismatch`` when not: FAIL, or PAPER_DISCREPANCY where the actual value
-    is a formula as printed.  That record carries ``note``; with ``compare``
-    false it is left to the caller.
+    is a formula as printed.  Where ``expected`` describes the value rather
+    than equals it, the two never match, and ``mismatch`` is the status the
+    record takes.  That record carries ``note``; with ``compare`` false it
+    is left to the caller.
     """
     try:
         value = actual() if callable(actual) else actual
@@ -157,12 +159,10 @@ def _published_family(add, tally, q, n):
     params = f"q={q} n={n}"
     want = closed.group_order(q, n)
     value, note = closed.verbatim_group_order(q, n)
-    if value is None:
-        add(CheckRecord("published/group-order", params, str(want),
-                        "not evaluable", Status.SKIPPED, note))
-    else:
-        _check(add, "published/group-order", params, want, value,
-               mismatch=Status.PAPER_DISCREPANCY, note=note)
+    _check(add, "published/group-order", params, want,
+           "not evaluable" if value is None else value,
+           mismatch=Status.SKIPPED if value is None else Status.PAPER_DISCREPANCY,
+           note=note)
 
 
 def _poly_cell(add, key, compare_paper):
@@ -177,20 +177,21 @@ def _poly_cell(add, key, compare_paper):
     )
     if not interior:
         return
-    sign = _check(add, "poly/sign", params, "definite sign",
-                  lambda: polyq.functional_equation_check(key),
-                  failed="neither", compare=False)
-    if sign is not None and compare_paper:
-        published = polyq.published_functional_sign(key)
-        _check(add, "poly/sign", params, published.value, sign.value,
-               mismatch=Status.PAPER_DISCREPANCY,
-               note="" if published is sign
-               else "printed case list disagrees with coefficient reversal")
-    elif sign is not None:
-        add(CheckRecord("poly/sign", params, "definite sign", sign.value,
-                        Status.PASS))
-    if compare_paper:
+    if not compare_paper:
+        _check(add, "poly/sign", params, "definite sign",
+               lambda: polyq.functional_equation_check(key).value,
+               failed="neither", mismatch=Status.PASS)
+    else:
         rep = polyq.coefficient_symmetry_report(key)
+        # a sign that is neither is raised again, for its message
+        sign = _check(add, "poly/sign", params, "definite sign",
+                      lambda: rep.computed or polyq.functional_equation_check(key),
+                      failed="neither", compare=False)
+        if sign is not None:
+            _check(add, "poly/sign", params, rep.published.value, sign.value,
+                   mismatch=Status.PAPER_DISCREPANCY,
+                   note="" if rep.matches_published
+                   else "printed case list disagrees with coefficient reversal")
         issues = []
         if not rep.bound_consistent:
             issues.append(
@@ -202,11 +203,9 @@ def _poly_cell(add, key, compare_paper):
             issues.append(
                 f"printed symmetry {rep.published.value} vs computed {computed}"
             )
-        add(CheckRecord(
-            "poly/symmetry", params, "printed table consistent",
-            "consistent" if not issues else "; ".join(issues),
-            Status.PASS if not issues else Status.PAPER_DISCREPANCY,
-        ))
+        _check(add, "poly/symmetry", params, "printed table consistent",
+               "; ".join(issues) or "consistent",
+               mismatch=Status.PAPER_DISCREPANCY if issues else Status.PASS)
     x = 1 if key.q_class == 1 else -1
     _check(add, "poly/limit", f"{params} at q={x}",
            closed.limit_value(key.n, key.k), poly.evaluate(x))

@@ -282,13 +282,18 @@ def test_verify_without_paper_comparison():
     assert "PAPER-DISCREPANCY" not in res.stdout
 
 
-@pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json")])
-def test_verify_golden(fmt, suffix, capsys):
+@pytest.mark.parametrize("fmt,suffix,flags", [
+    pytest.param(fmt, suffix, flags, id="-".join([*flags, fmt, suffix]))
+    for flags in ((), ("no-compare-paper",))
+    for fmt, suffix in (("plain", "txt"), ("json", "json"))
+])
+def test_verify_golden(fmt, suffix, flags, capsys):
     """Frozen records: skipped, fallback, discrepancy and poset shapes."""
     code = cli.main(["verify", "--q", "3,5", "--max-n", "3", "--budget", "20",
-                     "--format", fmt])
+                     *(f"--{flag}" for flag in flags), "--format", fmt])
     assert code == 0
-    golden = DATA / f"verify_q3-5_max-n3_budget20.{suffix}"
+    golden = DATA / "verify_q3-5_max-n3_budget20{}.{}".format(
+        "".join(f"_{flag}" for flag in flags), suffix)
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 

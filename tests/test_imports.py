@@ -128,6 +128,35 @@ def test_oracle_imports_no_closed_form_but_gaussian_binom():
     assert not {module for module, _ in imports} & {"polyq", "verify"}
 
 
+# imported and never read: the benchmark tracer counts calls through it
+READ_ELSEWHERE = {("oracle", "contains")}
+
+
+def _unread_imports(path):
+    """Names a module-level import binds in ``path`` that the module neither
+    reads nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and (path.stem, name) not in READ_ELSEWHERE:
+                    yield name
+
+
+def test_every_module_level_import_is_read():
+    package = pathlib.Path(cli.__file__).parent
+    unread = {(path.stem, name) for path in sorted(package.glob("*.py"))
+              for name in _unread_imports(path)}
+    assert unread == set()
+
+
 def test_unknown_package_attribute_is_an_attribute_error():
     import dotbinom
 

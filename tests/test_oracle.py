@@ -77,11 +77,28 @@ def test_fast_tallies_match_object_level_classification(p, e, n, maker):
 def test_fast_tallies_match_with_small_chunks_and_digit_groups(monkeypatch):
     """Chunks of 7 codes, which run across pivot patterns in the posets'
     blocks, and shift tables split into several digit groups in the
-    transfer's scatter."""
+    transfer's scatter.  The cached tables are cleared before and after, so
+    every table of the run is built at the small block."""
     monkeypatch.setattr(oracle, "_CHUNK", 7)
-    monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
-    for p, e, n, maker in DIFFERENTIAL_CELLS[-3:]:
-        _assert_counts_and_blocks_match_classify(p, e, n, maker)
+    monkeypatch.setattr(oracle, "_TABLE_BLOCK", 81)
+    shift_tables, groups = oracle._shift_tables, Counter()
+
+    def counting(*key):
+        tables = shift_tables(*key)
+        groups[len(tables)] += 1
+        return tables
+
+    monkeypatch.setattr(oracle, "_shift_tables", counting)
+    caches = (shift_tables, oracle._state_classes)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        for p, e, n, maker in DIFFERENTIAL_CELLS[-3:]:
+            _assert_counts_and_blocks_match_classify(p, e, n, maker)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert max(groups) > 1
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
@@ -373,7 +390,7 @@ def test_oracle_runs_with_every_other_closed_form_raising(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
-def test_blocks_above_the_class_table_price_match_object_level(q):
+def test_blocks_counts_and_poset_nodes_match_object_level_up_to_k_4(q):
     """Every-code block tallies at k = 2, 3, 4 and poset nodes, over fields
     where -1 is a non-square (q = 3) and a square (q = 5, 9).  Counts run
     beside them.
@@ -412,7 +429,7 @@ def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(maker):
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_field_above_the_class_table_price_matches_closed_form(maker):
+def test_blocks_and_counts_at_q_167_match_closed_form(maker):
     """q = 167, n = 3, k = 2 against the closed forms (167^3 > 2^22), in
     blocks and counted."""
     ambient = maker(make_field(167), 3)
@@ -943,9 +960,8 @@ def test_snapshots_with_other_nodes_compare_unequal():
     assert again == euclid and hash(again) == hash(euclid)
 
 
-def test_poset_nodes_match_with_small_chunks_and_digit_groups(monkeypatch):
+def test_poset_nodes_match_with_small_chunks(monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 7)
-    monkeypatch.setattr(oracle, "_GROUP_CAP", 81)
     _assert_poset_nodes_match_objects(3, 4, dot_space)
 
 

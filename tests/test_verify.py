@@ -1,10 +1,10 @@
-"""Reconciliation runs: how often each enumeration is done."""
+"""Reconciliation runs: how often each enumeration and sign check is done."""
 
 from collections import Counter
 
 import pytest
 
-from dotbinom import cli, oracle, verify
+from dotbinom import cli, oracle, polyq, verify
 from dotbinom.errors import BudgetExceeded, IdentityViolated, Mismatch
 from dotbinom.quadspace import PosetKind
 from dotbinom.report import Status
@@ -110,3 +110,58 @@ def test_a_refused_lorentzian_poset_is_skipped(monkeypatch):
                if r.check == "oracle/poset-ranks" and r.status is Status.SKIPPED]
     assert skipped == [(f"q=3 n={n} kind=lorentzian", "injected") for n in (1, 2)]
     assert report.exit_status == 0
+
+
+@pytest.mark.parametrize("compare_paper", [True, False])
+def test_each_polynomial_cell_derives_its_signs_once(monkeypatch, compare_paper):
+    """Every interior cell of class 1 and 3 up to n = 4 (12 in all) reads
+    one symmetry report and takes both signs from it; the 4 cells under a
+    class-3 case printed without its class also read the reversal sign in
+    both classes.  Without the paper, each cell reads its reversal sign once."""
+    calls = Counter()
+    for name in ("functional_equation_check", "published_functional_sign",
+                 "coefficient_symmetry_report"):
+        def counting(key, _name=name, _call=getattr(polyq, name)):
+            calls[_name] += 1
+            return _call(key)
+        monkeypatch.setattr(polyq, name, counting)
+    verify.run_verify([3, 5], 4, compare_paper=compare_paper)
+    if compare_paper:
+        assert calls == {"coefficient_symmetry_report": 12,
+                         "functional_equation_check": 12 + 2 * 4,
+                         "published_functional_sign": 12}
+    else:
+        assert calls == {"functional_equation_check": 12}
+
+
+@pytest.mark.parametrize("compare_paper", [True, False])
+def test_a_sign_that_is_neither_fails_with_its_coefficients(monkeypatch, compare_paper):
+    depressed = polyq.depressed_coefficients
+    neither = {(3, 3, 1), (1, 4, 2)}
+
+    def replaced(key):
+        if (key.q_class, key.n, key.k) in neither:
+            return 0, (1, 2)
+        return depressed(key)
+
+    monkeypatch.setattr(polyq, "depressed_coefficients", replaced)
+    report = verify.run_verify([3, 5], 4, compare_paper=compare_paper)
+    got = [(r.check, r.params, r.expected, r.actual, r.status, r.note)
+           for r in report.records
+           if r.check in ("poly/sign", "poly/symmetry")
+           and r.params in ("class=1 n=4 k=2", "class=3 n=3 k=1")]
+    want = []
+    for params, n, k, q_class, symmetry in (
+        ("class=1 n=4 k=2", 4, 2, 1,
+         "printed index bound 2 does not match depressed degree 1; "
+         "printed symmetry plus vs computed neither"),
+        ("class=3 n=3 k=1", 3, 1, 3, "printed symmetry minus vs computed neither"),
+    ):
+        want.append(("poly/sign", params, "definite sign", "neither", Status.FAIL,
+                     f"p_({n},{k}) class {q_class}: depressed coefficients (1, 2) "
+                     "are neither palindromic nor anti-palindromic"))
+        if compare_paper:
+            want.append(("poly/symmetry", params, "printed table consistent",
+                         symmetry, Status.PAPER_DISCREPANCY, ""))
+    assert got == want
+    assert report.exit_status == 1
