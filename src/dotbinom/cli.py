@@ -42,8 +42,8 @@ from .report import (
 MAX_TRIANGLE_ROWS = 29
 MAX_N = 21
 # Cap on verify --max-n: its closed-form and polynomial families have no
-# price.  On 2 cores verify --q 3 took 0.9-1.0 s cold at --max-n 8, and
-# run_verify([3], 9) 1.0-1.5 s, nearly all of it in the subspace counts.
+# price.  On 2 cores verify --q 3 took 0.25-0.34 s cold at --max-n 8, and
+# run_verify([3], 9) 0.24-0.25 s with its import, which takes 0.16 s of it.
 MAX_VERIFY_N = 8
 
 

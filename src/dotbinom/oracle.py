@@ -593,8 +593,8 @@ class PosetSnapshot:
     (_containment).  ``hasse_edges`` are read off the blocks of adjacent
     ranks; mobius_bottom reads every block, and sums in int64 only while an
     a priori bound rules out overflow.  ``nodes`` are made from the row
-    codes, and two snapshots are equal when their ambient, kind, nodes and
-    edges are.
+    codes, and two snapshots are equal when their ambient, kind and row
+    codes are, since the codes fix the nodes and the nodes fix the edges.
     """
 
     ambient: AmbientForm
@@ -641,7 +641,8 @@ class PosetSnapshot:
         return tuple(nodes)
 
     def _key(self):
-        return self.ambient, self.poset_kind, self.nodes, self.hasse_edges
+        ranks = tuple((k, codes.tobytes()) for k, codes in self.ranks.items())
+        return self.ambient, self.poset_kind, ranks
 
     def __eq__(self, other):
         if not isinstance(other, PosetSnapshot):
@@ -907,22 +908,18 @@ def enumerate_orthogonal_group(ambient: AmbientForm, budget: int = DEFAULT_BUDGE
 _LABEL_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _node_label(sub: Subspace) -> str:
-    """Basis rows as base-p digit strings joined by commas; bottom is '-'."""
-    if sub.k == 0:
-        return "-"
-    p = sub.ambient.field.p
-    if p >= len(_LABEL_DIGITS):
-        raise UndefinedForParameters(f"p = {p} too large for digit labels")
-    rows = []
-    for row in sub.basis:
-        rows.append("".join(_LABEL_DIGITS[c] for x in row for c in x.coeffs))
-    return ",".join(rows)
-
-
 def hasse_edge_lines(snapshot: PosetSnapshot) -> list[str]:
-    """One 'lower upper' labelled edge per line."""
-    labels = [_node_label(sub) for sub, _ in snapshot.nodes]
+    """One 'lower upper' labelled edge per line.  A node's label is its basis
+    rows, each the base-p digits of its vector code, low digit first, joined
+    by commas; the bottom is '-' and the top's rows are the codes q^i."""
+    field, n = snapshot.ambient.field, snapshot.ambient.n
+    if field.p >= len(_LABEL_DIGITS):
+        raise UndefinedForParameters(f"p = {field.p} too large for digit labels")
+    digits = field.p ** np.arange(n * field.e)
+    labels = ["-"]
+    for codes in (*snapshot.ranks.values(), field.q ** np.arange(n)[None, :]):
+        labels.extend(",".join("".join(_LABEL_DIGITS[d] for d in row) for row in rows)
+                      for rows in (codes[:, :, None] // digits % field.p).tolist())
     return [f"{labels[lo]} {labels[hi]}" for lo, hi in snapshot.hasse_edges]
 
 

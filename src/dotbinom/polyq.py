@@ -271,21 +271,14 @@ def functional_equation_check(key: PolyFamilyKey) -> FunctionalSign:
     )
 
 
-# The printed class-3 "minus" cases: (case number, or None where the case
-# restates its class; n mod 4; the k mod 4 values it covers).
+# The printed class-3 "minus" cases as (n mod 4, the k mod 4 values each covers).
 _CLASS3_MINUS = (
-    (None, 3, (1, 2)),
-    (3, 1, (3, 2)),
-    (4, 2, (0, 2)),
-    (5, 0, (0, 2)),
-    (6, 0, (3,)),
+    (3, (1, 2)),  # restates its class
+    (1, (3, 2)),  # case 3, printed without its class
+    (2, (0, 2)),  # case 4, likewise
+    (0, (0, 2)),  # case 5, likewise
+    (0, (3,)),  # case 6, likewise
 )
-
-
-def _class3_minus_case(n: int, k: int):
-    """The _CLASS3_MINUS row that covers (n, k), or None."""
-    return next((row for row in _CLASS3_MINUS if n % 4 == row[1] and k % 4 in row[2]),
-                None)
 
 
 def published_functional_sign(key: PolyFamilyKey) -> FunctionalSign:
@@ -293,22 +286,13 @@ def published_functional_sign(key: PolyFamilyKey) -> FunctionalSign:
     if key.q_class == 1:
         minus = key.n % 2 == 0 and key.k % 2 == 1
     else:
-        minus = _class3_minus_case(key.n, key.k) is not None
+        minus = any(key.n % 4 == n4 and key.k % 4 in k4s for n4, k4s in _CLASS3_MINUS)
     return FunctionalSign.MINUS if minus else FunctionalSign.PLUS
-
-
-def _sign_or_none(q_class: int, n: int, k: int):
-    try:
-        return functional_equation_check(PolyFamilyKey(q_class, n, k))
-    except NeitherSign:
-        return None
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """A cell's reversal sign (None if neither) beside the printed sign and
-    reversal index; for a class-3 case printed without its class (its number
-    in ``ambiguous_case``), whether the sign is minus in each class."""
+    """A cell's reversal sign (None if neither) beside the printed sign and reversal index."""
 
     depressed_degree: int
     computed: object
@@ -316,9 +300,6 @@ class SymmetryReport:
     printed_bound: Fraction
     bound_consistent: bool
     matches_published: bool
-    ambiguous_case: object
-    minus_under_class1: object
-    minus_under_class3: object
 
 
 def coefficient_symmetry_report(key: PolyFamilyKey) -> SymmetryReport:
@@ -326,18 +307,15 @@ def coefficient_symmetry_report(key: PolyFamilyKey) -> SymmetryReport:
     if not 0 < key.k < key.n:
         raise UndefinedForParameters(f"need 0 < k < n, got n={key.n}, k={key.k}")
     depressed_degree = len(depressed_coefficients(key)[1]) - 1
-    computed = _sign_or_none(key.q_class, key.n, key.k)
+    try:
+        computed = functional_equation_check(key)
+    except NeitherSign:
+        computed = None
     published = published_functional_sign(key)
     kk = key.k * (key.n - key.k)
     if key.q_class == 3 and key.n % 2 == 0 and key.k % 2 == 1:
         kk += 1
     bound = Fraction(kk, 2)
-    row = _class3_minus_case(key.n, key.k)
-    case = row[0] if row else None
-    minus1 = minus3 = None
-    if case is not None:
-        minus1, minus3 = (_sign_or_none(c, key.n, key.k) is FunctionalSign.MINUS
-                          for c in (1, 3))
     return SymmetryReport(
         depressed_degree=depressed_degree,
         computed=computed,
@@ -345,9 +323,6 @@ def coefficient_symmetry_report(key: PolyFamilyKey) -> SymmetryReport:
         printed_bound=bound,
         bound_consistent=bound == depressed_degree,
         matches_published=computed is published,
-        ambiguous_case=case,
-        minus_under_class1=minus1,
-        minus_under_class3=minus3,
     )
 
 

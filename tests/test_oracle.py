@@ -412,7 +412,7 @@ def test_blocks_counts_and_poset_nodes_match_object_level_up_to_k_4(q):
 
 
 @pytest.mark.parametrize("maker", [dot_space, lambda_dot_space])
-def test_count_of_fewer_than_q_cubed_subspaces_builds_no_class_table(maker):
+def test_one_subspace_at_q_157_is_counted_in_under_q_squared_bytes(maker):
     """q = 157, n = 2, k = 2 is one subspace: its block of one code is
     classified, and counted, beside the warm field tables without building
     any table of q^2 entries, let alone q^3."""
@@ -945,6 +945,25 @@ def test_poset_summaries_make_no_subspace_until_nodes_are_read(monkeypatch, q, n
     assert list(snap.nodes) == expected
     assert len(made) == len(expected) and snap.nodes is snap.nodes
     assert tuple(Counter(k for _, k in expected)[k] for k in range(n + 1)) == summaries[0]
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 3), (9, 2)])
+def test_poset_equality_hash_and_export_make_no_subspace(monkeypatch, tmp_path, q, n):
+    """Equality and hash read the ambient, kind and row codes, and edge
+    labels are the row codes' base-p digits, so none of them makes a node."""
+    made = []
+    init = oracle.Subspace.__init__
+
+    def counting(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    ambient = dot_space(make_field(*closed.odd_prime_power(q)), n)
+    monkeypatch.setattr(oracle.Subspace, "__init__", counting)
+    snap, again = (oracle.build_poset(ambient, PosetKind.EUCLIDEAN) for _ in range(2))
+    assert snap == again and hash(snap) == hash(again)
+    oracle.export_hasse(snap, str(tmp_path / "hasse.txt"))
+    assert made == []
 
 
 def test_snapshots_with_other_nodes_compare_unequal():

@@ -183,16 +183,28 @@ def test_published_sign_disagrees_only_at_known_cells():
                 assert sym.matches_published == (computed is published)
 
 
-def test_functional_sign_report_records_ambiguous_cases():
-    rep = polyq.coefficient_symmetry_report(PolyFamilyKey(3, 5, 2))
-    assert rep.ambiguous_case == 3
-    assert rep.computed is FunctionalSign.MINUS
-    assert rep.published is FunctionalSign.MINUS
-    assert rep.matches_published
-    assert rep.minus_under_class3 and not rep.minus_under_class1
-    # unambiguous cell: no case number, class booleans match the one class
-    rep2 = polyq.coefficient_symmetry_report(PolyFamilyKey(1, 4, 1))
-    assert rep2.ambiguous_case is None
+# The paper's class-3 "minus" cases printed without their class:
+# case number -> (n mod 4, the k mod 4 values, reversal signs in classes 1 and 3).
+UNLABELED_CASES = {
+    3: (1, (3, 2), ("plus", "minus")),
+    4: (2, (0, 2), ("plus", "plus")),
+    5: (0, (0, 2), ("plus", "plus")),
+    6: (0, (3,), ("minus", "minus")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLABELED_CASES))
+def test_unlabeled_printed_cases_read_their_reversal_signs_in_both_classes(case):
+    """Only case 3 is minus in class 3 alone, e.g. at (n, k) = (5, 2); cases 4
+    and 5 are plus in both classes and case 6 is minus in both."""
+    n4, k4s, want = UNLABELED_CASES[case]
+    cells = [(n, k) for n in range(1, 25) for k in range(1, n)
+             if n % 4 == n4 and k % 4 in k4s]
+    assert cells
+    for n, k in cells:
+        got = tuple(polyq.functional_equation_check(PolyFamilyKey(c, n, k)).value
+                    for c in (1, 3))
+        assert got == want, (case, n, k)
 
 
 def test_symmetry_report_frozen():
@@ -206,6 +218,7 @@ def test_symmetry_report_frozen():
     assert rep2.bound_consistent and rep2.matches_published
     rep3 = polyq.coefficient_symmetry_report(PolyFamilyKey(3, 4, 2))
     assert rep3.bound_consistent and not rep3.matches_published
+    assert (rep3.computed, rep3.published) == (FunctionalSign.PLUS, FunctionalSign.MINUS)
 
 
 def test_symmetry_bound_inconsistent_exactly_on_class1_odd_cells():
