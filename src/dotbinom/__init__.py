@@ -5,7 +5,8 @@ the standard dot product (and its lambda-scaled companion), in closed form
 and by brute-force enumeration, together with the polynomial families the
 counts trace out in q.
 
-Importing the package loads the closed forms and what they need, not numpy.
+Importing the package loads the closed forms and what they need: not numpy,
+``dataclasses`` (its records are NamedTuples), ``fractions``, ``csv`` or ``json``.
 The brute-force oracle (which needs numpy), the polynomial families and
 ``run_verify`` are loaded on first use: the names this package re-exports
 from ``oracle``, ``polyq`` and ``verify``, and those three modules, are

@@ -6,7 +6,9 @@ handler returns ``(columns, rows, payload, plain)``, and an exit status
 after them when it can be nonzero; ``main`` renders it in the chosen format.
 
 The closed-form commands run without numpy: the oracle, ``polyq`` and
-``verify`` are imported only by the commands that use them.
+``verify`` are imported only by the commands that use them.  Nor do this
+module and each plain closed-form command but ``poly`` load ``dataclasses``,
+``fractions``, ``csv`` or ``json``.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ that disagreements can be reported side by side instead of silently patched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     ExactDivisionFailed,
@@ -257,6 +256,8 @@ def pascal_check(q: int, n: int) -> tuple[list[int], bool]:
     C(n,k) = C(n-1,k-1) + (([n]-[k])/[n-k]) C(n-1,k)
     C(n,k) = C(n-1,k)   + (([n]-[n-k])/[k]) C(n-1,k-1)
     """
+    from fractions import Fraction
+
     row = pascal_row(q, n)
     if n == 0:
         return row, True
@@ -276,8 +277,7 @@ def pascal_check(q: int, n: int) -> tuple[list[int], bool]:
 # -- row shape ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShapeRowReport:
+class ShapeRowReport(NamedTuple):
     values: tuple[int, ...]
     symmetric: bool
     unimodal: bool
@@ -289,8 +289,7 @@ class ShapeRowReport:
         return self.symmetric and self.unimodal and self.log_concave and self.peak_centered
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     euclidean: ShapeRowReport
     lorentzian: ShapeRowReport
 
@@ -381,8 +380,7 @@ def quotient_identity_check(q: int, n: int, k: int) -> bool:
 # -- Mobius values and limits ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MobiusSequence:
+class MobiusSequence(NamedTuple):
     q: int
     b: tuple[int, ...]
     mu: tuple[int, ...]
@@ -418,5 +416,7 @@ def limit_value(n: int, k: int) -> int:
 
 def asymptotic_gap(q: int, n: int, k: int) -> Fraction:
     """|C(n,k)_d / C(n,k)_q - 1/2| as an exact rational."""
+    from fractions import Fraction
+
     ratio = Fraction(dot_binom(q, n, k), gaussian_binom(q, n, k))
     return abs(ratio - Fraction(1, 2))

@@ -8,10 +8,9 @@ constructed, safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -35,8 +34,7 @@ class SquareClass(Enum):
     NON_SQUARE = "non_square"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(NamedTuple):
     """Reduced polynomial representative, constant coefficient first."""
 
     coeffs: tuple[int, ...]

@@ -11,8 +11,8 @@ line can name them without importing the numpy-backed oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import AmbientMismatch, DimensionMismatch, NotALine
 from .gf import FieldElement, FieldSpec, SquareClass
@@ -43,8 +43,7 @@ class PosetKind(Enum):
     LORENTZIAN = "lorentzian"
 
 
-@dataclass(frozen=True)
-class AmbientForm:
+class AmbientForm(NamedTuple):
     """(F_q^n, sum d_i x_i^2) with diagonal Gram entries d_i."""
 
     field: FieldSpec
@@ -81,8 +80,7 @@ def ambient_space(field: FieldSpec, kind, n: int) -> AmbientForm:
     return lambda_dot_space(field, n)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace held as its unique reduced row-echelon basis."""
 
     ambient: AmbientForm

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Status(Enum):
@@ -25,8 +23,7 @@ _STATUS_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One reconciliation check: a named comparison at concrete parameters."""
 
     check: str
@@ -49,8 +46,7 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     records: tuple[CheckRecord, ...]
 
     def count(self, status: Status) -> int:
@@ -73,6 +69,8 @@ VERIFY_COLUMNS = ("check", "params", "expected", "actual", "status", "note")
 
 def render_csv(columns, rows) -> str:
     """Rows are dicts; missing keys render empty."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -83,6 +81,8 @@ def render_csv(columns, rows) -> str:
 
 def render_json(payload) -> str:
     """Canonical form: parse and re-dump reproduces the bytes exactly."""
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ORACLE = "src/dotbinom/oracle.py"
 POLYQ = "src/dotbinom/polyq.py"
+CLOSED = "src/dotbinom/closed.py"
+REPORT = "src/dotbinom/report.py"
 
 MUTANTS = (
     ("never swap the nonzero classes", ORACLE,
@@ -88,6 +90,18 @@ MUTANTS = (
      "return self.ambient, self.poset_kind, ranks",
      "return self.ambient, self.poset_kind",
      ["tests/test_oracle.py::test_snapshots_with_other_nodes_compare_unequal"]),
+    ("dataclasses imported by the closed forms", CLOSED,
+     "import math\n",
+     "import math\nfrom dataclasses import dataclass\n",
+     ["tests/test_imports.py::test_cold_start_loads_no_unused_module"]),
+    ("no local Fraction import in asymptotic_gap", CLOSED,
+     "    from fractions import Fraction\n\n    ratio = ",
+     "    ratio = ",
+     ["tests/test_closed.py::test_asymptotic_gap"]),
+    ("no local json import in render_json", REPORT,
+     "    import json\n\n",
+     "",
+     ["tests/test_cli.py::test_table_commands_match_golden"]),
 )
 
 

@@ -62,6 +62,35 @@ def test_cli_import_loads_no_numpy():
     assert res.stdout == "False\n"
 
 
+# modules no closed-form command but poly uses: the records are NamedTuples,
+# and fractions, csv and json are imported by the functions that use them
+UNUSED_AT_COLD_START = ("dataclasses", "inspect", "fractions", "decimal", "csv", "json",
+                        "numpy")
+
+
+def test_cold_start_loads_no_unused_module():
+    """The package, the CLI and each plain closed-form command but poly (whose
+    polyq holds dataclasses) load none of UNUSED_AT_COLD_START."""
+    commands = [argv for name, argv in sorted(CLOSED_FORM_ARGV.items()) if name != "poly"]
+    script = f"""
+import contextlib, io, sys
+def loaded():
+    return [m for m in {UNUSED_AT_COLD_START!r} if m in sys.modules]
+import dotbinom
+print('dotbinom', loaded())
+from dotbinom import cli
+print('cli', loaded())
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ['--format', 'plain']) == 0
+    print(argv[0], loaded())
+"""
+    res = run_python("-c", script)
+    assert res.returncode == 0, res.stderr
+    stages = ["dotbinom", "cli", *(argv[0] for argv in commands)]
+    assert res.stdout == "".join(f"{stage} []\n" for stage in stages)
+
+
 def test_oracle_import_loads_no_process_pool():
     """Every count runs in-process, so the oracle imports no pool machinery."""
     res = run_python("-c", "import sys, dotbinom.oracle; "
