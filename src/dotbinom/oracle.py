@@ -43,25 +43,27 @@ ambient, count_subspaces_by_class one and full_count_report one row.
 The posets need every node, so build_poset classifies every RREF matrix
 of each rank, in enumerate_subspaces order, _CHUNK matrices at a time.  A
 block of codes, which may run across pivot patterns, is decoded into an
-(N, k, n) array of field indices (_rank_layout); each Gram entry is the
+(N, k, n) array of field indices (_rref_matrices); each Gram entry is the
 field sum over columns t of d_t * B[a, t] * B[b, t], formed by gathers
 from the add and mul tables, and det G is classified by the cofactor
 expansion of _Minors, as the transfer's states are.  Only the basis rows
 of the wanted class are kept, as vector codes, and every refusal comes
 before build_poset returns.  Rank sizes read the row codes alone; the
 rest is made from them on first read: the nodes' Subspace objects, the
-vector sets and the Hasse edges.
+containment pairs and the Hasse edges.
 
-The inclusion posets are stored a rank at a time.  Each inner rank's
-vector sets, spanned from its row codes a group of nodes at a time, are
-one packed bit array of N_r rows of ceil(q^n / 8) bytes.  U lies in W
-exactly when every basis row of U is a vector of W, so the containment
-block of rank s under rank r is an AND over U's s row codes, each gathered
-from W's packed row; blocks are made a group of upper nodes at a time, at
-most _INCIDENCE_ENTRIES entries per lower rank.  The Hasse edges are the
-nonzero entries of the blocks of adjacent present ranks, and mu(0, .) is
-the recursion mu_r = -sum_{s<r} C_{s,r}^T mu_s, in int64 while an a priori
-bound on its sums holds and on Python ints beyond.
+Containment is generated, not tested pair by pair.  Let W be a rank-r node
+with RREF basis B, pivots p_1 < ... < p_r, and C an s x r RREF matrix with
+pivots Q.  Row i of C B is B's row Q_i plus later rows, so it leads with 1
+at p_(Q_i), and C B restricted to B's pivot columns is C itself.  So C B is
+in RREF, and C -> rowspace(C B) lists W's s-subspaces, each in canonical
+form: its rows are the row codes rank s stores for it, if it is a node.
+Each node's span, the codes of its q^r vectors, is made a group of upper
+nodes at a time; the rows of every C are gathered from it and looked up
+among rank s's row codes (_inclusion_pairs).  No elimination runs.  The
+Hasse edges are the pairs of adjacent present ranks, and mu(0, .) is the
+recursion mu_W = -1 - sum_{U<W} mu_U over every pair, in int64 while an a
+priori bound on its sums holds and on Python ints beyond.
 
 The isometry group is counted as frames of columns, one column at a time
 among the vectors of the wanted norm orthogonal to those chosen so far; it
@@ -101,7 +103,8 @@ from .quadspace import (
 # (7.9 MB at k = 5, n = 6), and a transfer scatters from about _CHUNK
 # targets at a time.
 _CHUNK = 1 << 15
-# table entries built per block of rows, and in one digit-group shift table
+# table entries built per block of rows, in one digit-group shift table,
+# and in the span codes of one group of poset nodes
 _TABLE_BLOCK = 1 << 16
 # q^2 entries of each q x q table.  `oracle count --n 2` on the lambda-dot
 # ambient peaked 22 to 32 bytes per entry above importing the CLI at
@@ -109,10 +112,6 @@ _TABLE_BLOCK = 1 << 16
 # gathered from add by row blocks): q = 2039, the largest prime in, 102 MB.
 # A transfer's level-m state array is held to the same number of entries.
 _MAX_TABLE_ENTRIES = 1 << 22
-# Entries of one poset block: a group of upper nodes is gathered against a
-# lower rank's N_s nodes at most this many entries at a time, and vector
-# sets are made a group of nodes of q^k * n + q^n entries at a time.
-_INCIDENCE_ENTRIES = 1 << 20
 # the Gram transfer and mobius_bottom sum in int64 while this bounds every
 # count or partial sum, and on Python ints beyond
 _INT64_LIMIT = 1 << 63
@@ -562,39 +561,19 @@ def enumerate_subspaces(ambient: AmbientForm, k: int, budget: int = DEFAULT_BUDG
             yield Subspace(ambient, tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class _Layer:
-    """The nodes of one rank, nodes[start:start + size].
-
-    ``row_codes[i]`` holds node i's basis rows as vector codes, vector x being
-    code sum_t index(x_t) * q^t.  ``vectors[i]`` is node i's vector set,
-    packed little-endian: code c is bit c % 8 of byte c // 8.  The bottom
-    has no rows, and no vector set since it is never the upper rank; the
-    top, which holds every vector, has neither array.
-    """
-
-    start: int
-    size: int
-    row_codes: object  # (size, rank) intp array, or None for the top
-    vectors: object  # (size, ceil(q^n / 8)) uint8 array, or None
-
-
 @dataclass(frozen=True, eq=False)
 class PosetSnapshot:
     """Graded inclusion poset with adjoined bottom (zero) and top (full space).
 
     ``ranks`` maps each rank 0 < k < n that has nodes to their basis rows as
-    vector codes, an (N_k, k) array, and rank sizes read it alone.  The rest
-    is made on first read and kept: ``layers`` adds the packed vector sets
-    (see _Layer).  Node U of rank s lies in node W of rank r > s exactly
-    when every basis row of U is a vector of W, so the containment block of
-    two ranks is an AND over the lower rank's row codes, gathered from the
-    upper rank's packed rows a group of upper nodes at a time
-    (_containment).  ``hasse_edges`` are read off the blocks of adjacent
-    ranks; mobius_bottom reads every block, and sums in int64 only while an
-    a priori bound rules out overflow.  ``nodes`` are made from the row
-    codes, and two snapshots are equal when their ambient, kind and row
-    codes are, since the codes fix the nodes and the nodes fix the edges.
+    vector codes, an (N_k, k) array, vector x being code
+    sum_t index(x_t) * q^t, and rank sizes read it alone.  The rest is made
+    on first read and kept: ``pairs`` generates each node's own sub-lattice
+    (_inclusion_pairs), ``hasse_edges`` reads the pairs of adjacent ranks and
+    mobius_bottom reads every pair, summing in int64 only while an a priori
+    bound rules out overflow.  ``nodes`` are made from the row codes, and
+    two snapshots are equal when their ambient, kind and row codes are,
+    since the codes fix the nodes and the nodes fix the edges.
     """
 
     ambient: AmbientForm
@@ -602,26 +581,32 @@ class PosetSnapshot:
     ranks: dict = dataclass_field(repr=False)
 
     @cached_property
-    def layers(self) -> tuple:
-        """A _Layer per rank present, bottom first and top last."""
-        field, n = self.ambient.field, self.ambient.n
-        layers = [_Layer(0, 1, np.empty((1, 0), dtype=np.intp), None)]
-        for codes in self.ranks.values():
-            layers.append(_Layer(layers[-1].start + layers[-1].size, len(codes),
-                                 codes, _vector_sets(field, n, codes)))
-        layers.append(_Layer(layers[-1].start + layers[-1].size, 1, None, None))
-        return tuple(layers)
+    def pairs(self) -> dict:
+        """{(r, s): (w, u)} for every two inner ranks s < r present: node u
+        of rank s lies in node w of rank r, sorted by w and then u."""
+        return _inclusion_pairs(self.ambient.field, self.ambient.n, self.ranks)
+
+    def _below(self, r: int, s: int):
+        """(w, u) of ranks r > s as in ``pairs``; the bottom lies in every
+        node, and the top holds every node."""
+        if s == 0:
+            size = len(self.ranks.get(r, ((),)))  # the top is one node
+            return np.arange(size), np.zeros(size, dtype=np.intp)
+        if r == self.ambient.n:
+            size = len(self.ranks[s])
+            return np.zeros(size, dtype=np.intp), np.arange(size)
+        return self.pairs[r, s]
 
     @cached_property
     def hasse_edges(self) -> tuple:
         """(lower node index, upper node index) pairs of adjacent present ranks,
         by rank pair in increasing order, upper node first, then lower node."""
+        ranks, sizes = (0, *self.ranks, self.ambient.n), self.rank_sizes()
+        starts = list(itertools.accumulate((sizes[k] for k in ranks), initial=0))
         edges = []
-        for lower, upper in zip(self.layers, self.layers[1:]):
-            for first, (block,) in _containment(upper, [lower]):
-                hi, lo = np.nonzero(block)  # row-major: upper node, then lower node
-                edges.extend(zip((lower.start + lo).tolist(),
-                                 (upper.start + first + hi).tolist()))
+        for i, (s, r) in enumerate(zip(ranks, ranks[1:])):
+            w, u = self._below(r, s)
+            edges.extend(zip((starts[i] + u).tolist(), (starts[i + 1] + w).tolist()))
         return tuple(edges)
 
     @cached_property
@@ -656,51 +641,58 @@ class PosetSnapshot:
         return (1, *(len(self.ranks.get(k, ())) for k in range(1, self.ambient.n)), 1)
 
 
-def _vector_sets(field, n: int, row_codes):
-    """Packed vector sets of the subspaces whose basis rows have the vector
-    codes ``row_codes``, an (N, k) array, made a group of nodes at a time."""
-    add, mul, _, _ = _field_tables(field.p, field.e)
-    q = field.q
-    size, k = row_codes.shape
-    weights = q ** np.arange(n)
-    packed = np.empty((size, -(-(q**n) // 8)), dtype=np.uint8)
-    step = max(1, _INCIDENCE_ENTRIES // (q**k * n + q**n))
-    for first in range(0, size, step):
-        rows = row_codes[first:first + step, :, None] // weights % q  # (group, k, n)
-        vecs = np.zeros((len(rows), 1, n), dtype=np.intp)
-        for i in range(k):
-            # multiples[g, s, t] = s * row_i[t]; add each to every vector so far
-            multiples = mul[:, rows[:, i]].transpose(1, 0, 2)
-            vecs = add[vecs[:, :, None, :], multiples[:, None, :, :]].reshape(len(rows), -1, n)
-        bits = np.zeros((len(rows), q**n), dtype=bool)
-        bits[np.arange(len(rows))[:, None], vecs @ weights] = True
-        packed[first:first + step] = np.packbits(bits, axis=1, bitorder="little")
-    return packed
+def _inclusion_pairs(field, n: int, ranks: dict) -> dict:
+    """PosetSnapshot.pairs of the nodes whose basis rows have the vector
+    codes ``ranks`` (see the module docstring).
 
-
-def _containment(upper: _Layer, lowers):
-    """Yield (first, blocks) for each group of ``upper``'s nodes: blocks[i] is
-    a bool array whose [w, u] is True when node u of lowers[i] lies in
-    upper node first + w.
-
-    A group holds at most _INCIDENCE_ENTRIES // N_s upper nodes for the
-    widest lower rank, and each of that rank's s basis rows is gathered into
-    one group x N_s array, so no temporary grows as N_r x N_s x s.
+    A rank-r node's span codes list c B at index code(c), c in F_q^r, and
+    are made _TABLE_BLOCK // q^r upper nodes at a time.  The rows of each
+    s x r RREF matrix C (_sub_lattice) are gathered from them, and the s
+    row codes of C B, read as one byte key, are found among rank s's by
+    searchsorted into its keys, sorted once, and an equality test.
     """
-    if upper.vectors is None:  # the top holds every vector
-        yield 0, [np.ones((1, lower.size), dtype=bool) for lower in lowers]
-        return
-    step = max(1, _INCIDENCE_ENTRIES // max(lower.size for lower in lowers))
-    for first in range(0, upper.size, step):
-        vectors = upper.vectors[first:first + step]
-        blocks = []
-        for lower in lowers:
-            # bit 0 of the AND of each row's byte, shifted down to its bit
-            block = np.ones((len(vectors), lower.size), dtype=np.uint8)
-            for codes in lower.row_codes.T:
-                block &= vectors[:, codes >> 3] >> (codes & 7).astype(np.uint8)
-            blocks.append((block & 1).view(bool))
-        yield first, blocks
+    q = field.q
+    weights = q ** np.arange(n)
+    lookups = {}
+    for s, codes in ranks.items():
+        keys = codes.view(f"V{8 * s}").ravel()
+        order = np.argsort(keys)
+        lookups[s] = order, keys[order]
+    pairs = {}
+    for r, codes in ranks.items():
+        lowers = [s for s in ranks if s < r]
+        if not lowers:
+            continue
+        add, mul, _, _ = _field_tables(field.p, field.e)
+        found = {s: [] for s in lowers}
+        step = max(1, _TABLE_BLOCK // q**r)
+        for first in range(0, len(codes), step):
+            rows = codes[first:first + step, :, None] // weights % q  # (group, r, n)
+            vecs = np.zeros((len(rows), 1, n), dtype=np.intp)
+            for i in range(r):
+                # multiples[g, c, t] = c * row_i[t], added to every vector so far
+                multiples = mul[:, rows[:, i]].transpose(1, 0, 2)
+                vecs = add[multiples[:, :, None, :], vecs[:, None, :, :]].reshape(len(rows), -1, n)
+            spans = vecs @ weights
+            for s in lowers:
+                order, ordered = lookups[s]
+                lattice = _sub_lattice(q, r, s)
+                keys = spans.take(lattice, axis=1).view(f"V{8 * s}").ravel()
+                pos = np.searchsorted(ordered, keys)
+                hit = np.flatnonzero(ordered.take(pos, mode="clip") == keys)
+                found[s].append(np.sort((first + hit // len(lattice)) * len(order)
+                                        + order[pos[hit]]))
+        for s in lowers:
+            pairs[r, s] = np.divmod(np.concatenate(found[s]), len(ranks[s]))
+    return pairs
+
+
+@lru_cache(maxsize=32)
+def _sub_lattice(q: int, r: int, s: int):
+    """The code of each row of every s x r RREF matrix, an (M, s) array in
+    enumerate_subspaces order: row c has code sum_i c_i * q^i."""
+    layout = _rank_layout(q, r, s)
+    return _rref_matrices(layout, q, np.arange(layout[0][-1])) @ q ** np.arange(r)
 
 
 def _rank_layout(q: int, n: int, k: int):
@@ -727,6 +719,18 @@ def _rank_layout(q: int, n: int, k: int):
     return starts, np.array(patterns, dtype=np.intp), powers
 
 
+def _rref_matrices(layout, q: int, codes):
+    """The (N, k, n) RREF matrices of ``codes`` as field indices, by the
+    _rank_layout ``layout``; the codes may run across pivot patterns."""
+    starts, pivots, powers = layout
+    pattern = np.searchsorted(starts, codes, side="right") - 1
+    basis = powers[pattern]
+    np.floor_divide((codes - starts[pattern])[:, None, None], basis, out=basis)
+    basis %= q
+    basis[np.arange(len(codes))[:, None], np.arange(pivots.shape[1]), pivots[pattern]] = 1
+    return basis
+
+
 def _rank_blocks(field, diag_idx: tuple, k: int):
     """Yield (basis, classes) for the k-subspaces in enumerate_subspaces
     order, at most _CHUNK at a time, a block running across pivot patterns:
@@ -734,16 +738,11 @@ def _rank_blocks(field, diag_idx: tuple, k: int):
     square-class codes of their Gram determinants."""
     add, mul, _, _ = _field_tables(field.p, field.e)
     q, n = field.q, len(diag_idx)
-    starts, pivots, powers = _rank_layout(q, n, k)
+    layout = _rank_layout(q, n, k)
     rows, cols = np.array([(a, b) for b in range(k) for a in range(b + 1)]).T
-    total = int(starts[-1])
+    total = int(layout[0][-1])
     for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total))
-        pattern = np.searchsorted(starts, codes, side="right") - 1
-        basis = powers[pattern]
-        np.floor_divide((codes - starts[pattern])[:, None, None], basis, out=basis)
-        basis %= q
-        basis[np.arange(len(codes))[:, None], np.arange(k), pivots[pattern]] = 1
+        basis = _rref_matrices(layout, q, np.arange(lo, min(lo + _CHUNK, total)))
         # G[a, b] = sum_t d_t * B[a, t] * B[b, t], one row per upper entry
         entries = basis.transpose(1, 2, 0)  # [r, t, code]
         gram_upper = 0
@@ -758,11 +757,13 @@ def build_poset(
 ) -> PosetSnapshot:
     """Euclidean (dot-type) or Lorentzian (lambda-dot-type) inclusion poset.
 
-    ``budget`` bounds both the subspaces scanned and the 64-bit words of the
-    intermediate nodes' vector sets, and every refusal is raised here,
-    though the vector sets are made only when the snapshot's layers are
-    first read.  Each rank is classified _CHUNK codes at a time
-    (_rank_blocks), and only its wanted nodes' row codes are kept.
+    ``budget`` bounds both the subspaces scanned and the 64-bit words that
+    q^n-bit vector masks of the intermediate nodes would take, a price
+    only: no mask is made, and the containment pairs are generated from
+    each node's own sub-lattice when the snapshot's edges, flags or Mobius
+    value are first read.  Every refusal is raised here.  Each rank is
+    classified _CHUNK codes at a time (_rank_blocks), and only its wanted
+    nodes' row codes are kept.
     """
     poset_kind = PosetKind(poset_kind)
     field, n = ambient.field, ambient.n
@@ -818,24 +819,21 @@ def count_flags(snapshot: PosetSnapshot) -> int:
 def mobius_bottom(snapshot: PosetSnapshot) -> int:
     """Mobius value mu(0, top) by the definitional recursion, a rank at a time.
 
-    mu_r = -sum_{s<r} C_{s,r}^T mu_s over every comparable pair, C_{s,r}
-    being the containment block of rank s under rank r (Stanley, EC1 3.6).
-    Each rank's sums run in int64 while sum_{s<r} N_s max|mu_s|, which
-    bounds every partial sum, is below _INT64_LIMIT, and on Python ints beyond.
+    mu_W = -1 - sum_{U<W} mu_U over the inner nodes U below W, the -1 being
+    mu(0, 0), and the top lies over every node (Stanley, EC1 3.6).  Each
+    rank's sums run in int64 while 1 + sum_{s<r} N_s max|mu_s|, which bounds
+    every partial sum, is below _INT64_LIMIT, and on Python ints beyond.
     """
-    layers = snapshot.layers
-    mus = [np.ones(1, dtype=np.int64)]
-    for r in range(1, len(layers)):
-        bound = sum(lower.size * int(abs(mu).max()) for lower, mu in zip(layers, mus))
+    mus = {}
+    for r in (*snapshot.ranks, snapshot.ambient.n):
+        bound = 1 + sum(len(mu) * int(abs(mu).max()) for mu in mus.values())
         dtype = np.int64 if bound < _INT64_LIMIT else object
-        below = [mu.astype(dtype) for mu in mus]
-        mu = np.empty(layers[r].size, dtype=dtype)
-        for first, blocks in _containment(layers[r], layers[:r]):
-            mu[first:first + len(blocks[0])] = -sum(
-                block @ m for block, m in zip(blocks, below)
-            )
-        mus.append(mu)
-    return int(mus[-1][0])
+        below = np.zeros(snapshot.rank_sizes()[r], dtype=dtype)
+        for s, mu in mus.items():
+            w, u = snapshot._below(r, s)
+            np.add.at(below, w, mu[u].astype(dtype))
+        mus[r] = -1 - below
+    return int(mus[snapshot.ambient.n][0])
 
 
 def enumerate_orthogonal_group(ambient: AmbientForm, budget: int = DEFAULT_BUDGET) -> int:

@@ -47,7 +47,7 @@ MUTANTS = (
     ("skip the every-mask check", ORACLE,
      "    if words > budget:",
      "    if False:",
-     ["tests/test_oracle.py::test_poset_cells_equal_the_frozen_ones"]),
+     ["tests/test_oracle.py::test_poset_budget_prices_vector_masks"]),
     ("Lorentzian poset classified with the Euclidean class", ORACLE,
      "SquareClass.SQUARE if poset_kind is PosetKind.EUCLIDEAN else SquareClass.NON_SQUARE",
      "SquareClass.SQUARE",
@@ -63,9 +63,25 @@ MUTANTS = (
      ["tests/test_oracle.py::test_count_table_cells_equal_the_frozen_ones",
       "tests/test_oracle.py::test_count_lines_frozen"]),
     ("positive Mobius sign", ORACLE,
-     "mu[first:first + len(blocks[0])] = -sum(",
-     "mu[first:first + len(blocks[0])] = sum(",
+     "mus[r] = -1 - below",
+     "mus[r] = -1 + below",
      ["tests/test_oracle.py::test_poset_cells_equal_the_frozen_ones"]),
+    ("no bottom term in the Mobius recursion", ORACLE,
+     "mus[r] = -1 - below",
+     "mus[r] = -below",
+     ["tests/test_oracle.py::test_poset_cells_equal_the_frozen_ones",
+      "tests/test_oracle.py::test_mobius_at_q5_n4"]),
+    ("no equality test after searchsorted", ORACLE,
+     'hit = np.flatnonzero(ordered.take(pos, mode="clip") == keys)',
+     "hit = np.flatnonzero(pos < len(order))",
+     ["tests/test_oracle.py::test_poset_cells_equal_the_frozen_ones",
+      "tests/test_oracle.py::test_mask_containment_matches_object_level[PosetKind.EUCLIDEAN-3-4]",
+      "tests/test_oracle.py::test_hasse_edges_match_pairwise_rule[PosetKind.LORENTZIAN-5-3-True]"]),
+    ("RREF matrices decoded without their pivot ones", ORACLE,
+     "    basis[np.arange(len(codes))[:, None], np.arange(pivots.shape[1]), pivots[pattern]] = 1\n",
+     "",
+     ["tests/test_oracle.py::test_poset_cells_equal_the_frozen_ones",
+      "tests/test_oracle.py::test_mask_containment_matches_object_level[PosetKind.LORENTZIAN-5-3]"]),
     ("skip the total check", ORACLE,
      "if tallied == total else (",
      "if True else (",

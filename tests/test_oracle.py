@@ -984,29 +984,23 @@ def test_poset_nodes_match_with_small_chunks(monkeypatch):
     _assert_poset_nodes_match_objects(3, 4, dot_space)
 
 
-def _containment_matrix(snap):
-    """[i, j] is True when node i lies in node j, read off the per-rank arrays."""
-    inside = np.eye(len(snap.nodes), dtype=bool)
-    layers = snap.layers
-    for r in range(1, len(layers)):
-        upper = layers[r]
-        for first, blocks in oracle._containment(upper, layers[:r]):
-            hi = slice(upper.start + first, upper.start + first + len(blocks[0]))
-            for lower, block in zip(layers[:r], blocks):
-                inside[lower.start:lower.start + lower.size, hi] = block.T
-    return inside
-
-
 @pytest.mark.parametrize("q,n", [(3, 4), (5, 3)])
 @pytest.mark.parametrize("kind", list(PosetKind))
 def test_mask_containment_matches_object_level(q, n, kind):
-    """Containment from the packed per-rank vector sets equals contains() on every node pair."""
+    """The generated pairs of every two present inner ranks are the node
+    pairs that contains() finds, upper node in order, then lower node."""
     snap = oracle.build_poset(dot_space(make_field(q), n), kind)
-    subs = [sub for sub, _ in snap.nodes]
-    inside = _containment_matrix(snap)
-    for i, small in enumerate(subs):
-        for j, big in enumerate(subs):
-            assert inside[i, j] == contains(big, small), (small, big)
+    by_rank = {}
+    for sub, rank in snap.nodes:
+        by_rank.setdefault(rank, []).append(sub)
+    expected = {
+        (r, s): [(w, u) for w, big in enumerate(by_rank[r])
+                 for u, small in enumerate(by_rank[s]) if contains(big, small)]
+        for r in snap.ranks for s in snap.ranks if s < r
+    }
+    assert expected and all(expected.values())
+    got = {key: list(zip(w.tolist(), u.tolist())) for key, (w, u) in snap.pairs.items()}
+    assert got == expected
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])
@@ -1017,7 +1011,7 @@ def test_hasse_edges_match_pairwise_rule(monkeypatch, q, n, kind, small_blocks):
     order, then lower node in order, tested with contains()."""
     if small_blocks:
         monkeypatch.setattr(oracle, "_CHUNK", 7)
-        monkeypatch.setattr(oracle, "_INCIDENCE_ENTRIES", 1)  # one upper node per block
+        monkeypatch.setattr(oracle, "_TABLE_BLOCK", 1)  # one upper node per group
     snap = oracle.build_poset(dot_space(make_field(q), n), kind)
     by_rank = {}
     for idx, (_, rank) in enumerate(snap.nodes):
@@ -1033,7 +1027,8 @@ def test_hasse_edges_match_pairwise_rule(monkeypatch, q, n, kind, small_blocks):
     assert list(snap.hasse_edges) == expected
 
 
-@pytest.mark.parametrize("q,n,mu", [(7, 4, 4745), (3, 5, -181), (9, 4, 20969)])
+@pytest.mark.parametrize("q,n,mu", [(7, 4, 4745), (3, 5, -181), (9, 4, 20969),
+                                    (5, 5, 107899), (3, 6, 17261)])
 def test_posets_beyond_verify_window(monkeypatch, q, n, mu):
     ambient = dot_space(make_field(*closed.odd_prime_power(q)), n)
     snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=10**6)
@@ -1044,6 +1039,23 @@ def test_posets_beyond_verify_window(monkeypatch, q, n, mu):
     assert lorentzian.rank_sizes() == (1, *inner, 1)
     monkeypatch.setattr(oracle, "_INT64_LIMIT", 0)  # every rank sums on Python ints
     assert oracle.mobius_bottom(snap) == mu
+
+
+def test_poset_edges_and_mobius_at_q5_n5_peak_below_40_mb():
+    """The 20 152 nodes' spans are made a group of upper nodes at a time,
+    so the edges and Mobius value of q = 5, n = 5 trace below 40 MB (33.8 MB
+    measured, most of it the edge tuples; packed vector sets and their
+    containment blocks peaked at 43.0 MB)."""
+    ambient = dot_space(make_field(5), 5)
+    snap = oracle.build_poset(ambient, PosetKind.EUCLIDEAN, budget=10**6)
+    tracemalloc.start()
+    try:
+        edges, mu = snap.hasse_edges, oracle.mobius_bottom(snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 185900 and mu == closed.mobius_sequence(5, 5).mu[5]
+    assert peak < 40 * 10**6, peak
 
 
 def _degree_faults(snap):
@@ -1128,10 +1140,10 @@ def test_poset_rank_sizes_match_the_poset_without_vector_sets(monkeypatch, kind)
              for q, n, maker, budget in cells]
     assert sum(isinstance(sizes, str) for sizes in built) == 3
 
-    def no_vector_sets(*args):
-        raise AssertionError("a vector set was made")
+    def no_pairs(*args):
+        raise AssertionError("containment pairs were made")
 
-    monkeypatch.setattr(oracle, "_vector_sets", no_vector_sets)
+    monkeypatch.setattr(oracle, "_inclusion_pairs", no_pairs)
     for (q, n, maker, budget), want in zip(cells, built):
         got = poset_or_refusal(lambda *args: oracle.build_poset(*args).rank_sizes(),
                                ambient(q, n, maker), kind, budget)
@@ -1140,25 +1152,25 @@ def test_poset_rank_sizes_match_the_poset_without_vector_sets(monkeypatch, kind)
 
 @pytest.mark.parametrize("kind", list(PosetKind))
 def test_poset_vector_sets_are_made_once_on_first_read_of_the_edges(monkeypatch, kind):
-    """build_poset, rank sizes and nodes make no vector set; the edges make
-    each inner rank's once, and flags and Mobius values read those."""
-    made = Counter()
-    vector_sets = oracle._vector_sets
+    """build_poset, rank sizes and nodes make no containment pairs; the
+    edges make them once, and flags and Mobius values read those."""
+    made = []
+    inclusion_pairs = oracle._inclusion_pairs
 
-    def counting(field, n, row_codes):
-        made[row_codes.shape[1]] += 1
-        return vector_sets(field, n, row_codes)
+    def counting(field, n, ranks):
+        made.append(sorted(ranks))
+        return inclusion_pairs(field, n, ranks)
 
-    monkeypatch.setattr(oracle, "_vector_sets", counting)
+    monkeypatch.setattr(oracle, "_inclusion_pairs", counting)
     snap = oracle.build_poset(dot_space(make_field(3), 4), kind)
     assert snap.rank_sizes() and snap.nodes
-    assert made == {}
+    assert made == []
     assert snap.hasse_edges
-    assert made == {1: 1, 2: 1, 3: 1}
+    assert made == [[1, 2, 3]]
     if kind is PosetKind.EUCLIDEAN:
         oracle.count_flags(snap)
     oracle.mobius_bottom(snap)
-    assert made == {1: 1, 2: 1, 3: 1}
+    assert made == [[1, 2, 3]]
 
 
 @pytest.mark.parametrize("kind", list(PosetKind))
@@ -1181,7 +1193,7 @@ def test_poset_without_inner_nodes_builds_no_tables(monkeypatch):
 
     monkeypatch.setattr(oracle, "_field_tables", no_tables)
     snap = oracle.build_poset(dot_space(make_field(1009), 1), PosetKind.EUCLIDEAN)
-    assert [layer.vectors for layer in snap.layers] == [None, None]
+    assert snap.hasse_edges == ((0, 1),)
     assert oracle.count_flags(snap) == 1
     assert oracle.mobius_bottom(snap) == -1
 
